@@ -18,8 +18,8 @@ more general Lévy) jumps:
 * :mod:`levyou.presets` — named calibrated model configurations;
 * :mod:`levyou.cli` — the ``levyou`` command line tool.
 
-Environment flags: ``LEVYOU_BACKEND`` selects the simulation backend
-(``numba`` or ``numpy``), ``LEVYOU_THREADS`` caps compiled threads.
+Environment flag: ``LEVYOU_BACKEND`` selects the simulation backend
+(``numba`` or ``numpy``).
 """
 
 from ._backend import available_backends, get_kernels

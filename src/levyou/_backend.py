@@ -10,8 +10,6 @@ Environment variables
 ---------------------
 LEVYOU_BACKEND
     ``"numba"`` or ``"numpy"``.  Default: numba when it is importable.
-LEVYOU_THREADS
-    Optional integer cap on the numba thread pool.
 """
 
 import os
@@ -58,20 +56,7 @@ def _resolve_backend():
     return requested
 
 
-if HAVE_NUMBA:
-    _threads = os.environ.get("LEVYOU_THREADS", "").strip()
-    if _threads:
-        try:
-            n = max(1, min(int(_threads), numba.config.NUMBA_NUM_THREADS))
-            numba.set_num_threads(n)
-        except ValueError:
-            warnings.warn(
-                f"LEVYOU_THREADS={_threads!r} is not an integer; ignored",
-                RuntimeWarning,
-            )
-    njit = numba.njit
-else:
-    njit = _identity_jit
+njit = numba.njit if HAVE_NUMBA else _identity_jit
 
 
 def available_backends():

@@ -11,6 +11,10 @@ times (nodes and jump times) the price decays at the mean-reversion rate
 with the exact integrated drift and an exact-variance Gaussian increment;
 jumps add ``psi * size`` at their drawn times.  Per-step Poisson jump counts
 are inverted from precomputed CDF tables shared by both backends.
+
+One walk (:func:`_walk`) serves the three entry points; its mode picks what
+it accumulates along the path, and it writes into arrays the entry points
+allocate, so every argument keeps one type across modes.
 """
 
 import math
@@ -20,6 +24,7 @@ import numpy as np
 from ._backend import njit
 from ._rng import (
     GOLDEN,
+    MAX_JUMPS_PER_STEP,
     MIX1,
     MIX2,
     PPF_A,
@@ -43,7 +48,10 @@ _U31 = np.uint64(31)
 _U11 = np.uint64(11)
 _USPACE = np.uint64(SLOT_SPACE)
 _INV53 = 2.0**-53
-_MAXJ = 1023
+
+# What the walk accumulates: node prices, the trapezoid integral of a
+# tabulated reward, or log-wealth under a tabulated fraction.
+PRICE, VALUE, WEALTH = 0, 1, 2
 
 
 @njit(cache=True)
@@ -157,160 +165,39 @@ def _interp_slope(vals, row, s1, s2, slope_lo, slope_hi, s):
 
 
 @njit(cache=True)
-def price_paths(keys, s0, times, b_step, sig_step, psi_step, comp_step,
-                lam, cdf, kind, p0, p1):
-    """Simulate prices at the grid nodes.
+def _walk(mode, nodes, acc, fin, keys, s0, times, b_step, sig_step,
+          psi_step, comp_step, lam, cdf, kind, p0, p1,
+          vals, s1, s2, slope_lo, slope_hi):
+    """Exact transition walk over the step grid, accumulating per ``mode``.
 
-    Returns an (n_paths, n_nodes) array of prices.
+    PRICE writes the node prices into ``nodes``; VALUE and WEALTH write
+    the accumulated integral into ``acc`` and the final prices into
+    ``fin``.  Unused arrays may be empty.
     """
     n = keys.shape[0]
     n_steps = times.shape[0] - 1
-    out = np.empty((n, n_steps + 1))
-    tbuf = np.empty(_MAXJ + 1)
-    ybuf = np.empty(_MAXJ + 1)
+    tbuf = np.empty(MAX_JUMPS_PER_STEP + 1)
+    ybuf = np.empty(MAX_JUMPS_PER_STEP + 1)
     for i in range(n):
         key = keys[i]
         s = s0[i]
-        out[i, 0] = s
-        for k in range(n_steps):
-            t_left = times[k]
-            dt = times[k + 1] - t_left
-            bc = b_step[k] - comp_step[k]
-            cnt = _poisson_count(_uniform(key, k, 0), cdf[k])
-            for j in range(cnt):
-                tbuf[j] = t_left + dt * _uniform(key, k, SLOT_TIME + j)
-                ybuf[j] = _size_from_uniform(
-                    kind, p0, p1, _uniform(key, k, SLOT_SIZE + j)
-                )
-            for a in range(1, cnt):
-                tv = tbuf[a]
-                yv = ybuf[a]
-                b2 = a - 1
-                while b2 >= 0 and tbuf[b2] > tv:
-                    tbuf[b2 + 1] = tbuf[b2]
-                    ybuf[b2 + 1] = ybuf[b2]
-                    b2 -= 1
-                tbuf[b2 + 1] = tv
-                ybuf[b2 + 1] = yv
-            prev = t_left
-            for j in range(cnt):
-                ed, drift, std = _decay_drift_std(
-                    lam, bc, sig_step[k], tbuf[j] - prev
-                )
-                g = _normal_ppf(_uniform(key, k, SLOT_GAUSS + j))
-                s = s * ed + drift + std * g
-                s = s + psi_step[k] * ybuf[j]
-                prev = tbuf[j]
-            ed, drift, std = _decay_drift_std(
-                lam, bc, sig_step[k], times[k + 1] - prev
+        total = 0.0
+        f_prev = 0.0
+        if mode == PRICE:
+            nodes[i, 0] = s
+        elif mode == VALUE:
+            f_prev = _interp_slope(
+                vals, 0, s1[0], s2[0], slope_lo, slope_hi, s
             )
-            g = _normal_ppf(_uniform(key, k, SLOT_GAUSS + cnt))
-            s = s * ed + drift + std * g
-            out[i, k + 1] = s
-    return out
-
-
-@njit(cache=True)
-def value_paths(keys, s0, times, b_step, sig_step, psi_step, comp_step,
-                lam, cdf, kind, p0, p1,
-                tab_vals, tab_s1, tab_s2, slope_lo, slope_hi):
-    """Trapezoid integral of the tabulated running reward along each path.
-
-    The integrand is evaluated from per-node tables (rows of ``tab_vals``
-    over the per-node intervals [tab_s1, tab_s2], linearly extended with
-    the given slopes).  Jump times are quadrature nodes: both one-sided
-    values enter the trapezoid rule.  Returns (integrals, final prices).
-    """
-    n = keys.shape[0]
-    n_steps = times.shape[0] - 1
-    integ = np.empty(n)
-    fin = np.empty(n)
-    tbuf = np.empty(_MAXJ + 1)
-    ybuf = np.empty(_MAXJ + 1)
-    for i in range(n):
-        key = keys[i]
-        s = s0[i]
-        acc = 0.0
-        f_prev = _interp_slope(
-            tab_vals, 0, tab_s1[0], tab_s2[0], slope_lo, slope_hi, s
-        )
         for k in range(n_steps):
             t_left = times[k]
             dt = times[k + 1] - t_left
             bc = b_step[k] - comp_step[k]
-            cnt = _poisson_count(_uniform(key, k, 0), cdf[k])
-            for j in range(cnt):
-                tbuf[j] = t_left + dt * _uniform(key, k, SLOT_TIME + j)
-                ybuf[j] = _size_from_uniform(
-                    kind, p0, p1, _uniform(key, k, SLOT_SIZE + j)
-                )
-            for a in range(1, cnt):
-                tv = tbuf[a]
-                yv = ybuf[a]
-                b2 = a - 1
-                while b2 >= 0 and tbuf[b2] > tv:
-                    tbuf[b2 + 1] = tbuf[b2]
-                    ybuf[b2 + 1] = ybuf[b2]
-                    b2 -= 1
-                tbuf[b2 + 1] = tv
-                ybuf[b2 + 1] = yv
-            prev = t_left
-            for j in range(cnt):
-                delta = tbuf[j] - prev
-                ed, drift, std = _decay_drift_std(
-                    lam, bc, sig_step[k], delta
-                )
-                g = _normal_ppf(_uniform(key, k, SLOT_GAUSS + j))
-                s = s * ed + drift + std * g
-                f_pre = _interp_slope(
-                    tab_vals, k, tab_s1[k], tab_s2[k], slope_lo, slope_hi, s
-                )
-                acc += 0.5 * (f_prev + f_pre) * delta
-                s = s + psi_step[k] * ybuf[j]
-                f_prev = _interp_slope(
-                    tab_vals, k, tab_s1[k], tab_s2[k], slope_lo, slope_hi, s
-                )
-                prev = tbuf[j]
-            delta = times[k + 1] - prev
-            ed, drift, std = _decay_drift_std(lam, bc, sig_step[k], delta)
-            g = _normal_ppf(_uniform(key, k, SLOT_GAUSS + cnt))
-            s = s * ed + drift + std * g
-            f_right = _interp_slope(
-                tab_vals, k + 1, tab_s1[k + 1], tab_s2[k + 1],
-                slope_lo, slope_hi, s
-            )
-            acc += 0.5 * (f_prev + f_right) * delta
-            f_prev = f_right
-        integ[i] = acc
-        fin[i] = s
-    return integ, fin
-
-
-@njit(cache=True)
-def wealth_paths(keys, s0, times, b_step, sig_step, psi_step, comp_step,
-                 lam, cdf, kind, p0, p1,
-                 pi_vals, pi_s1, pi_s2):
-    """Log-wealth of the tabulated strategy along each path.
-
-    The fraction is read from the per-node table at the left node of each
-    step and held fixed across the step.  Returns (log-wealth, final
-    prices); initial wealth is 1 (log 0).
-    """
-    n = keys.shape[0]
-    n_steps = times.shape[0] - 1
-    logw = np.zeros(n)
-    fin = np.empty(n)
-    tbuf = np.empty(_MAXJ + 1)
-    ybuf = np.empty(_MAXJ + 1)
-    for i in range(n):
-        key = keys[i]
-        s = s0[i]
-        acc = 0.0
-        for k in range(n_steps):
-            t_left = times[k]
-            dt = times[k + 1] - t_left
-            bc = b_step[k] - comp_step[k]
-            pi = _interp_flat(pi_vals, k, pi_s1[k], pi_s2[k], s)
+            sig = sig_step[k]
+            psi = psi_step[k]
+            pi = 0.0
+            if mode == WEALTH:
+                pi = _interp_flat(vals, k, s1[k], s2[k], s)
             s_left = s
             cnt = _poisson_count(_uniform(key, k, 0), cdf[k])
             for j in range(cnt):
@@ -331,22 +218,93 @@ def wealth_paths(keys, s0, times, b_step, sig_step, psi_step, comp_step,
             prev = t_left
             sumy = 0.0
             for j in range(cnt):
-                ed, drift, std = _decay_drift_std(
-                    lam, bc, sig_step[k], tbuf[j] - prev
-                )
+                delta = tbuf[j] - prev
+                ed, drift, std = _decay_drift_std(lam, bc, sig, delta)
                 g = _normal_ppf(_uniform(key, k, SLOT_GAUSS + j))
                 s = s * ed + drift + std * g
-                s = s + psi_step[k] * ybuf[j]
-                acc += math.log1p(pi * psi_step[k] * ybuf[j])
-                sumy += ybuf[j]
+                if mode == VALUE:
+                    f_pre = _interp_slope(
+                        vals, k, s1[k], s2[k], slope_lo, slope_hi, s
+                    )
+                    total += 0.5 * (f_prev + f_pre) * delta
+                s = s + psi * ybuf[j]
+                if mode == VALUE:
+                    f_prev = _interp_slope(
+                        vals, k, s1[k], s2[k], slope_lo, slope_hi, s
+                    )
+                elif mode == WEALTH:
+                    total += math.log1p(pi * psi * ybuf[j])
+                    sumy += ybuf[j]
                 prev = tbuf[j]
-            ed, drift, std = _decay_drift_std(
-                lam, bc, sig_step[k], times[k + 1] - prev
-            )
+            delta = times[k + 1] - prev
+            ed, drift, std = _decay_drift_std(lam, bc, sig, delta)
             g = _normal_ppf(_uniform(key, k, SLOT_GAUSS + cnt))
             s = s * ed + drift + std * g
-            acc += pi * (s - s_left - psi_step[k] * sumy)
-            acc -= 0.5 * pi * pi * sig_step[k] * sig_step[k] * dt
-        logw[i] = acc
-        fin[i] = s
+            if mode == PRICE:
+                nodes[i, k + 1] = s
+            elif mode == VALUE:
+                f_right = _interp_slope(
+                    vals, k + 1, s1[k + 1], s2[k + 1], slope_lo, slope_hi, s
+                )
+                total += 0.5 * (f_prev + f_right) * delta
+                f_prev = f_right
+            else:
+                total += pi * (s - s_left - psi * sumy)
+                total -= 0.5 * pi * pi * sig * sig * dt
+        if mode != PRICE:
+            acc[i] = total
+            fin[i] = s
+
+
+@njit(cache=True)
+def price_paths(keys, s0, times, b_step, sig_step, psi_step, comp_step,
+                lam, cdf, kind, p0, p1):
+    """Simulate prices at the grid nodes.
+
+    Returns an (n_paths, n_nodes) array of prices.
+    """
+    nodes = np.empty((keys.shape[0], times.shape[0]))
+    none = np.empty(0)
+    _walk(PRICE, nodes, none, none, keys, s0, times, b_step, sig_step,
+          psi_step, comp_step, lam, cdf, kind, p0, p1,
+          np.empty((0, 0)), none, none, 0.0, 0.0)
+    return nodes
+
+
+@njit(cache=True)
+def value_paths(keys, s0, times, b_step, sig_step, psi_step, comp_step,
+                lam, cdf, kind, p0, p1,
+                tab_vals, tab_s1, tab_s2, slope_lo, slope_hi):
+    """Trapezoid integral of the tabulated running reward along each path.
+
+    The integrand is evaluated from per-node tables (rows of ``tab_vals``
+    over the per-node intervals [tab_s1, tab_s2], linearly extended with
+    the given slopes).  Jump times are quadrature nodes: both one-sided
+    values enter the trapezoid rule.  Returns (integrals, final prices).
+    """
+    n = keys.shape[0]
+    integ = np.empty(n)
+    fin = np.empty(n)
+    _walk(VALUE, np.empty((0, 0)), integ, fin, keys, s0, times, b_step,
+          sig_step, psi_step, comp_step, lam, cdf, kind, p0, p1,
+          tab_vals, tab_s1, tab_s2, slope_lo, slope_hi)
+    return integ, fin
+
+
+@njit(cache=True)
+def wealth_paths(keys, s0, times, b_step, sig_step, psi_step, comp_step,
+                 lam, cdf, kind, p0, p1,
+                 pi_vals, pi_s1, pi_s2):
+    """Log-wealth of the tabulated strategy along each path.
+
+    The fraction is read from the per-node table at the left node of each
+    step and held fixed across the step.  Returns (log-wealth, final
+    prices); initial wealth is 1 (log 0).
+    """
+    n = keys.shape[0]
+    logw = np.empty(n)
+    fin = np.empty(n)
+    _walk(WEALTH, np.empty((0, 0)), logw, fin, keys, s0, times, b_step,
+          sig_step, psi_step, comp_step, lam, cdf, kind, p0, p1,
+          pi_vals, pi_s1, pi_s2, 0.0, 0.0)
     return logw, fin

@@ -5,18 +5,18 @@ vectorization runs across paths with masks for paths whose jump count is
 smaller than the step maximum.  Inactive lanes advance with a zero-length
 quiet interval, which is an exact no-op, so the per-path arithmetic is
 identical to the scalar backend.
+
+One walk (:func:`_walk`) serves the three entry points; its mode picks
+what it accumulates along the path.
 """
 
 import numpy as np
 
 from . import _rng
 
-_MAXJ = 1023
-
-
-def _counts(keys, k, cdf_row):
-    u = _rng.uniforms(keys, k, _rng.SLOT_COUNT)
-    return np.searchsorted(cdf_row, u, side="left")
+# What the walk accumulates: node prices, the trapezoid integral of a
+# tabulated reward, or log-wealth under a tabulated fraction.
+PRICE, VALUE, WEALTH = 0, 1, 2
 
 
 def _sorted_jumps(keys, k, t_left, dt, cnt, kind, p0, p1):
@@ -78,54 +78,37 @@ def _quiet_advance(keys, k, slot, lam, bc, sig, delta, s):
     return s * ed + drift + std * g
 
 
-def price_paths(keys, s0, times, b_step, sig_step, psi_step, comp_step,
-                lam, cdf, kind, p0, p1):
+def _walk(mode, keys, s0, times, b_step, sig_step, psi_step, comp_step,
+          lam, cdf, kind, p0, p1, vals=None, s1=None, s2=None,
+          slope_lo=0.0, slope_hi=0.0):
+    """Exact transition walk over the step grid, accumulating per ``mode``.
+
+    Returns the (n_paths, n_nodes) node prices for PRICE, else the
+    accumulated integral and the final prices.
+    """
     keys = np.asarray(keys, dtype=np.uint64)
     n = keys.shape[0]
     n_steps = times.shape[0] - 1
-    out = np.empty((n, n_steps + 1))
     s = s0.astype(np.float64).copy()
-    out[:, 0] = s
-    for k in range(n_steps):
-        t_left = times[k]
-        dt = times[k + 1] - t_left
-        bc = b_step[k] - comp_step[k]
-        cnt = _counts(keys, k, cdf[k])
-        prev = np.full(n, t_left)
-        if cnt.max() > 0:
-            jt, jy = _sorted_jumps(keys, k, t_left, dt, cnt, kind, p0, p1)
-            for j in range(jt.shape[1]):
-                active = j < cnt
-                tj = np.where(active, jt[:, j], prev)
-                s_new = _quiet_advance(
-                    keys, k, _rng.SLOT_GAUSS + j, lam, bc, sig_step[k],
-                    tj - prev, s
-                )
-                s = np.where(active, s_new + psi_step[k] * jy[:, j], s)
-                prev = tj
-        s = _quiet_advance(
-            keys, k, _rng.SLOT_GAUSS + cnt, lam, bc, sig_step[k],
-            times[k + 1] - prev, s
-        )
-        out[:, k + 1] = s
-    return out
-
-
-def value_paths(keys, s0, times, b_step, sig_step, psi_step, comp_step,
-                lam, cdf, kind, p0, p1,
-                tab_vals, tab_s1, tab_s2, slope_lo, slope_hi):
-    keys = np.asarray(keys, dtype=np.uint64)
-    n = keys.shape[0]
-    n_steps = times.shape[0] - 1
     acc = np.zeros(n)
-    s = s0.astype(np.float64).copy()
-    f_prev = _interp_slope(tab_vals, 0, tab_s1[0], tab_s2[0],
-                           slope_lo, slope_hi, s)
+    if mode == PRICE:
+        nodes = np.empty((n, n_steps + 1))
+        nodes[:, 0] = s
+    elif mode == VALUE:
+        f_prev = _interp_slope(vals, 0, s1[0], s2[0], slope_lo, slope_hi, s)
     for k in range(n_steps):
         t_left = times[k]
         dt = times[k + 1] - t_left
         bc = b_step[k] - comp_step[k]
-        cnt = _counts(keys, k, cdf[k])
+        sig = sig_step[k]
+        psi = psi_step[k]
+        if mode == WEALTH:
+            pi = _interp_flat(vals, k, s1[k], s2[k], s)
+            s_left = s
+            sumy = np.zeros(n)
+        cnt = _rng.poisson_counts(
+            _rng.uniforms(keys, k, _rng.SLOT_COUNT), cdf[k]
+        )
         prev = np.full(n, t_left)
         if cnt.max() > 0:
             jt, jy = _sorted_jumps(keys, k, t_left, dt, cnt, kind, p0, p1)
@@ -133,68 +116,62 @@ def value_paths(keys, s0, times, b_step, sig_step, psi_step, comp_step,
                 active = j < cnt
                 tj = np.where(active, jt[:, j], prev)
                 delta = tj - prev
-                s_new = _quiet_advance(
-                    keys, k, _rng.SLOT_GAUSS + j, lam, bc, sig_step[k],
-                    delta, s
+                s_pre = _quiet_advance(
+                    keys, k, _rng.SLOT_GAUSS + j, lam, bc, sig, delta, s
                 )
-                f_pre = _interp_slope(tab_vals, k, tab_s1[k], tab_s2[k],
-                                      slope_lo, slope_hi, s_new)
-                acc += np.where(active, 0.5 * (f_prev + f_pre) * delta, 0.0)
-                s_post = s_new + psi_step[k] * jy[:, j]
-                f_post = _interp_slope(tab_vals, k, tab_s1[k], tab_s2[k],
-                                       slope_lo, slope_hi, s_post)
+                s_post = s_pre + psi * jy[:, j]
+                if mode == VALUE:
+                    f_pre = _interp_slope(vals, k, s1[k], s2[k],
+                                          slope_lo, slope_hi, s_pre)
+                    acc += np.where(active, 0.5 * (f_prev + f_pre) * delta,
+                                    0.0)
+                    f_post = _interp_slope(vals, k, s1[k], s2[k],
+                                           slope_lo, slope_hi, s_post)
+                    f_prev = np.where(active, f_post, f_prev)
+                elif mode == WEALTH:
+                    y = np.where(active, jy[:, j], 0.0)
+                    acc += np.where(active, np.log1p(pi * psi * y), 0.0)
+                    sumy += y
                 s = np.where(active, s_post, s)
-                f_prev = np.where(active, f_post, f_prev)
                 prev = tj
         delta = times[k + 1] - prev
         s = _quiet_advance(
-            keys, k, _rng.SLOT_GAUSS + cnt, lam, bc, sig_step[k], delta, s
+            keys, k, _rng.SLOT_GAUSS + cnt, lam, bc, sig, delta, s
         )
-        f_right = _interp_slope(tab_vals, k + 1, tab_s1[k + 1], tab_s2[k + 1],
-                                slope_lo, slope_hi, s)
-        acc += 0.5 * (f_prev + f_right) * delta
-        f_prev = f_right
+        if mode == PRICE:
+            nodes[:, k + 1] = s
+        elif mode == VALUE:
+            f_right = _interp_slope(vals, k + 1, s1[k + 1], s2[k + 1],
+                                    slope_lo, slope_hi, s)
+            acc += 0.5 * (f_prev + f_right) * delta
+            f_prev = f_right
+        else:
+            acc += pi * (s - s_left - psi * sumy)
+            acc -= 0.5 * pi * pi * sig * sig * dt
+    if mode == PRICE:
+        return nodes
     return acc, s
+
+
+def price_paths(keys, s0, times, b_step, sig_step, psi_step, comp_step,
+                lam, cdf, kind, p0, p1):
+    """Prices at the grid nodes, shape (n_paths, n_nodes)."""
+    return _walk(PRICE, keys, s0, times, b_step, sig_step, psi_step,
+                 comp_step, lam, cdf, kind, p0, p1)
+
+
+def value_paths(keys, s0, times, b_step, sig_step, psi_step, comp_step,
+                lam, cdf, kind, p0, p1,
+                tab_vals, tab_s1, tab_s2, slope_lo, slope_hi):
+    """(trapezoid integral of the tabulated reward, final prices)."""
+    return _walk(VALUE, keys, s0, times, b_step, sig_step, psi_step,
+                 comp_step, lam, cdf, kind, p0, p1,
+                 tab_vals, tab_s1, tab_s2, slope_lo, slope_hi)
 
 
 def wealth_paths(keys, s0, times, b_step, sig_step, psi_step, comp_step,
                  lam, cdf, kind, p0, p1,
                  pi_vals, pi_s1, pi_s2):
-    keys = np.asarray(keys, dtype=np.uint64)
-    n = keys.shape[0]
-    n_steps = times.shape[0] - 1
-    acc = np.zeros(n)
-    s = s0.astype(np.float64).copy()
-    for k in range(n_steps):
-        t_left = times[k]
-        dt = times[k + 1] - t_left
-        bc = b_step[k] - comp_step[k]
-        pi = _interp_flat(pi_vals, k, pi_s1[k], pi_s2[k], s)
-        s_left = s
-        cnt = _counts(keys, k, cdf[k])
-        prev = np.full(n, t_left)
-        sumy = np.zeros(n)
-        if cnt.max() > 0:
-            jt, jy = _sorted_jumps(keys, k, t_left, dt, cnt, kind, p0, p1)
-            for j in range(jt.shape[1]):
-                active = j < cnt
-                tj = np.where(active, jt[:, j], prev)
-                s_new = _quiet_advance(
-                    keys, k, _rng.SLOT_GAUSS + j, lam, bc, sig_step[k],
-                    tj - prev, s
-                )
-                y = jy[:, j]
-                s = np.where(active, s_new + psi_step[k] * y, s)
-                acc += np.where(
-                    active, np.log1p(pi * psi_step[k] * np.where(active, y, 0.0)),
-                    0.0,
-                )
-                sumy += np.where(active, y, 0.0)
-                prev = tj
-        s = _quiet_advance(
-            keys, k, _rng.SLOT_GAUSS + cnt, lam, bc, sig_step[k],
-            times[k + 1] - prev, s
-        )
-        acc += pi * (s - s_left - psi_step[k] * sumy)
-        acc -= 0.5 * pi * pi * sig_step[k] * sig_step[k] * dt
-    return acc, s
+    """(log-wealth of the tabulated strategy, final prices)."""
+    return _walk(WEALTH, keys, s0, times, b_step, sig_step, psi_step,
+                 comp_step, lam, cdf, kind, p0, p1, pi_vals, pi_s1, pi_s2)

@@ -22,7 +22,11 @@ The scalar twins of these functions (used inside the numba kernels) live in
 ``_kernels_nb`` and follow the exact same arithmetic, operation by operation.
 """
 
+import sys
+
 import numpy as np
+
+from .errors import ConfigError
 
 GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -209,14 +213,29 @@ def poisson_cdf_table(mu, cap=MAX_JUMPS_PER_STEP):
 
     Terms are accumulated until the point mass is negligible (past the mode
     and below 1e-20, far under the 2**-54 gap between the largest producible
-    uniform and 1) or ``cap`` entries are reached.  The final entry is
-    clamped to exactly 1.0, so inversion always lands inside the table and
-    counts never exceed ``len(table) - 1 <= cap``.
+    uniform and 1).  The final entry is clamped to exactly 1.0, so inversion
+    always lands inside the table and counts never exceed
+    ``len(table) - 1 <= cap``.
+
+    Raises :class:`ConfigError` when the table cannot be built faithfully:
+    ``exp(-mu)`` is subnormal (mu above about 708), or ``cap`` terms are
+    reached while the point mass is still above 1e-20.  A finer time grid
+    lowers the per-step mean ``mu``.
     """
     p = float(np.exp(-mu))
+    if not p >= sys.float_info.min:
+        raise ConfigError(
+            f"Poisson mean {float(mu):.6g} per step underflows exp(-mu); "
+            "use more time steps"
+        )
     cdf = [p]
     k = 0
-    while k < cap and not (k > mu and p < 1e-20):
+    while not (k > mu and p < 1e-20):
+        if k == cap:
+            raise ConfigError(
+                f"Poisson mean {float(mu):.6g} per step needs more than "
+                f"{cap} jumps in one step; use more time steps"
+            )
         k += 1
         p *= mu / k
         cdf.append(cdf[-1] + p)

@@ -328,7 +328,7 @@ def merton_fraction_table(market, times, pi_min, pi_max, ns=257):
         s2 = (d - denom * pi_min) / market.lam
         return (s1, s2) if s1 < s2 else (s1, s1 + 1.0)
 
-    return fraction_table(market, times, pi_min, pi_max, solver, bracket, ns)
+    return fraction_table(market, times, solver, bracket, ns)
 
 
 def jump_mean_fraction_table(market, times, pi_min, pi_max, ns=257):
@@ -352,4 +352,4 @@ def jump_mean_fraction_table(market, times, pi_min, pi_max, ns=257):
         s2 = (d - g_lo) / market.lam
         return (s1, s2) if s1 < s2 else (s1, s1 + 1.0)
 
-    return fraction_table(market, times, pi_min, pi_max, solver, bracket, ns)
+    return fraction_table(market, times, solver, bracket, ns)

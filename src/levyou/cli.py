@@ -19,8 +19,7 @@ Conventions
   take an explicit ``--seed``.
 * Exit codes: 0 success, 2 configuration/usage error, 3 numerical
   failure.
-* ``LEVYOU_THREADS`` caps the compiled backend's thread count;
-  ``LEVYOU_BACKEND`` (or ``--backend``) picks ``numba`` or ``numpy``.
+* ``LEVYOU_BACKEND`` (or ``--backend``) picks ``numba`` or ``numpy``.
 """
 
 from __future__ import annotations
@@ -91,25 +90,6 @@ def _emit(text, out_path):
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
         print(f"wrote {out_path}")
-
-
-def _apply_thread_cap():
-    """Honor the LEVYOU_THREADS env var for the compiled backend."""
-    raw = os.environ.get("LEVYOU_THREADS")
-    if raw is None:
-        return
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ConfigError(f"LEVYOU_THREADS must be an integer, got {raw!r}") \
-            from None
-    if cap < 1:
-        raise ConfigError(f"LEVYOU_THREADS must be >= 1, got {cap}")
-    try:
-        import numba
-    except ImportError:
-        return
-    numba.set_num_threads(min(cap, numba.config.NUMBA_NUM_THREADS))
 
 
 # -- settings resolution --------------------------------------------------
@@ -495,7 +475,6 @@ def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_thread_cap()
         return args.func(args)
     except CONFIG_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -19,6 +19,7 @@ import enum
 import io
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -325,9 +326,33 @@ class SimConfig:
             raise ConfigError("n_paths and n_steps must be positive")
 
 
+class SimInputs(NamedTuple):
+    """Time grid, per-step coefficient arrays, Poisson CDF table, jump
+    sampler code and mean-reversion rate of a simulation run."""
+
+    times: np.ndarray
+    b_step: np.ndarray
+    sig_step: np.ndarray
+    psi_step: np.ndarray
+    comp_step: np.ndarray
+    cdf: np.ndarray
+    kind: int
+    p0: float
+    p1: float
+    lam: float
+
+    @property
+    def kernel_args(self):
+        """The inputs in the order the kernels take them after
+        ``(keys, s0)``."""
+        return (self.times, self.b_step, self.sig_step, self.psi_step,
+                self.comp_step, self.lam, self.cdf, self.kind, self.p0,
+                self.p1)
+
+
 def build_sim_inputs(market, t, T, config, times=None):
     """Time grid, per-step coefficient arrays, Poisson CDF table and jump
-    sampler code for a simulation run.
+    sampler code for a simulation run, as :class:`SimInputs`.
 
     ``times`` overrides the uniform grid (e.g. to place a node exactly at
     an intermediate conditioning time); it must start at ``t`` and end at
@@ -353,7 +378,7 @@ def build_sim_inputs(market, t, T, config, times=None):
     cdf = np.full((n_steps, width + 1), 2.0)
     for k, r in enumerate(rows):
         cdf[k, : len(r)] = r
-    return times, b, sg, ps, comp, cdf, kind, p0, p1
+    return SimInputs(times, b, sg, ps, comp, cdf, kind, p0, p1, market.lam)
 
 
 @dataclass
@@ -424,18 +449,14 @@ def simulate_paths(market, t, s, T, config, backend=None):
     Batch-splitting invariance: running this twice with offsets 0 and k (and
     path counts k and n-k) concatenates to exactly the single-run result.
     """
-    times, b, sg, ps, comp, cdf, kind, p0, p1 = build_sim_inputs(
-        market, t, T, config
-    )
+    sim = build_sim_inputs(market, t, T, config)
     keys = _rng.derive_keys(
         config.seed, config.path_offset + np.arange(config.n_paths)
     )
     s0 = np.full(config.n_paths, float(s))
     kern = get_kernels(backend)
-    prices = kern.price_paths(
-        keys, s0, times, b, sg, ps, comp, market.lam, cdf, kind, p0, p1
-    )
+    prices = kern.price_paths(keys, s0, *sim.kernel_args)
     return PathBundle(
-        times=times, prices=prices, seed=config.seed,
+        times=sim.times, prices=prices, seed=config.seed,
         path_offset=config.path_offset,
     )

@@ -32,29 +32,17 @@ NEWTON_ITERS = 3
 RESIDUAL_SLACK = 1e-7
 
 
-def _drag_at(measure, pis, psi):
-    """Vectorized drag; falls back to per-element quadrature."""
+def _transform_at(transform, pis, psi):
+    """Vectorized jump transform (``measure.drag`` or
+    ``measure.curvature``); falls back to per-element quadrature."""
     pis = np.asarray(pis, dtype=np.float64)
     try:
-        out = np.asarray(measure.drag(pis, psi), dtype=np.float64)
+        out = np.asarray(transform(pis, psi), dtype=np.float64)
         if out.shape == pis.shape:
             return out
     except (TypeError, ValueError):
         pass
-    flat = np.array([measure.drag(float(p), psi) for p in pis.ravel()])
-    return flat.reshape(pis.shape)
-
-
-def _curvature_at(measure, pis, psi):
-    """Vectorized drag derivative; falls back to per-element quadrature."""
-    pis = np.asarray(pis, dtype=np.float64)
-    try:
-        out = np.asarray(measure.curvature(pis, psi), dtype=np.float64)
-        if out.shape == pis.shape:
-            return out
-    except (TypeError, ValueError):
-        pass
-    flat = np.array([measure.curvature(float(p), psi) for p in pis.ravel()])
+    flat = np.array([transform(float(p), psi) for p in pis.ravel()])
     return flat.reshape(pis.shape)
 
 
@@ -102,7 +90,7 @@ def _solve_q(market, t, q, pi_min, pi_max):
     meas = market.measure
 
     def G(p):
-        return sg2 * p + _drag_at(meas, p, psi)
+        return sg2 * p + _transform_at(meas.drag, p, psi)
 
     g_hi = float(G(np.array(pi_max)))
     g_lo = float(G(np.array(pi_min)))
@@ -140,7 +128,7 @@ def _solve_q(market, t, q, pi_min, pi_max):
         root = 0.5 * (lo + hi)
         # Newton polish with the exact slope of G
         for _ in range(NEWTON_ITERS):
-            slope = sg2 + _curvature_at(meas, root, psi)
+            slope = sg2 + _transform_at(meas.curvature, root, psi)
             step = (qi - G(root)) / np.maximum(slope, 1e-300)
             root = np.clip(root + step, lo, hi)
         r = qi - G(root)
@@ -304,8 +292,14 @@ class GrowthTable(NamedTuple):
     slope_lo: float
     slope_hi: float
 
+    def rows(self, start, stop=None):
+        """The table restricted to the time nodes ``start:stop``."""
+        nodes = slice(start, stop)
+        return self._replace(values=self.values[nodes], s1=self.s1[nodes],
+                             s2=self.s2[nodes])
 
-def _bracket(market, t, pi_min, pi_max, solver_G=None):
+
+def _bracket(market, t, pi_min, pi_max):
     """Price bracket [s1, s2] outside which the optimum is clamped."""
     s1 = inverse_price(market, t, pi_max)
     s2 = inverse_price(market, t, pi_min)
@@ -315,11 +309,13 @@ def _bracket(market, t, pi_min, pi_max, solver_G=None):
     return s1, s2
 
 
-def fraction_table(market, times, pi_min, pi_max, solver, bracket_fn, ns=257):
+def fraction_table(market, times, solver, bracket_fn, ns=257):
     """Tabulate a price-monotone strategy at every time node.
 
-    ``solver(t, s_arr)`` returns fractions; ``bracket_fn(t)`` the price
-    bracket outside which the strategy equals pi_max / pi_min exactly.
+    ``solver(t, s_arr)`` returns the tabulated values (fractions, or growth
+    rates for :func:`growth_table`); ``bracket_fn(t)`` the price bracket
+    outside which the strategy equals pi_max / pi_min exactly.  A constant
+    market reuses the first row.
     """
     times = np.asarray(times, dtype=np.float64)
     nk = len(times)
@@ -350,7 +346,7 @@ def exact_fraction_table(market, times, pi_min, pi_max, ns=257):
     def bracket(tv):
         return _bracket(market, tv, pi_min, pi_max)
 
-    return fraction_table(market, times, pi_min, pi_max, solver, bracket, ns)
+    return fraction_table(market, times, solver, bracket, ns)
 
 
 def constant_fraction_table(times, value):
@@ -372,33 +368,22 @@ def growth_table(market, times, pi_min, pi_max, ns=257):
     extension used by the kernels is exact outside the bracket.
     """
     market.validate_interval(pi_min, pi_max)
-    times = np.asarray(times, dtype=np.float64)
-    nk = len(times)
-    x = np.linspace(0.0, 1.0, ns)
-    vals = np.empty((nk, ns))
-    s1 = np.empty(nk)
-    s2 = np.empty(nk)
-    prev = None
-    for k, tv in enumerate(times):
-        if market.is_constant and prev is not None:
-            vals[k], s1[k], s2[k] = prev
-            continue
-        a, b = _bracket(market, float(tv), pi_min, pi_max)
-        grid = a + x * (b - a)
-        pi, _ = optimal_fraction_grid(market, float(tv), grid, pi_min, pi_max)
-        psi = market.psi_at(float(tv))
-        sg = market.sigma_at(float(tv))
-        q = market.foc_drift(float(tv)) - market.lam * grid
+
+    def solver(tv, grid):
+        pi, _ = optimal_fraction_grid(market, tv, grid, pi_min, pi_max)
+        psi = market.psi_at(tv)
+        sg = market.sigma_at(tv)
+        q = market.foc_drift(tv) - market.lam * grid
         pen = np.array(
             [market.measure.log_penalty(float(p), psi) for p in pi]
         )
-        vals[k] = q * pi - 0.5 * sg * sg * pi * pi + pen
-        s1[k], s2[k] = a, b
-        prev = (vals[k], a, b)
+        return q * pi - 0.5 * sg * sg * pi * pi + pen
+
+    def bracket(tv):
+        return _bracket(market, tv, pi_min, pi_max)
+
     return GrowthTable(
-        values=vals,
-        s1=s1,
-        s2=s2,
+        *fraction_table(market, times, solver, bracket, ns),
         slope_lo=-market.lam * pi_max,
         slope_hi=-market.lam * pi_min,
     )

@@ -232,17 +232,12 @@ def estimate_value(market, t, s, T, pi_min, pi_max, config=None,
         raise DomainError(f"need T >= t, got t={t}, T={T}")
     if T == t:
         return ValueEstimate(0.0, 0.0, 0, config.seed)
-    times, b, sg, ps, comp, cdf, kind, p0, p1 = build_sim_inputs(
-        market, t, T, config
-    )
-    gt = growth_table(market, times, pi_min, pi_max, ns=table_ns)
+    sim = build_sim_inputs(market, t, T, config)
+    gt = growth_table(market, sim.times, pi_min, pi_max, ns=table_ns)
     keys = _path_keys(config)
     s0 = np.full(config.n_paths, float(s))
     kern = get_kernels(backend)
-    acc, _ = kern.value_paths(
-        keys, s0, times, b, sg, ps, comp, market.lam, cdf, kind, p0, p1,
-        gt.values, gt.s1, gt.s2, gt.slope_lo, gt.slope_hi,
-    )
+    acc, _ = kern.value_paths(keys, s0, *sim.kernel_args, *gt)
     g_hat, se = _mean_se(acc)
     return ValueEstimate(g_hat, se, config.n_paths, config.seed)
 
@@ -271,21 +266,16 @@ def wealth_simulate(market, table, t, s, x, T, config=None, backend=None,
     config = config or SimConfig()
     if not (x > 0.0 and math.isfinite(x)):
         raise DomainError(f"initial wealth must be positive, got {x}")
-    times, b, sg, ps, comp, cdf, kind, p0, p1 = build_sim_inputs(
-        market, t, T, config
-    )
-    if table.values.shape[0] != times.shape[0]:
+    sim = build_sim_inputs(market, t, T, config)
+    if table.values.shape[0] != sim.times.shape[0]:
         raise ConfigError(
             f"strategy table has {table.values.shape[0]} time rows, the "
-            f"run needs {times.shape[0]}"
+            f"run needs {sim.times.shape[0]}"
         )
     keys = _path_keys(config)
     s0 = np.full(config.n_paths, float(s))
     kern = get_kernels(backend)
-    acc, _ = kern.wealth_paths(
-        keys, s0, times, b, sg, ps, comp, market.lam, cdf, kind, p0, p1,
-        table.values, table.s1, table.s2,
-    )
+    acc, _ = kern.wealth_paths(keys, s0, *sim.kernel_args, *table)
     bad = int(np.count_nonzero(~np.isfinite(acc)))
     return WealthRun(
         terminal_log_wealth=math.log(x) + acc,
@@ -362,24 +352,15 @@ def tower_check(market, t, s, h, T, pi_min, pi_max, config=None,
     keys = _path_keys(config)
     s0 = np.full(config.n_paths, float(s))
 
+    # head_times and tail_times are the node slices [:n1+1] and [n1:] of
+    # full_times, so one table serves all three runs
+    gt = growth_table(market, full_times, pi_min, pi_max, ns=table_ns)
     inputs_full = build_sim_inputs(market, t, T, config, times=full_times)
-    gt_full = growth_table(market, full_times, pi_min, pi_max, ns=table_ns)
-    acc_full, _ = kern.value_paths(
-        keys, s0, inputs_full[0], inputs_full[1], inputs_full[2],
-        inputs_full[3], inputs_full[4], market.lam, inputs_full[5],
-        inputs_full[6], inputs_full[7], inputs_full[8],
-        gt_full.values, gt_full.s1, gt_full.s2,
-        gt_full.slope_lo, gt_full.slope_hi,
-    )
+    acc_full, _ = kern.value_paths(keys, s0, *inputs_full.kernel_args, *gt)
 
     inputs_head = build_sim_inputs(market, t, t_mid, config, times=head_times)
-    gt_head = growth_table(market, head_times, pi_min, pi_max, ns=table_ns)
     acc_head, s_mid = kern.value_paths(
-        keys, s0, inputs_head[0], inputs_head[1], inputs_head[2],
-        inputs_head[3], inputs_head[4], market.lam, inputs_head[5],
-        inputs_head[6], inputs_head[7], inputs_head[8],
-        gt_head.values, gt_head.s1, gt_head.s2,
-        gt_head.slope_lo, gt_head.slope_hi,
+        keys, s0, *inputs_head.kernel_args, *gt.rows(0, n1 + 1)
     )
     tails = acc_full - acc_head
 
@@ -389,21 +370,13 @@ def tower_check(market, t, s, h, T, pi_min, pi_max, config=None,
         inputs_tail = build_sim_inputs(
             market, t_mid, T, config, times=tail_times
         )
-        gt_tail = growth_table(market, tail_times, pi_min, pi_max,
-                               ns=table_ns)
+        tail_args = (*inputs_tail.kernel_args, *gt.rows(n1))
         ids = np.arange(n_inner)
         for i in range(config.n_paths):
             child = _rng.derive_seed(config.seed, config.path_offset + i + 1)
             keys_in = _rng.derive_keys(child, ids)
             s_in = np.full(n_inner, s_mid[i])
-            acc_in, _ = kern.value_paths(
-                keys_in, s_in, inputs_tail[0], inputs_tail[1],
-                inputs_tail[2], inputs_tail[3], inputs_tail[4], market.lam,
-                inputs_tail[5], inputs_tail[6], inputs_tail[7],
-                inputs_tail[8],
-                gt_tail.values, gt_tail.s1, gt_tail.s2,
-                gt_tail.slope_lo, gt_tail.slope_hi,
-            )
+            acc_in, _ = kern.value_paths(keys_in, s_in, *tail_args)
             inner[i] = float(np.mean(acc_in))
 
     diff = tails - inner
@@ -435,17 +408,11 @@ def value_grid(market, t_values, s_values, T, pi_min, pi_max, config=None,
             raise DomainError(f"start time {tv} is past the horizon {T}")
         if tv == T:
             continue
-        times, b, sg, ps, comp, cdf, kind, p0, p1 = build_sim_inputs(
-            market, float(tv), T, config
-        )
-        gt = growth_table(market, times, pi_min, pi_max, ns=table_ns)
+        sim = build_sim_inputs(market, float(tv), T, config)
+        gt = growth_table(market, sim.times, pi_min, pi_max, ns=table_ns)
         for j, sv in enumerate(s_values):
             s0 = np.full(config.n_paths, float(sv))
-            acc, _ = kern.value_paths(
-                keys, s0, times, b, sg, ps, comp, market.lam, cdf, kind,
-                p0, p1,
-                gt.values, gt.s1, gt.s2, gt.slope_lo, gt.slope_hi,
-            )
+            acc, _ = kern.value_paths(keys, s0, *sim.kernel_args, *gt)
             g_hat[i, j], std_err[i, j] = _mean_se(acc)
     return ValueGrid(
         t_values=t_values, s_values=s_values, g_hat=g_hat, std_err=std_err,

@@ -267,12 +267,6 @@ class TestExitCodes:
         assert code == errors.EXIT_NUMERICAL
         assert "numerical failure" in err
 
-    def test_bad_thread_cap_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("LEVYOU_THREADS", "lots")
-        code, _, err = run_cli(capsys, "describe-preset", "benth2012")
-        assert code == errors.EXIT_CONFIG
-        assert "LEVYOU_THREADS" in err
-
     def test_unknown_subcommand_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["frobnicate"])

@@ -1,0 +1,104 @@
+"""The transition walk of both kernel backends.
+
+The scalar kernels in ``_kernels_nb`` are checked on every machine: without
+numba, ``njit`` is the identity and they run as plain Python.  The numpy
+kernels are pinned to outputs recorded from the separate price, value and
+wealth walks that the shared walk replaced.
+"""
+
+import numpy as np
+import pytest
+
+from levyou import _kernels_nb, _kernels_np, _rng, presets, strategy
+from levyou.market import SimConfig, build_sim_inputs
+
+PRESETS = ("benth2012", "uniform-two-sided", "gaussian")
+
+
+def kernel_inputs(name, n_paths, n_steps, seed):
+    """Kernel arguments and tables for ``n_paths`` paths of one preset."""
+    p = presets.get_preset(name)
+    sim = build_sim_inputs(p.market, 0.0, p.horizon,
+                           SimConfig(n_paths, n_steps, seed))
+    args = (_rng.derive_keys(seed, np.arange(n_paths)),
+            np.full(n_paths, p.s0), *sim.kernel_args)
+    gt = strategy.growth_table(p.market, sim.times, p.pi_min, p.pi_max, ns=33)
+    ft = strategy.exact_fraction_table(p.market, sim.times, p.pi_min,
+                                       p.pi_max, ns=33)
+    return args, gt, ft
+
+
+def run_all(kern, args, gt, ft):
+    price = kern.price_paths(*args)
+    acc_v, fin_v = kern.value_paths(*args, *gt)
+    acc_w, fin_w = kern.wealth_paths(*args, *ft)
+    return {"price": price, "value": acc_v, "value_fin": fin_v,
+            "wealth": acc_w, "wealth_fin": fin_w}
+
+
+@pytest.mark.parametrize("name", PRESETS)
+def test_scalar_kernels_match_numpy(name):
+    # Tolerance set from the separate per-kernel walks, whose largest gap
+    # was 2.8e-15 absolute (values up to about 8); relative gaps reached
+    # 3.3e-13 only on gaussian prices near zero.
+    args, gt, ft = kernel_inputs(name, 64, 24, 99)
+    with np.errstate(over="ignore"):  # the uint64 hash wraps on purpose
+        scalar = run_all(_kernels_nb, args, gt, ft)
+    vector = run_all(_kernels_np, args, gt, ft)
+    for key, want in vector.items():
+        assert scalar[key].shape == want.shape
+        np.testing.assert_allclose(scalar[key], want, rtol=1e-14, atol=1e-14,
+                                   err_msg=f"{name} {key}")
+
+
+# Outputs of the separate per-kernel numpy walks for 4 paths (keys from
+# seed 7): final node price, reward integral (growth table, 33 prices) and
+# log-wealth (exact fraction table, 33 prices).
+PINNED = {
+    ("benth2012", 24): {
+        "price": [7.882442064195384, 5.227589960649478, 4.2905418754833216,
+                  6.114789504434009],
+        "value": [0.01569101068142495, 0.0013768696451006552,
+                  0.03571425473250751, 5.233538827136235e-06],
+        "wealth": [0.12141525116702878, 0.08224957835217848,
+                   -0.09151271627973405, 0.1359827169061913],
+    },
+    # four steps of 1.5 hours: up to four jumps in one step
+    ("uniform-two-sided", 4): {
+        "price": [0.2139903405579941, 0.44000123014056247,
+                  -0.8176358452138451, 1.942119153428088],
+        "value": [0.10369421058513195, 0.24326574172225374,
+                  0.3859504803562437, 0.2582143200763397],
+        "wealth": [0.35306390020164075, 0.6569846301579881,
+                   -0.5136032264452823, -0.32613133508808984],
+    },
+    ("gaussian", 24): {
+        "price": [0.15701106179835903, 0.5152025580085438,
+                  0.23822061374180534, 0.33120596213340503],
+        "value": [0.18167548336334224, 0.048210753743971047,
+                  0.3192760907879695, 0.03556232301904709],
+        "wealth": [0.434850461483232, 0.6264791755261727,
+                   0.18000783276886453, 0.6654774193890859],
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED))
+def test_numpy_kernels_reproduce_pinned_outputs(case):
+    name, n_steps = case
+    args, gt, ft = kernel_inputs(name, 4, n_steps, 7)
+    got = run_all(_kernels_np, args, gt, ft)
+    got["price"] = got["price"][:, -1]
+    # rtol admits last-ulp differences of the vectorized exp/log between
+    # CPUs; a change to what the walk computes moves them far more
+    for key, want in PINNED[case].items():
+        np.testing.assert_allclose(got[key], want, rtol=1e-13, atol=0.0,
+                                   err_msg=f"{name} {key}")
+
+
+def test_pinned_uniform_case_has_several_jumps_per_step():
+    args, _, _ = kernel_inputs("uniform-two-sided", 4, 4, 7)
+    keys, cdf = args[0], args[8]
+    counts = [_rng.poisson_counts(_rng.uniforms(keys, k, _rng.SLOT_COUNT),
+                                  cdf[k]) for k in range(4)]
+    assert max(int(c.max()) for c in counts) >= 3

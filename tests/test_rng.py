@@ -1,6 +1,9 @@
 """Counter-based RNG: determinism, stream independence, inverse-CDF
 sampling accuracy, and agreement between the two compute backends."""
 
+import math
+import sys
+
 import numpy as np
 import pytest
 import scipy.special
@@ -9,6 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from levyou import _rng
+from levyou.errors import ConfigError
+from levyou.jumps import UniformJump
+from levyou.market import MarketCoefficients, SimConfig, build_sim_inputs
 
 
 class TestWords:
@@ -115,7 +121,44 @@ class TestPoisson:
         assert np.array_equal(_rng.poisson_counts(u, cdf), [0, 0, 0])
 
     def test_table_is_capped(self):
-        assert len(_rng.poisson_cdf_table(1e6)) <= _rng.MAX_JUMPS_PER_STEP + 1
+        # a table that would need more than ``cap`` terms is refused, not
+        # truncated
+        with pytest.raises(ConfigError, match="more than 20 jumps"):
+            _rng.poisson_cdf_table(50.0, cap=20)
+        with pytest.raises(ConfigError):
+            _rng.poisson_cdf_table(1e6)
+
+    @pytest.mark.parametrize("mu", [900.0, 2000.0])
+    def test_underflowing_mean_is_refused(self, mu):
+        # exp(-mu) is zero here: an unchecked table would hand every path
+        # one fixed count (901 at mu=900, the 1023 cap at mu=2000)
+        with pytest.raises(ConfigError, match="underflows"):
+            _rng.poisson_cdf_table(mu)
+        market = MarketCoefficients(
+            lam=0.1, b=0.0, sigma=0.1, psi=1.0,
+            measure=UniformJump(0.1, 0.5, rate=mu), compensated=True,
+        )
+        with pytest.raises(ConfigError):
+            build_sim_inputs(market, 0.0, 1.0, SimConfig(4, 1, 1))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rate=st.floats(1e-3, 100.0),
+        dt=st.floats(1e-3, 40.0),
+    )
+    def test_rate_dt_is_tabulated_faithfully_or_refused(self, rate, dt):
+        mu = rate * dt
+        try:
+            cdf = _rng.poisson_cdf_table(mu)
+        except ConfigError:
+            assert math.exp(-mu) < sys.float_info.min
+            return
+        assert math.exp(-mu) >= sys.float_info.min
+        assert cdf[-1] == 1.0
+        assert np.all(np.diff(cdf) >= 0.0)
+        assert len(cdf) <= _rng.MAX_JUMPS_PER_STEP + 1
+        # the mass cut off above the last count is below double precision
+        assert scipy.stats.poisson.sf(len(cdf) - 1, mu) < 2.0**-53
 
     def test_tail_never_overflows_table(self):
         # the largest producible uniform still lands inside the table

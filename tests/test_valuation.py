@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from levyou import valuation as vl
+from levyou._backend import HAVE_NUMBA
 from levyou.errors import ConfigError, DomainError
 from levyou.jumps import ConstantJump, NoJumps, ParetoJump
 from levyou.market import MarketCoefficients, SimConfig, simulate_paths
@@ -96,6 +97,7 @@ class TestValueEstimate:
         )
         assert c.g_hat != a.g_hat
 
+    @pytest.mark.skipif(not HAVE_NUMBA, reason="numba unavailable")
     def test_backends_agree(self):
         cfg = SimConfig(n_paths=64, n_steps=24, seed=5)
         a = vl.estimate_value(
@@ -193,7 +195,7 @@ class TestWealthSimulate:
         times = np.linspace(0.0, 24.0, 97)
         table = vl.strategy_table(m, "exact", times, 0.0, 0.2)
         run = vl.wealth_simulate(
-            m, table, 0.0, 5.0, 1.0, 24.0, cfg, backend="numba",
+            m, table, 0.0, 5.0, 1.0, 24.0, cfg,
         )
         assert run.positivity_violations == 0
         assert np.all(np.isfinite(run.terminal_log_wealth))
@@ -279,7 +281,7 @@ class TestCompareStrategies:
     def test_exact_dominates_on_paired_paths(self):
         rep = vl.compare_strategies(
             pareto_market(), 0.0, 5.0, 1.0, 24.0, 0.0, 0.2,
-            SimConfig(n_paths=10_000, n_steps=96, seed=1), backend="numba",
+            SimConfig(n_paths=10_000, n_steps=96, seed=1),
         )
         assert rep.reference == "exact"
         exact = rep.score("exact")
@@ -303,14 +305,10 @@ class TestCompareStrategies:
         # two independent estimators of the same expectation
         cfg = SimConfig(n_paths=10_000, n_steps=96, seed=17)
         m = pareto_market()
-        est = vl.estimate_value(
-            m, 0.0, 5.0, 24.0, 0.0, 0.2, cfg, backend="numba"
-        )
+        est = vl.estimate_value(m, 0.0, 5.0, 24.0, 0.0, 0.2, cfg)
         times = np.linspace(0.0, 24.0, 97)
         table = vl.strategy_table(m, "exact", times, 0.0, 0.2)
-        run = vl.wealth_simulate(
-            m, table, 0.0, 5.0, 1.0, 24.0, cfg, backend="numba"
-        )
+        run = vl.wealth_simulate(m, table, 0.0, 5.0, 1.0, 24.0, cfg)
         z = (est.g_hat - run.mean_log_wealth) / math.hypot(
             est.std_err, run.std_err
         )
@@ -347,7 +345,7 @@ class TestTowerCheck:
     def test_midpoint_split_is_consistent(self):
         tw = vl.tower_check(
             gaussian_market(), 0.0, 0.1, 1.0, 2.0, -2.0, 2.0,
-            SimConfig(n_paths=800, n_steps=32, seed=13), backend="numba",
+            SimConfig(n_paths=800, n_steps=32, seed=13),
         )
         assert abs(tw.z_score) <= 3.0
         assert tw.n_inner == max(2, math.isqrt(800))
