@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
 """Benchmark the numba kernels against the pure-numpy fallback.
 
-Times the three hot paths (price simulation, reward accumulation, wealth
-accumulation) on the benth2012 preset for each backend and reports the
-speedup plus a cross-backend agreement check.  JIT compilation is paid
-outside the timed region.
+Times the three kernels (price simulation, reward accumulation, wealth
+accumulation) on the benth2012 preset for each backend and reports
+path-steps/s, the speedup and a cross-backend agreement check.  The
+simulation inputs, the growth table and the fraction table are built once,
+outside the timed region, and JIT compilation is paid in a warm-up call,
+so each row times one kernel call and nothing else.
 
 Usage::
 
@@ -17,9 +19,9 @@ import time
 
 import numpy as np
 
-from levyou import presets, valuation
-from levyou._backend import available_backends
-from levyou.market import SimConfig, simulate_paths
+from levyou import _rng, presets, strategy
+from levyou._backend import available_backends, get_kernels
+from levyou.market import SimConfig, build_sim_inputs
 
 
 def best_of(repeats, fn):
@@ -42,40 +44,37 @@ def main():
     preset = presets.get_preset("benth2012")
     market = preset.market
     cfg = SimConfig(n_paths=args.paths, n_steps=args.steps, seed=args.seed)
-    t, s, T = 0.0, preset.s0, preset.horizon
-    table = valuation.strategy_table(
-        market, "exact", np.linspace(t, T, args.steps + 1),
-        preset.pi_min, preset.pi_max,
-    )
+    sim = build_sim_inputs(market, 0.0, preset.horizon, cfg)
+    growth = strategy.growth_table(market, sim.times, preset.pi_min,
+                                   preset.pi_max)
+    fractions = strategy.exact_fraction_table(market, sim.times,
+                                              preset.pi_min, preset.pi_max)
+    walk = (_rng.derive_keys(args.seed, np.arange(args.paths)),
+            np.full(args.paths, preset.s0), *sim.kernel_args)
+    path_steps = args.paths * args.steps
 
     backends = available_backends()
     print(f"backends: {', '.join(backends)}  "
           f"paths={args.paths} steps={args.steps} repeats={args.repeats}")
 
     tasks = {
-        "price paths": lambda be: simulate_paths(
-            market, t, s, T, cfg, backend=be
-        ).prices,
-        "reward estimate": lambda be: valuation.estimate_value(
-            market, t, s, T, preset.pi_min, preset.pi_max,
-            config=cfg, backend=be,
-        ).g_hat,
-        "wealth paths": lambda be: valuation.wealth_simulate(
-            market, table, t, s, 1.0, T, config=cfg, backend=be,
-        ).terminal_log_wealth,
+        "price paths": lambda kern: kern.price_paths(*walk),
+        "reward estimate": lambda kern: kern.value_paths(*walk, *growth)[0],
+        "wealth paths": lambda kern: kern.wealth_paths(*walk, *fractions)[0],
     }
 
     for label, task in tasks.items():
         results = {}
         timings = {}
         for be in backends:
-            task(be)  # warm-up: JIT compile / cache load
-            timings[be] = best_of(args.repeats, lambda be=be: task(be))
-            results[be] = np.asarray(task(be))
+            kern = get_kernels(be)
+            results[be] = np.asarray(task(kern))  # warm-up: JIT compile
+            timings[be] = best_of(args.repeats, lambda kern=kern: task(kern))
         line = f"{label:16s}"
         for be in backends:
-            rate = args.paths / timings[be]
-            line += f"  {be}: {timings[be] * 1e3:8.1f} ms ({rate:9.0f} paths/s)"
+            rate = path_steps / timings[be]
+            line += (f"  {be}: {timings[be] * 1e3:8.1f} ms "
+                     f"({rate:10.3g} path-steps/s)")
         if len(backends) == 2:
             a, b = (results[be] for be in backends)
             agree = float(np.max(np.abs(a - b) / np.maximum(np.abs(a), 1e-30)))

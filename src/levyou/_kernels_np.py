@@ -1,10 +1,13 @@
 """Vectorized numpy kernels, twins of the numba scalar kernels.
 
 Same stream, same slot layout, same per-step walk over sorted jump times;
-vectorization runs across paths with masks for paths whose jump count is
-smaller than the step maximum.  Inactive lanes advance with a zero-length
-quiet interval, which is an exact no-op, so the per-path arithmetic is
-identical to the scalar backend.
+vectorization runs across paths.  Each step draws every path's jump count,
+then walks jump slot ``j`` only on the paths with more than ``j`` jumps
+that step: their state is gathered, advanced to the jump and scattered
+back, so no lane does masked or zero-length work.  The final quiet advance
+to the right node runs on every path.  Each variate is addressed by
+(path key, step, slot), so the per-path arithmetic is identical to the
+scalar backend and does not depend on which other paths jump.
 
 One walk (:func:`_walk`) serves the three entry points; its mode picks
 what it accumulates along the path.
@@ -83,6 +86,10 @@ def _walk(mode, keys, s0, times, b_step, sig_step, psi_step, comp_step,
           slope_lo=0.0, slope_hi=0.0):
     """Exact transition walk over the step grid, accumulating per ``mode``.
 
+    Jump slot ``j`` of a step runs on the compacted rows of the paths with
+    more than ``j`` jumps in it; paths without jumps only take the step's
+    final quiet advance.
+
     Returns the (n_paths, n_nodes) node prices for PRICE, else the
     accumulated integral and the final prices.
     """
@@ -104,36 +111,39 @@ def _walk(mode, keys, s0, times, b_step, sig_step, psi_step, comp_step,
         psi = psi_step[k]
         if mode == WEALTH:
             pi = _interp_flat(vals, k, s1[k], s2[k], s)
-            s_left = s
+            s_left = s.copy()  # s is written in place below
             sumy = np.zeros(n)
         cnt = _rng.poisson_counts(
             _rng.uniforms(keys, k, _rng.SLOT_COUNT), cdf[k]
         )
         prev = np.full(n, t_left)
-        if cnt.max() > 0:
-            jt, jy = _sorted_jumps(keys, k, t_left, dt, cnt, kind, p0, p1)
+        rows = np.flatnonzero(cnt)
+        if rows.size:
+            rcnt = cnt[rows]
+            jt, jy = _sorted_jumps(keys[rows], k, t_left, dt, rcnt,
+                                   kind, p0, p1)
             for j in range(jt.shape[1]):
-                active = j < cnt
-                tj = np.where(active, jt[:, j], prev)
-                delta = tj - prev
+                live = np.flatnonzero(rcnt > j)
+                idx = rows[live]
+                tj = jt[live, j]
+                y = jy[live, j]
+                delta = tj - prev[idx]
                 s_pre = _quiet_advance(
-                    keys, k, _rng.SLOT_GAUSS + j, lam, bc, sig, delta, s
+                    keys[idx], k, _rng.SLOT_GAUSS + j, lam, bc, sig, delta,
+                    s[idx]
                 )
-                s_post = s_pre + psi * jy[:, j]
+                s_post = s_pre + psi * y
                 if mode == VALUE:
                     f_pre = _interp_slope(vals, k, s1[k], s2[k],
                                           slope_lo, slope_hi, s_pre)
-                    acc += np.where(active, 0.5 * (f_prev + f_pre) * delta,
-                                    0.0)
-                    f_post = _interp_slope(vals, k, s1[k], s2[k],
-                                           slope_lo, slope_hi, s_post)
-                    f_prev = np.where(active, f_post, f_prev)
+                    acc[idx] += 0.5 * (f_prev[idx] + f_pre) * delta
+                    f_prev[idx] = _interp_slope(vals, k, s1[k], s2[k],
+                                                slope_lo, slope_hi, s_post)
                 elif mode == WEALTH:
-                    y = np.where(active, jy[:, j], 0.0)
-                    acc += np.where(active, np.log1p(pi * psi * y), 0.0)
-                    sumy += y
-                s = np.where(active, s_post, s)
-                prev = tj
+                    acc[idx] += np.log1p(pi[idx] * psi * y)
+                    sumy[idx] += y
+                s[idx] = s_post
+                prev[idx] = tj
         delta = times[k + 1] - prev
         s = _quiet_advance(
             keys, k, _rng.SLOT_GAUSS + cnt, lam, bc, sig, delta, s

@@ -355,8 +355,9 @@ def build_sim_inputs(market, t, T, config, times=None):
     sampler code for a simulation run, as :class:`SimInputs`.
 
     ``times`` overrides the uniform grid (e.g. to place a node exactly at
-    an intermediate conditioning time); it must start at ``t`` and end at
-    ``T``.
+    an intermediate conditioning time); it must have at least two strictly
+    increasing nodes, start at ``t`` and end at ``T``, or
+    :class:`ConfigError` is raised.
     """
     if not T > t:
         raise DomainError(f"need T > t, got t={t}, T={T}")
@@ -364,6 +365,13 @@ def build_sim_inputs(market, t, T, config, times=None):
         times = np.linspace(t, T, config.n_steps + 1)
     else:
         times = np.asarray(times, dtype=np.float64)
+        if not (times.ndim == 1 and times.shape[0] >= 2
+                and times[0] == t and times[-1] == T
+                and np.all(np.diff(times) > 0.0)):
+            raise ConfigError(
+                "a time grid needs at least 2 strictly increasing nodes "
+                f"from t={t} to T={T}"
+            )
     n_steps = times.shape[0] - 1
     b, sg, ps, comp = market.step_arrays(times)
     rate = market.measure.rate

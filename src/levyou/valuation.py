@@ -337,6 +337,10 @@ def tower_check(market, t, s, h, T, pi_min, pi_max, config=None,
             f"need t < t+h <= T, got t={t}, h={h}, T={T}"
         )
     t_mid = t + h
+    if t_mid < T and config.n_steps < 2:
+        raise ConfigError(
+            f"a split needs at least 2 steps, got n_steps={config.n_steps}"
+        )
     frac = h / (T - t)
     n1 = min(max(1, int(round(config.n_steps * frac))), config.n_steps - 1) \
         if t_mid < T else config.n_steps

@@ -7,7 +7,6 @@ with one pass/fail line per guarantee.
 """
 
 import math
-import os
 import subprocess
 import sys
 import time
@@ -16,10 +15,12 @@ import numpy as np
 import pytest
 
 from levyou import approx, presets, strategy, valuation
+from levyou._backend import get_kernels
 from levyou.market import (
     SimConfig,
     analytic_mean,
     analytic_variance,
+    build_sim_inputs,
     simulate_paths,
 )
 
@@ -304,7 +305,7 @@ def test_property_suite():
         ) / (2.0 * h)
         assert g_s == pytest.approx(fd, abs=1e-5)
 
-    # Determinism across worker-count settings.
+    # Determinism across processes.
     script = (
         "from levyou import presets, valuation\n"
         "from levyou.market import SimConfig\n"
@@ -315,13 +316,36 @@ def test_property_suite():
         "print(f'{v.g_hat:.17g},{v.std_err:.17g}')\n"
     )
     outputs = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, LEVYOU_THREADS=threads)
+    for _ in range(2):
         proc = subprocess.run(
             [sys.executable, "-c", script],
-            env=env, capture_output=True, text=True, timeout=120,
+            capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
         outputs.append(proc.stdout.strip())
     assert outputs[0] == outputs[1]
+
+    # Determinism across batches: the per-path sums of that run, as one
+    # batch and as two path_offset batches, are bitwise equal.
+    p = presets.get_preset("benth2012")
+    cfg = SimConfig(n_paths=2000, n_steps=32, seed=99)
+    est = valuation.estimate_value(p.market, 0.0, p.s0, p.horizon, p.pi_min,
+                                   p.pi_max, config=cfg, table_ns=33)
+    sim = build_sim_inputs(p.market, 0.0, p.horizon, cfg)
+    gt = strategy.growth_table(p.market, sim.times, p.pi_min, p.pi_max,
+                               ns=33)
+    kern = get_kernels()
+
+    def path_sums(offset, n_paths):
+        keys = valuation._path_keys(
+            SimConfig(n_paths, cfg.n_steps, cfg.seed, path_offset=offset)
+        )
+        acc, _ = kern.value_paths(keys, np.full(n_paths, p.s0),
+                                  *sim.kernel_args, *gt)
+        return acc
+
+    whole = path_sums(0, 2000)
+    assert float(np.mean(whole)) == est.g_hat
+    split = np.concatenate([path_sums(0, 700), path_sums(700, 1300)])
+    assert np.array_equal(split, whole)
     budget.check()

@@ -51,6 +51,21 @@ def test_scalar_kernels_match_numpy(name):
                                    err_msg=f"{name} {key}")
 
 
+@pytest.mark.parametrize("name, n_steps", [("uniform-two-sided", 4),
+                                           ("benth2012", 24)])
+def test_numpy_kernels_are_batch_split_invariant(name, n_steps):
+    # Each step walks only the paths that jump, so a path's lanes depend on
+    # which other paths share its batch; its outputs must not.
+    args, gt, ft = kernel_inputs(name, 64, n_steps, 11)
+    whole = run_all(_kernels_np, args, gt, ft)
+    parts = [run_all(_kernels_np, (args[0][sl], args[1][sl], *args[2:]),
+                     gt, ft)
+             for sl in (slice(0, 17), slice(17, 64))]
+    for key, want in whole.items():
+        got = np.concatenate([part[key] for part in parts])
+        assert np.array_equal(got, want), f"{name} {key}"
+
+
 # Outputs of the separate per-kernel numpy walks for 4 paths (keys from
 # seed 7): final node price, reward integral (growth table, 33 prices) and
 # log-wealth (exact fraction table, 33 prices).

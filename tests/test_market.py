@@ -380,6 +380,19 @@ class TestSimulationInputs:
         with pytest.raises(ConfigError):
             mk.SimConfig(4, 0, 1)
 
+    @pytest.mark.parametrize("times", [
+        [0.0],                    # one node: no step
+        [0.0, 12.0, 12.0, 24.0],  # repeated node
+        [0.0, 14.0, 12.0, 24.0],  # decreasing
+        [1.0, 12.0, 24.0],        # does not start at t
+        [0.0, 12.0, 23.0],        # does not end at T
+        [0.0, np.nan, 24.0],
+    ])
+    def test_bad_time_grid_rejected(self, times):
+        with pytest.raises(ConfigError, match="time grid"):
+            mk.build_sim_inputs(calibrated_market(), 0.0, 24.0,
+                                mk.SimConfig(4, 4, 1), times=times)
+
     def test_grid_endpoints(self):
         pb = mk.simulate_paths(calibrated_market(), 1.0, 5.0, 24.0,
                                mk.SimConfig(2, 10, 1))

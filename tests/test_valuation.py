@@ -383,6 +383,21 @@ class TestTowerCheck:
                 gaussian_market(), 0.0, 0.1, 2.5, 2.0, -2.0, 2.0, cfg
             )
 
+    def test_split_needs_two_steps(self, monkeypatch):
+        one_step = SimConfig(n_paths=10, n_steps=1, seed=1)
+        # no split at t+h == T: one step is enough
+        tw = vl.tower_check(gaussian_market(), 0.0, 0.1, 2.0, 2.0, -2.0, 2.0,
+                            one_step, backend="numpy")
+        assert tw.discrepancy == 0.0
+
+        def no_table(*args, **kwargs):
+            raise AssertionError("a table was built before the check")
+
+        monkeypatch.setattr(vl, "growth_table", no_table)
+        with pytest.raises(ConfigError, match="at least 2 steps"):
+            vl.tower_check(gaussian_market(), 0.0, 0.1, 1.0, 2.0, -2.0, 2.0,
+                           one_step)
+
 
 class TestValueGrid:
     def test_matches_scalar_estimates_exactly(self):
