@@ -6,7 +6,9 @@ accumulation) on the benth2012 preset for each backend and reports
 path-steps/s, the speedup and a cross-backend agreement check.  The
 simulation inputs, the growth table and the fraction table are built once,
 outside the timed region, and JIT compilation is paid in a warm-up call,
-so each row times one kernel call and nothing else.
+so each row times one kernel call and nothing else.  A last row times
+``strategy.growth_table`` itself: one 257-price table (a single time node)
+for benth2012 and uniform-two-sided, which no backend choice affects.
 
 Usage::
 
@@ -81,6 +83,15 @@ def main():
             line += (f"  speedup x{timings[backends[1]] / timings[backends[0]]:.1f}"
                      f"  max rel diff {agree:.2e}")
         print(line)
+
+    line = f"{'growth table':16s}"
+    for name in ("benth2012", "uniform-two-sided"):
+        p = presets.get_preset(name)
+        table = lambda p=p: strategy.growth_table(p.market, [0.0], p.pi_min,
+                                                  p.pi_max)
+        table()
+        line += f"  {name}: {best_of(args.repeats, table) * 1e3:8.1f} ms"
+    print(line + "  (per 257-price table)")
 
 
 if __name__ == "__main__":

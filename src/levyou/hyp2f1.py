@@ -14,6 +14,10 @@ negative).  Two complementary evaluation routes cover that domain:
   does not, the Pfaff route is used with a larger term budget.
 
 Both routes accept scalar or ndarray ``z`` and run all series elementwise.
+``hyp2f1_reciprocal`` runs the same two routes in x = -1/z and returns
+x**(-a) * 2F1(a, b; c; -1/x): the Pareto transforms call it, because at
+tiny fractions -1/x overflows and the x**(-a) factor cancels their 1/pi
+powers.
 """
 
 import math
@@ -76,6 +80,40 @@ def _inversion_usable(a, b, c):
     return True
 
 
+def _check_parameters(a, b, c):
+    if not (a > 0.0 and b > 0.0 and c > 0.0):
+        raise DomainError(
+            f"hyp2f1 parameters must be positive, got a={a}, b={b}, c={c}"
+        )
+
+
+def _pfaff(a, b, c, w):
+    """2F1(a, c - b; c; w): the Pfaff-transformed series at w = z/(z - 1)."""
+    return _gauss_series(a, c - b, c, w, PFAFF_BUDGET, "pfaff")
+
+
+def _inversion(a, b, c, x):
+    """(-z)**a * 2F1(a, b; c; z) at x = -1/z by the 1/z connection formula.
+
+    Written in x rather than z, so nothing overflows as z -> -infinity.
+    """
+    coef_a = (
+        math.gamma(c)
+        * math.gamma(b - a)
+        / (math.gamma(b) * math.gamma(c - a))
+    )
+    coef_b = (
+        math.gamma(c)
+        * math.gamma(a - b)
+        / (math.gamma(a) * math.gamma(c - b))
+    )
+    s1 = _gauss_series(a, a - c + 1.0, a - b + 1.0, -x, INVERSION_BUDGET,
+                       "inversion")
+    s2 = _gauss_series(b, b - c + 1.0, b - a + 1.0, -x, INVERSION_BUDGET,
+                       "inversion")
+    return coef_a * s1 + coef_b * x ** (b - a) * s2
+
+
 def hyp2f1(a, b, c, z):
     """Evaluate 2F1(a, b; c; z) for a, b, c > 0 and real z <= 0.
 
@@ -99,10 +137,7 @@ def hyp2f1(a, b, c, z):
     ConvergenceError
         If a series exceeds its term budget.
     """
-    if not (a > 0.0 and b > 0.0 and c > 0.0):
-        raise DomainError(
-            f"hyp2f1 parameters must be positive, got a={a}, b={b}, c={c}"
-        )
+    _check_parameters(a, b, c)
     z_arr = np.asarray(z, dtype=np.float64)
     scalar = z_arr.ndim == 0
     z_arr = np.atleast_1d(z_arr)
@@ -116,27 +151,52 @@ def hyp2f1(a, b, c, z):
 
     if np.any(near):
         zn = z_arr[near]
-        w = zn / (zn - 1.0)
-        series = _gauss_series(a, c - b, c, w, PFAFF_BUDGET, "pfaff")
-        out[near] = (1.0 - zn) ** (-a) * series
+        out[near] = (1.0 - zn) ** (-a) * _pfaff(a, b, c, zn / (zn - 1.0))
 
     if np.any(far):
         zf = z_arr[far]
-        x = 1.0 / zf
-        coef_a = (
-            math.gamma(c)
-            * math.gamma(b - a)
-            / (math.gamma(b) * math.gamma(c - a))
-        )
-        coef_b = (
-            math.gamma(c)
-            * math.gamma(a - b)
-            / (math.gamma(a) * math.gamma(c - b))
-        )
-        s1 = _gauss_series(a, a - c + 1.0, a - b + 1.0, x, INVERSION_BUDGET,
-                           "inversion")
-        s2 = _gauss_series(b, b - c + 1.0, b - a + 1.0, x, INVERSION_BUDGET,
-                           "inversion")
-        out[far] = coef_a * (-zf) ** (-a) * s1 + coef_b * (-zf) ** (-b) * s2
+        out[far] = (-zf) ** (-a) * _inversion(a, b, c, -1.0 / zf)
+
+    return float(out[0]) if scalar else out
+
+
+def hyp2f1_reciprocal(a, b, c, x):
+    """Evaluate x**(-a) * 2F1(a, b; c; -1/x) for a, b, c > 0 and x > 0.
+
+    The same two routes as :func:`hyp2f1`, written in x = -1/z: the Pfaff
+    series runs at 1/(1 + x), and the inversion series at -x.  No
+    intermediate overflows or underflows as x -> 0, which the Pareto
+    transforms need at tiny fractions, where -1/x itself is out of range.
+
+    Parameters
+    ----------
+    a, b, c : float
+        Positive parameters.
+    x : float or ndarray
+        Positive finite argument(s).
+
+    Returns
+    -------
+    float or ndarray
+        Function values, matching the shape of ``x``.
+    """
+    _check_parameters(a, b, c)
+    x_arr = np.asarray(x, dtype=np.float64)
+    scalar = x_arr.ndim == 0
+    x_arr = np.atleast_1d(x_arr)
+    if not np.all((x_arr > 0.0) & np.isfinite(x_arr)):
+        raise DomainError("hyp2f1_reciprocal argument must be finite and > 0")
+
+    out = np.empty_like(x_arr)
+    invertible = _inversion_usable(a, b, c)
+    far = x_arr < 0.25 if invertible else np.zeros(x_arr.shape, dtype=bool)
+    near = ~far
+
+    if np.any(near):
+        xn = x_arr[near]
+        out[near] = (1.0 + xn) ** (-a) * _pfaff(a, b, c, 1.0 / (1.0 + xn))
+
+    if np.any(far):
+        out[far] = _inversion(a, b, c, x_arr[far])
 
     return float(out[0]) if scalar else out

@@ -13,15 +13,26 @@ x = pi * psi * y:
 They are related by I = pi psi^2 T and C = dI/dpi, and all require the
 fraction to be admissible (1 + x > 0 on the support of nu).
 
-Every transform is computed by adaptive quadrature on the density; for
-densities with a non-integrable singularity at the origin the small-jump
-region is handled by a second-order Taylor expansion with an explicit
-remainder bound, shrinking the region until the bound is negligible.
+The ``*_integral`` methods compute each transform by adaptive quadrature
+on the density; for densities with a non-integrable singularity at the
+origin the small-jump region is handled by a second-order Taylor expansion
+with an explicit remainder bound, shrinking the region until the bound is
+negligible.
 
-For Pareto jump sizes the drag admits a closed form in terms of the Gauss
-hypergeometric function (``pareto_drag_closed_form``); it is deliberately
-kept separate from ``drag_integral`` so the two routes stay independent
-cross-checks of each other.
+The optimizer calls ``drag``, ``curvature`` and ``log_penalty``, which
+take a scalar or an ndarray of fractions.  The simulated jump laws give
+them closed forms:
+
+* Pareto sizes: drag and curvature through the Gauss hypergeometric
+  function (``pareto_drag_closed_form``, ``pareto_curvature_closed_form``),
+  the log penalty from the drag by parts;
+* uniform sizes: elementary antiderivatives in u = pi psi y, with a Taylor
+  series near u = 0;
+* constant sizes: point evaluation.
+
+Other measures (``CompoundPoisson`` with a custom density, ``LevyDensity``)
+fall back to one quadrature per fraction.  The closed forms never share
+code with the quadrature route, so each is a cross-check of the other.
 """
 
 import math
@@ -36,7 +47,7 @@ from .errors import (
     DomainError,
     QuadratureError,
 )
-from .hyp2f1 import hyp2f1
+from .hyp2f1 import hyp2f1_reciprocal
 
 QUAD_EPSABS = 1e-12
 QUAD_EPSREL = 1e-10
@@ -61,6 +72,52 @@ def log1p_minus(x):
         direct = np.log1p(np.where(small, 0.0, x)) - np.where(small, 0.0, x)
     out = np.where(small, series, direct)
     return float(out) if out.ndim == 0 else out
+
+
+#: Below this |u| the uniform kernels sum their Taylor series, whose 56
+#: terms leave a remainder under 2e-17.  Above it the direct forms lose
+#: about 3 eps/u^2 to cancellation, so a cut-off at 0.1 would cost 300 eps.
+_SERIES_CUTOFF = 0.5
+_TERM = np.arange(56.0)
+_ALTERNATING = (-1.0) ** _TERM
+#: Taylor coefficients of the three uniform kernels G below.
+_DRAG_SERIES = _ALTERNATING / (_TERM + 3.0)
+_CURVATURE_SERIES = _ALTERNATING * (_TERM + 1.0) / (_TERM + 3.0)
+_LOG_PENALTY_SERIES = -_ALTERNATING / ((_TERM + 2.0) * (_TERM + 3.0))
+
+
+def _series_or_direct(u, series, direct):
+    """Kernel G(u): its Taylor series for small |u|, else ``direct(u)``."""
+    u = np.asarray(u, dtype=np.float64)
+    small = np.abs(u) < _SERIES_CUTOFF
+    powers = np.empty((len(series), u.size))
+    powers[0] = 1.0
+    powers[1:] = np.where(small, u, 0.0).ravel()
+    np.multiply.accumulate(powers[1:], axis=0, out=powers[1:])
+    near = (series @ powers).reshape(u.shape)
+    return np.where(small, near, direct(np.where(small, 1.0, u)))
+
+
+# The direct forms are nested so that no power of u can overflow.
+
+def _g_drag(u):
+    """(log1p(u) - u + u^2/2) / u^3, from ∫ u^2/(1 + u) du."""
+    return _series_or_direct(
+        u, _DRAG_SERIES, lambda u: ((np.log1p(u) / u - 1.0) / u + 0.5) / u)
+
+
+def _g_curvature(u):
+    """(u - 2 log1p(u) + u/(1 + u)) / u^3, from ∫ u^2/(1 + u)^2 du."""
+    return _series_or_direct(
+        u, _CURVATURE_SERIES,
+        lambda u: (1.0 + 1.0 / (1.0 + u) - 2.0 * np.log1p(u) / u) / u / u)
+
+
+def _g_log_penalty(u):
+    """((1 + u) log1p(u) - u - u^2/2) / u^3, from ∫ [log1p(u) - u] du."""
+    return _series_or_direct(
+        u, _LOG_PENALTY_SERIES,
+        lambda u: (((1.0 + 1.0 / u) * np.log1p(u) - 1.0) / u - 0.5) / u)
 
 
 def _quad(fn, lo, hi):
@@ -165,22 +222,18 @@ class JumpMeasure:
     # -- admissibility ----------------------------------------------------
 
     def admissible(self, pi, psi=1.0):
-        """True when 1 + pi*psi*y > 0 on the whole support."""
-        m, big = self.support()
+        """True when 1 + pi*psi*y > 0 on the whole support, for every
+        fraction in ``pi`` (scalar or ndarray)."""
         if self.rate == 0.0:
             return True
-        x = pi * psi
-        if math.isinf(big):
-            if x < 0.0:
-                return False
-        elif big != 0.0 and 1.0 + x * big <= 0.0:
-            return False
-        if math.isinf(m):
-            if x > 0.0:
-                return False
-        elif m != 0.0 and 1.0 + x * m <= 0.0:
-            return False
-        return True
+        x = np.asarray(pi, dtype=np.float64) * psi
+        bad = np.zeros(x.shape, dtype=bool)
+        for edge in self.support():
+            if math.isinf(edge):
+                bad |= x * math.copysign(1.0, edge) < 0.0
+            elif edge != 0.0:
+                bad |= 1.0 + x * edge <= 0.0
+        return not bool(np.any(bad))
 
     def _require_admissible(self, pi, psi):
         if not self.admissible(pi, psi):
@@ -453,6 +506,15 @@ class ParetoJump(CompoundPoisson):
     def curvature(self, pi, psi=1.0):
         return pareto_curvature_closed_form(pi, self, psi)
 
+    def log_penalty(self, pi, psi=1.0):
+        """Closed form by parts against the tail mass eta*(z0/y)**alpha:
+        P(pi) = eta*log1p_minus(pi*psi*z0) - pi*drag(pi)/alpha."""
+        drag = self.drag(pi, psi)
+        pi_arr = np.asarray(pi, dtype=np.float64)
+        out = (self.rate * log1p_minus(pi_arr * psi * self.scale)
+               - pi_arr * drag / self.alpha)
+        return float(out) if pi_arr.ndim == 0 else out
+
 
 class UniformJump(CompoundPoisson):
     """Uniform(lo, hi) jump sizes arriving at a Poisson rate."""
@@ -488,6 +550,27 @@ class UniformJump(CompoundPoisson):
             * (hi ** (k + 1) + abs(lo) ** (k + 1))
             / ((k + 1) * (hi - lo))
         )
+
+    def _closed_form(self, kernel, k, pi, psi):
+        """rate/(hi - lo) * psi^(2-k) * x^k * [hi^3 G(x hi) - lo^3 G(x lo)]
+        with x = pi*psi, where u^3 G(u) is an antiderivative of the
+        transform's integrand in u = x*y; the y^3 G(x y) form stays exact
+        at x = 0."""
+        self._require_admissible(pi, psi)
+        x = np.asarray(pi, dtype=np.float64) * psi
+        gap = (self.hi**3 * kernel(x * self.hi)
+               - self.lo**3 * kernel(x * self.lo))
+        out = self.rate * psi ** (2 - k) * x**k * gap / (self.hi - self.lo)
+        return float(out) if x.ndim == 0 else out
+
+    def drag(self, pi, psi=1.0):
+        return self._closed_form(_g_drag, 1, pi, psi)
+
+    def curvature(self, pi, psi=1.0):
+        return self._closed_form(_g_curvature, 0, pi, psi)
+
+    def log_penalty(self, pi, psi=1.0):
+        return self._closed_form(_g_log_penalty, 2, pi, psi)
 
 
 class ConstantJump(JumpMeasure):
@@ -546,17 +629,25 @@ class ConstantJump(JumpMeasure):
         return self.rate * y * y / (1.0 + pi * psi * y)
 
     def drag(self, pi, psi=1.0):
+        self._require_admissible(pi, psi)
         pi_arr = np.asarray(pi, dtype=np.float64)
         y = self.size
         out = self.rate * pi_arr * psi * psi * y * y / (1.0 + pi_arr * psi * y)
         return float(out) if pi_arr.ndim == 0 else out
 
     def curvature(self, pi, psi=1.0):
+        self._require_admissible(pi, psi)
         pi_arr = np.asarray(pi, dtype=np.float64)
         y = self.size
         out = (
             self.rate * psi * psi * y * y / (1.0 + pi_arr * psi * y) ** 2
         )
+        return float(out) if pi_arr.ndim == 0 else out
+
+    def log_penalty(self, pi, psi=1.0):
+        self._require_admissible(pi, psi)
+        pi_arr = np.asarray(pi, dtype=np.float64)
+        out = self.rate * log1p_minus(pi_arr * psi * self.size)
         return float(out) if pi_arr.ndim == 0 else out
 
 
@@ -609,66 +700,58 @@ class LevyDensity(JumpMeasure):
         return super().abs_moment(k)
 
 
+def _pareto_fractions(pi, measure, psi, what):
+    """Validated fractions as a 1-d array, plus whether ``pi`` was scalar."""
+    if not isinstance(measure, ParetoJump):
+        raise CaseError(f"closed-form {what} is specific to Pareto jump sizes")
+    if psi < 0.0:
+        raise DomainError(f"impact scale must be >= 0, got {psi}")
+    pi_arr = np.asarray(pi, dtype=np.float64)
+    if np.any(pi_arr < 0.0):
+        raise AdmissibilityError(
+            "negative fractions are not admissible for unbounded positive jumps"
+        )
+    return np.atleast_1d(pi_arr), pi_arr.ndim == 0
+
+
 def pareto_drag_closed_form(pi, measure, psi=1.0):
     """Drag transform of a Pareto measure via the hypergeometric closed form.
 
     For sizes Pareto(alpha, z0) at rate eta the drag equals
-    psi * eta * mu_F * 2F1(1, alpha - 1; alpha; -1/(pi * psi * z0)) for
-    pi > 0 (mu_F is the mean jump size), and 0 at pi = 0; negative
-    fractions are inadmissible for this measure.
+    psi * eta * mu_F * 2F1(1, alpha - 1; alpha; -1/w) with w = pi * psi * z0
+    for pi > 0 (mu_F is the mean jump size), and 0 at pi = 0; negative
+    fractions are inadmissible for this measure.  It is evaluated as
+    w * hyp2f1_reciprocal(1, alpha - 1, alpha, w), which stays in range at
+    any positive w, subnormal included.
 
     ``pi`` may be a scalar or ndarray.
     """
-    if not isinstance(measure, ParetoJump):
-        raise CaseError("closed-form drag is specific to Pareto jump sizes")
-    if psi < 0.0:
-        raise DomainError(f"impact scale must be >= 0, got {psi}")
-    pi_arr = np.asarray(pi, dtype=np.float64)
-    scalar = pi_arr.ndim == 0
-    pi_arr = np.atleast_1d(pi_arr)
-    if np.any(pi_arr < 0.0):
-        raise AdmissibilityError(
-            "negative fractions are not admissible for unbounded positive jumps"
-        )
-    a, z0 = measure.alpha, measure.scale
-    mu_f = measure.mean_size
+    pi_arr, scalar = _pareto_fractions(pi, measure, psi, "drag")
+    a = measure.alpha
+    w = pi_arr * psi * measure.scale
+    pos = w > 0.0
     out = np.zeros_like(pi_arr)
-    pos = pi_arr > 0.0
-    if psi > 0.0 and np.any(pos):
-        z = -1.0 / (pi_arr[pos] * psi * z0)
-        out[pos] = psi * measure.rate * mu_f * hyp2f1(1.0, a - 1.0, a, z)
+    if np.any(pos):
+        out[pos] = (psi * measure.rate * measure.mean_size
+                    * w[pos] * hyp2f1_reciprocal(1.0, a - 1.0, a, w[pos]))
     return float(out[0]) if scalar else out
 
 
 def pareto_curvature_closed_form(pi, measure, psi=1.0):
-    """d(drag)/d(pi) for a Pareto measure, via the hypergeometric form."""
-    if not isinstance(measure, ParetoJump):
-        raise CaseError("closed-form curvature is specific to Pareto jumps")
-    if psi < 0.0:
-        raise DomainError(f"impact scale must be >= 0, got {psi}")
-    pi_arr = np.asarray(pi, dtype=np.float64)
-    scalar = pi_arr.ndim == 0
-    pi_arr = np.atleast_1d(pi_arr)
-    if np.any(pi_arr < 0.0):
-        raise AdmissibilityError(
-            "negative fractions are not admissible for unbounded positive jumps"
-        )
-    a, z0 = measure.alpha, measure.scale
-    mu_f = measure.mean_size
-    out = np.empty_like(pi_arr)
-    pos = pi_arr > 0.0
-    out[~pos] = psi * psi * measure.moment(2)
-    if psi > 0.0 and np.any(pos):
-        p = pi_arr[pos]
-        z = -1.0 / (p * psi * z0)
-        out[pos] = (
-            measure.rate
-            * mu_f
-            * (a - 1.0)
-            / (a * z0)
-            * hyp2f1(2.0, a, a + 1.0, z)
-            / (p * p)
-        )
-    elif psi == 0.0:
-        out[:] = 0.0
+    """d(drag)/d(pi) for a Pareto measure, via the hypergeometric form.
+
+    Equals eta * 2F1(2, alpha; alpha + 1; -1/w) / pi^2 with w = pi*psi*z0,
+    evaluated as eta * (psi*z0)^2 * hyp2f1_reciprocal(2, alpha, alpha + 1, w)
+    so that no 1/pi^2 can overflow or underflow; psi^2 * nu(y^2) at pi = 0.
+    """
+    pi_arr, scalar = _pareto_fractions(pi, measure, psi, "curvature")
+    a = measure.alpha
+    w = pi_arr * psi * measure.scale
+    pos = w > 0.0
+    out = np.zeros_like(pi_arr)
+    if psi > 0.0:
+        out[~pos] = psi * psi * measure.moment(2)
+    if np.any(pos):
+        out[pos] = (measure.rate * (psi * measure.scale) ** 2
+                    * hyp2f1_reciprocal(2.0, a, a + 1.0, w[pos]))
     return float(out[0]) if scalar else out

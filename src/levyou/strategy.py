@@ -32,20 +32,6 @@ NEWTON_ITERS = 3
 RESIDUAL_SLACK = 1e-7
 
 
-def _transform_at(transform, pis, psi):
-    """Vectorized jump transform (``measure.drag`` or
-    ``measure.curvature``); falls back to per-element quadrature."""
-    pis = np.asarray(pis, dtype=np.float64)
-    try:
-        out = np.asarray(transform(pis, psi), dtype=np.float64)
-        if out.shape == pis.shape:
-            return out
-    except (TypeError, ValueError):
-        pass
-    flat = np.array([transform(float(p), psi) for p in pis.ravel()])
-    return flat.reshape(pis.shape)
-
-
 def growth_rate(pi, market, t, s):
     """Expected log-wealth growth rate per unit time for fraction ``pi``."""
     psi = market.psi_at(t)
@@ -90,10 +76,10 @@ def _solve_q(market, t, q, pi_min, pi_max):
     meas = market.measure
 
     def G(p):
-        return sg2 * p + _transform_at(meas.drag, p, psi)
+        return sg2 * p + meas.drag(p, psi)
 
-    g_hi = float(G(np.array(pi_max)))
-    g_lo = float(G(np.array(pi_min)))
+    g_hi = float(G(pi_max))
+    g_lo = float(G(pi_min))
     pi = np.empty_like(q)
     clamped = np.zeros(q.shape, dtype=bool)
     hi_mask = q >= g_hi
@@ -128,7 +114,7 @@ def _solve_q(market, t, q, pi_min, pi_max):
         root = 0.5 * (lo + hi)
         # Newton polish with the exact slope of G
         for _ in range(NEWTON_ITERS):
-            slope = sg2 + _transform_at(meas.curvature, root, psi)
+            slope = sg2 + meas.curvature(root, psi)
             step = (qi - G(root)) / np.maximum(slope, 1e-300)
             root = np.clip(root + step, lo, hi)
         r = qi - G(root)
@@ -374,9 +360,7 @@ def growth_table(market, times, pi_min, pi_max, ns=257):
         psi = market.psi_at(tv)
         sg = market.sigma_at(tv)
         q = market.foc_drift(tv) - market.lam * grid
-        pen = np.array(
-            [market.measure.log_penalty(float(p), psi) for p in pi]
-        )
+        pen = market.measure.log_penalty(pi, psi)
         return q * pi - 0.5 * sg * sg * pi * pi + pen
 
     def bracket(tv):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from levyou.errors import ConvergenceError, DomainError
-from levyou.hyp2f1 import hyp2f1
+from levyou.hyp2f1 import hyp2f1, hyp2f1_reciprocal
 
 # (a, b, c, z, mpmath reference)
 REFERENCE = [
@@ -78,3 +78,39 @@ def test_convergence_budget_is_enforced():
     # Pfaff series then exceeds any reasonable budget and must say so.
     with pytest.raises(ConvergenceError):
         hyp2f1(1.0, 2.0, 3.0, -1e9)
+
+
+# (a, b, c, x, mpmath x**-a * 2F1(a, b; c; -1/x)): the Pareto drag and
+# curvature families, down to subnormal x where -1/x overflows
+RECIPROCAL = [
+    (1.0, 1.5406, 2.5406, 1e-310, 2.849796522382538),
+    (1.0, 1.5406, 2.5406, 1e-20, 2.8497965223073094),
+    (1.0, 1.5406, 2.5406, 0.1, 1.769833479612719),
+    (1.0, 1.5406, 2.5406, 7.5, 0.12348772975419292),
+    (2.0, 2.5406, 3.5406, 1e-310, 4.699593044765076),
+    (2.0, 2.5406, 3.5406, 1e-20, 4.699593044573951),
+    (2.0, 2.5406, 3.5406, 0.3, 1.1697890145569987),
+    (2.0, 2.5406, 3.5406, 7.5, 0.014838808566443703),
+]
+
+
+@pytest.mark.parametrize("a,b,c,x,expected", RECIPROCAL)
+def test_reciprocal_reference_values(a, b, c, x, expected):
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        got = hyp2f1_reciprocal(a, b, c, x)
+    np.testing.assert_allclose(got, expected, rtol=1e-14)
+
+
+def test_reciprocal_matches_hyp2f1():
+    x = np.logspace(-3, 3, 25)
+    np.testing.assert_allclose(
+        hyp2f1_reciprocal(2.2, 3.1, 4.05, x),
+        x**-2.2 * hyp2f1(2.2, 3.1, 4.05, -1.0 / x),
+        rtol=1e-14,
+    )
+
+
+def test_reciprocal_domain_errors():
+    for bad in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(DomainError):
+            hyp2f1_reciprocal(1.0, 1.5406, 2.5406, bad)

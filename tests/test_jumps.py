@@ -166,6 +166,70 @@ class TestParetoTransforms:
             rtol=1e-10,
         )
 
+    # mpmath references for the closed-form log penalty, psi = 1: quadrature
+    # over t = z0/y at 70 digits, which the hypergeometric route matches to
+    # 1e-45
+    LOGPEN = {
+        1e-6: -4.8512056986981184e-14,
+        5.3e-4: -1.3454609943331603e-08,
+        1.07e-3: -5.450725234035087e-08,
+        0.0865: -0.0002964972734110634,
+        0.2: -0.0014150656626429254,
+    }
+
+    @pytest.mark.parametrize("pi", sorted(LOGPEN))
+    def test_closed_form_log_penalty(self, pareto, pi):
+        np.testing.assert_allclose(
+            pareto.log_penalty(pi), self.LOGPEN[pi], rtol=1e-13
+        )
+
+    @pytest.mark.parametrize("pi", sorted(DRAG))
+    def test_closed_forms_match_quadrature(self, pareto, pi):
+        np.testing.assert_allclose(
+            pareto.log_penalty(pi), pareto.log_penalty_integral(pi),
+            rtol=1e-10,
+        )
+        np.testing.assert_allclose(
+            pareto.curvature(pi), pareto.curvature_integral(pi), rtol=1e-10
+        )
+
+    def test_scaled_impact_closed_form_log_penalty(self, pareto):
+        np.testing.assert_allclose(
+            pareto.log_penalty(0.7, psi=1.3),
+            -0.020099216582475277,
+            rtol=1e-10,
+        )
+
+    def test_log_penalty_vector_matches_scalar(self, pareto):
+        pis = np.linspace(0.0, 0.2, 257)
+        vec = pareto.log_penalty(pis)
+        scl = np.array([pareto.log_penalty(float(p)) for p in pis])
+        np.testing.assert_allclose(vec, scl, rtol=1e-15, atol=0.0)
+        assert vec[0] == 0.0
+
+    @pytest.mark.parametrize(
+        "pi", [1e-20, 1e-100, 1e-160, 1e-200, 1e-300, 1e-310]
+    )
+    def test_closed_forms_at_tiny_fractions(self, pareto, pi):
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            drag = pareto.drag(pi)
+            curvature = pareto.curvature(pi)
+            penalty = pareto.log_penalty(pi)
+        np.testing.assert_allclose(
+            curvature, pareto.curvature_integral(pi), rtol=1e-10
+        )
+        # drag_integral and log_penalty_integral stop at their absolute
+        # tolerance this close to zero (6e-3 relative at 1e-20), so the
+        # leading terms pi*m2 and -pi^2*m2/2 stand in for them: the next
+        # term is about (pi*z0)**(alpha - 2), 2e-11 relative at 1e-20.
+        # Below 1e-154 the penalty is subnormal or zero, where the float
+        # grid is absolute (4.9e-324 apart).
+        m2 = pareto.moment(2)
+        np.testing.assert_allclose(drag, pi * m2, rtol=1e-10)
+        np.testing.assert_allclose(
+            penalty, -0.5 * m2 * pi * pi, rtol=1e-10, atol=1e-322
+        )
+
     def test_drag_vanishes_at_zero(self, pareto):
         assert pareto.drag_integral(0.0) == 0.0
         assert pareto_drag_closed_form(0.0, pareto) == 0.0
@@ -176,6 +240,10 @@ class TestParetoTransforms:
             pareto.drag_integral(-0.1)
         with pytest.raises(AdmissibilityError):
             pareto_drag_closed_form(-0.1, pareto)
+        with pytest.raises(AdmissibilityError):
+            pareto.log_penalty(-0.1)
+        with pytest.raises(AdmissibilityError):
+            pareto.curvature(np.array([0.1, -0.1]))
 
     def test_closed_form_vector(self, pareto):
         pis = np.array([0.0, 0.01, 0.1, 1.0, 10.0, 100.0])
@@ -223,6 +291,58 @@ class TestUniformTransforms:
         assert uniform.admissible(-0.99)
         assert not uniform.admissible(2.0)
         assert not uniform.admissible(-1.0)
+
+    # mpmath references (90 digits) for the closed forms, psi = 1:
+    # pi -> (drag, curvature, log penalty)
+    CLOSED = {
+        -0.4: (-0.13811325233310548, 0.4899892938900283,
+               -0.024531262646100067),
+        -1e-7: (-2.5000001562500137e-08, 0.25000003125000414,
+                -1.2500000520833367e-15),
+        0.0: (0.0, 0.25, 0.0),
+        1e-9: (2.4999999984375e-10, 0.2499999996875,
+               -1.2499999994791668e-19),
+        0.5: (0.0983924814931875, 0.1619856295828056,
+              -0.026387711331890308),
+        0.8: (0.1443878006959476, 0.14828975751939028,
+              -0.06290719076382616),
+    }
+
+    @pytest.mark.parametrize("pi", sorted(CLOSED))
+    def test_closed_forms(self, uniform, pi):
+        got = (uniform.drag(pi), uniform.curvature(pi),
+               uniform.log_penalty(pi))
+        np.testing.assert_allclose(got, self.CLOSED[pi], rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("pi", sorted(DRAG))
+    @pytest.mark.parametrize("psi", [1.0, 0.7])
+    def test_closed_forms_match_quadrature(self, uniform, pi, psi):
+        pairs = ((uniform.drag, uniform.drag_integral),
+                 (uniform.curvature, uniform.curvature_integral),
+                 (uniform.log_penalty, uniform.log_penalty_integral))
+        for closed, integral in pairs:
+            np.testing.assert_allclose(
+                closed(pi, psi), integral(pi, psi), rtol=1e-10
+            )
+
+    def test_closed_forms_vector_matches_scalar(self, uniform):
+        pis = np.append(np.linspace(-0.99, 1.99, 41), 0.0)
+        for fn in (uniform.drag, uniform.curvature, uniform.log_penalty):
+            np.testing.assert_allclose(
+                fn(pis, 0.7), [fn(float(p), 0.7) for p in pis],
+                rtol=1e-15, atol=0.0,
+            )
+
+    def test_inadmissible_fractions_rejected(self, uniform):
+        assert uniform.admissible(np.array([-0.99, 0.0, 1.99]))
+        assert not uniform.admissible(np.array([0.5, 2.0]))
+        for fn in (uniform.drag, uniform.curvature, uniform.log_penalty):
+            for bad in (2.0, -1.0, np.array([0.5, 2.5]),
+                        np.array([[-1.2], [0.0]])):
+                with pytest.raises(AdmissibilityError):
+                    fn(bad)
+            with pytest.raises(AdmissibilityError):
+                fn(1.5, psi=1.5)
 
     def test_curvature_matches_drag_derivative(self, uniform):
         h = 1e-6
@@ -326,11 +446,25 @@ class TestConstantJump:
             m.curvature(pis), [m.curvature(float(p)) for p in pis],
             rtol=1e-15,
         )
+        np.testing.assert_allclose(
+            m.log_penalty(pis), [m.log_penalty_integral(float(p))
+                                 for p in pis],
+            rtol=1e-15,
+        )
 
     def test_inadmissible_fraction_rejected(self):
         m = ConstantJump(size=-0.5, rate=1.0)
         with pytest.raises(AdmissibilityError):
             m.drag_integral(2.5)
+
+    def test_array_transforms_check_admissibility(self):
+        m = ConstantJump(size=-2.0, rate=1.0)
+        for fn in (m.drag, m.curvature, m.log_penalty):
+            with pytest.raises(AdmissibilityError):
+                fn(0.6)
+            with pytest.raises(AdmissibilityError):
+                fn(np.array([0.1, 0.6]))
+        assert m.drag(0.4) == m.drag_integral(0.4)
 
     def test_sampler_and_support(self):
         m = ConstantJump(size=0.6, rate=2.0)
