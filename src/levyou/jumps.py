@@ -31,8 +31,9 @@ them closed forms:
 * constant sizes: point evaluation.
 
 Other measures (``CompoundPoisson`` with a custom density, ``LevyDensity``)
-fall back to one quadrature per fraction.  The closed forms never share
-code with the quadrature route, so each is a cross-check of the other.
+fall back to one quadrature per fraction.  The Pareto and uniform closed
+forms share no code with the quadrature route, so each is a cross-check
+of the other.
 """
 
 import math
