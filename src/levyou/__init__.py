@@ -74,9 +74,8 @@ from .market import (
 )
 from .presets import PRESET_NAMES, Preset, get_preset, load_config
 from .strategy import (
-    FractionTable,
-    GrowthTable,
     OptimalFraction,
+    PriceTable,
     StrategySurface,
     best_growth,
     best_growth_gradient,
@@ -129,7 +128,7 @@ __all__ = [
     "OptimalFraction", "growth_rate", "growth_slope", "optimal_fraction",
     "optimal_fraction_grid", "inverse_price", "clamp_thresholds",
     "best_growth", "best_growth_gradient", "StrategySurface",
-    "strategy_surface", "FractionTable", "GrowthTable", "fraction_table",
+    "strategy_surface", "PriceTable", "fraction_table",
     "exact_fraction_table", "constant_fraction_table", "growth_table",
     # approx
     "ApproxFraction", "ApproxBound", "merton_denominator",

@@ -135,21 +135,6 @@ def _decay_drift_std(lam, bc, sig, delta):
 
 
 @njit(cache=True)
-def _interp_flat(vals, row, s1, s2, s):
-    """Piecewise-linear table lookup with constant extension."""
-    ns = vals.shape[1]
-    x = (s - s1) / (s2 - s1)
-    if x <= 0.0:
-        return vals[row, 0]
-    if x >= 1.0:
-        return vals[row, ns - 1]
-    f = x * (ns - 1)
-    j = int(f)
-    fr = f - j
-    return vals[row, j] * (1.0 - fr) + vals[row, j + 1] * fr
-
-
-@njit(cache=True)
 def _interp_slope(vals, row, s1, s2, slope_lo, slope_hi, s):
     """Piecewise-linear table lookup with linear extension outside."""
     ns = vals.shape[1]
@@ -197,7 +182,9 @@ def _walk(mode, nodes, acc, fin, keys, s0, times, b_step, sig_step,
             psi = psi_step[k]
             pi = 0.0
             if mode == WEALTH:
-                pi = _interp_flat(vals, k, s1[k], s2[k], s)
+                pi = _interp_slope(
+                    vals, k, s1[k], s2[k], slope_lo, slope_hi, s
+                )
             s_left = s
             cnt = _poisson_count(_uniform(key, k, 0), cdf[k])
             for j in range(cnt):
@@ -294,17 +281,18 @@ def value_paths(keys, s0, times, b_step, sig_step, psi_step, comp_step,
 @njit(cache=True)
 def wealth_paths(keys, s0, times, b_step, sig_step, psi_step, comp_step,
                  lam, cdf, kind, p0, p1,
-                 pi_vals, pi_s1, pi_s2):
-    """Log-wealth of the tabulated strategy along each path.
+                 tab_vals, tab_s1, tab_s2, slope_lo, slope_hi):
+    """Log-wealth of the tabulated fraction along each path.
 
     The fraction is read from the per-node table at the left node of each
-    step and held fixed across the step.  Returns (log-wealth, final
-    prices); initial wealth is 1 (log 0).
+    step, as in :func:`value_paths` (fraction tables have zero slopes, so
+    the extension is flat), and held fixed across the step.  Returns
+    (log-wealth, final prices); initial wealth is 1 (log 0).
     """
     n = keys.shape[0]
     logw = np.empty(n)
     fin = np.empty(n)
     _walk(WEALTH, np.empty((0, 0)), logw, fin, keys, s0, times, b_step,
           sig_step, psi_step, comp_step, lam, cdf, kind, p0, p1,
-          pi_vals, pi_s1, pi_s2, 0.0, 0.0)
+          tab_vals, tab_s1, tab_s2, slope_lo, slope_hi)
     return logw, fin

@@ -51,18 +51,8 @@ def _decay_drift_std(lam, bc, sig, delta):
     return ed, drift, sig * np.sqrt(var)
 
 
-def _interp_flat(vals, row, s1, s2, s):
-    ns = vals.shape[1]
-    x = (s - s1) / (s2 - s1)
-    f = x * (ns - 1)
-    j = np.clip(f.astype(np.int64), 0, ns - 2)
-    fr = f - j
-    mid = vals[row, j] * (1.0 - fr) + vals[row, j + 1] * fr
-    return np.where(x <= 0.0, vals[row, 0],
-                    np.where(x >= 1.0, vals[row, ns - 1], mid))
-
-
 def _interp_slope(vals, row, s1, s2, slope_lo, slope_hi, s):
+    """Piecewise-linear table lookup with linear extension outside."""
     ns = vals.shape[1]
     x = (s - s1) / (s2 - s1)
     f = x * (ns - 1)
@@ -110,7 +100,7 @@ def _walk(mode, keys, s0, times, b_step, sig_step, psi_step, comp_step,
         sig = sig_step[k]
         psi = psi_step[k]
         if mode == WEALTH:
-            pi = _interp_flat(vals, k, s1[k], s2[k], s)
+            pi = _interp_slope(vals, k, s1[k], s2[k], slope_lo, slope_hi, s)
             s_left = s.copy()  # s is written in place below
             sumy = np.zeros(n)
         cnt = _rng.poisson_counts(
@@ -181,7 +171,12 @@ def value_paths(keys, s0, times, b_step, sig_step, psi_step, comp_step,
 
 def wealth_paths(keys, s0, times, b_step, sig_step, psi_step, comp_step,
                  lam, cdf, kind, p0, p1,
-                 pi_vals, pi_s1, pi_s2):
-    """(log-wealth of the tabulated strategy, final prices)."""
+                 tab_vals, tab_s1, tab_s2, slope_lo, slope_hi):
+    """(log-wealth of the tabulated fraction, final prices).
+
+    The table arguments are those of :func:`value_paths`; a fraction
+    table has zero slopes, so it is flat outside its bracket.
+    """
     return _walk(WEALTH, keys, s0, times, b_step, sig_step, psi_step,
-                 comp_step, lam, cdf, kind, p0, p1, pi_vals, pi_s1, pi_s2)
+                 comp_step, lam, cdf, kind, p0, p1,
+                 tab_vals, tab_s1, tab_s2, slope_lo, slope_hi)

@@ -19,12 +19,14 @@ absolute jump moment and reports an infinite bound otherwise.
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import BranchError, CaseError, DegenerateError
 from .market import CaseTag, classify_case
+from .strategy import fraction_table
 
 
 class ApproxFraction(NamedTuple):
@@ -97,6 +99,12 @@ def jump_mean_drag(market, t, pi):
     return eta * psi * psi * mu * mu * pi / (1.0 + pi * psi * mu)
 
 
+def _jump_mean_stationarity(market, t, pi):
+    """Stationarity map of the jump-mean rule: sigma^2*pi + jump_mean_drag."""
+    sg = market.sigma_at(t)
+    return sg * sg * pi + jump_mean_drag(market, t, pi)
+
+
 def _jump_mean_raw(market, t, q):
     """Unclamped jump-mean fractions for an array of drift gaps.
 
@@ -163,8 +171,8 @@ def jump_mean_fraction_grid(market, t, s_grid, pi_min, pi_max):
             "jump-mean approximation needs a Brownian part or a nonzero "
             "mean jump size"
         )
-    g_hi = sg * sg * pi_max + jump_mean_drag(market, t, pi_max)
-    g_lo = sg * sg * pi_min + jump_mean_drag(market, t, pi_min)
+    g_hi = _jump_mean_stationarity(market, t, pi_max)
+    g_lo = _jump_mean_stationarity(market, t, pi_min)
     with np.errstate(divide="ignore", invalid="ignore"):
         raw = _jump_mean_raw(market, t, q)
     val = np.empty_like(q)
@@ -310,46 +318,34 @@ def jump_mean_error_bound(market, pi_min, pi_max):
 
 
 def merton_fraction_table(market, times, pi_min, pi_max, ns=257):
-    """Dense table of the risk-ratio strategy for the simulation kernels."""
-    from .strategy import fraction_table
+    """Dense table of the risk-ratio strategy for the simulation kernels.
 
+    Its stationarity map is G(t, pi) = merton_denominator(t) * pi.
+    """
     market.validate_interval(pi_min, pi_max)
 
     def solver(tv, grid):
         val, _, _ = merton_fraction_grid(market, tv, grid, pi_min, pi_max)
         return val
 
-    def bracket(tv):
-        denom = merton_denominator(market, tv)
-        if market.lam == 0.0 or denom <= 0.0:
-            return 0.0, 1.0
-        d = market.foc_drift(tv)
-        s1 = (d - denom * pi_max) / market.lam
-        s2 = (d - denom * pi_min) / market.lam
-        return (s1, s2) if s1 < s2 else (s1, s1 + 1.0)
+    def stationarity(tv, pi):
+        return merton_denominator(market, tv) * pi
 
-    return fraction_table(market, times, solver, bracket, ns)
+    return fraction_table(market, times, solver, stationarity, pi_min,
+                          pi_max, ns)
 
 
 def jump_mean_fraction_table(market, times, pi_min, pi_max, ns=257):
-    """Dense table of the jump-mean strategy for the simulation kernels."""
-    from .strategy import fraction_table
+    """Dense table of the jump-mean strategy for the simulation kernels.
 
+    Its stationarity map is G(t, pi) = sigma(t)^2 * pi + jump_mean_drag.
+    """
     market.validate_interval(pi_min, pi_max)
 
     def solver(tv, grid):
         val, _, _ = jump_mean_fraction_grid(market, tv, grid, pi_min, pi_max)
         return val
 
-    def bracket(tv):
-        sg = market.sigma_at(tv)
-        g_hi = sg * sg * pi_max + jump_mean_drag(market, tv, pi_max)
-        g_lo = sg * sg * pi_min + jump_mean_drag(market, tv, pi_min)
-        if market.lam == 0.0:
-            return 0.0, 1.0
-        d = market.foc_drift(tv)
-        s1 = (d - g_hi) / market.lam
-        s2 = (d - g_lo) / market.lam
-        return (s1, s2) if s1 < s2 else (s1, s1 + 1.0)
-
-    return fraction_table(market, times, solver, bracket, ns)
+    return fraction_table(market, times, solver,
+                          partial(_jump_mean_stationarity, market), pi_min,
+                          pi_max, ns)

@@ -399,7 +399,8 @@ def _add_sim_flags(parser):
                         help="random seed (default 20120808)")
     parser.add_argument("--backend", choices=("numba", "numpy"), default=None,
                         help="simulation backend (default: LEVYOU_BACKEND "
-                             "env var, else numba)")
+                             "env var, else numba when importable, else "
+                             "numpy)")
 
 
 def _build_parser():

@@ -1,23 +1,23 @@
 """Gauss hypergeometric function on the restricted domain used here.
 
 The closed-form drag expression for Pareto jump sizes needs 2F1(a, b; c; z)
-with positive parameters and a real argument z <= 0 (the argument is
+with positive parameters and a real argument z < 0 (the argument is
 -1/(fraction * impact * scale), and admissible positive fractions keep it
-negative).  Two complementary evaluation routes cover that domain:
+negative).  ``hyp2f1_reciprocal`` evaluates x**(-a) * 2F1(a, b; c; -1/x)
+at x = -1/z > 0, because at tiny fractions -1/x overflows and the x**(-a)
+factor cancels the Pareto transforms' 1/pi powers.  Two complementary
+evaluation routes cover the domain:
 
-* moderate arguments (-4 <= z <= 0): the Pfaff transform
+* moderate arguments (x >= 1/4, i.e. -4 <= z < 0): the Pfaff transform
   2F1(a, b; c; z) = (1-z)^(-a) * 2F1(a, c-b; c; z/(z-1)) maps z onto
-  w = z/(z-1) in [0, 0.8], where the Gauss series converges geometrically;
-* large arguments (z < -4): the inversion connection formula in powers of
-  1/z, which converges in a few dozen terms precisely where the Pfaff route
-  slows down.  It requires a - b to stay away from the integers; when it
-  does not, the Pfaff route is used with a larger term budget.
+  w = z/(z-1) = 1/(1 + x) in (0, 0.8], where the Gauss series converges
+  geometrically;
+* large arguments (x < 1/4): the inversion connection formula in powers of
+  1/z = -x, which converges in a few dozen terms precisely where the Pfaff
+  route slows down.  It requires a - b to stay away from the integers; when
+  it does not, the Pfaff route is used with a larger term budget.
 
-Both routes accept scalar or ndarray ``z`` and run all series elementwise.
-``hyp2f1_reciprocal`` runs the same two routes in x = -1/z and returns
-x**(-a) * 2F1(a, b; c; -1/x): the Pareto transforms call it, because at
-tiny fractions -1/x overflows and the x**(-a) factor cancels their 1/pi
-powers.
+Both routes accept scalar or ndarray ``x`` and run all series elementwise.
 """
 
 import math
@@ -93,9 +93,9 @@ def _pfaff(a, b, c, w):
 
 
 def _inversion(a, b, c, x):
-    """(-z)**a * 2F1(a, b; c; z) at x = -1/z by the 1/z connection formula.
+    """x**(-a) * 2F1(a, b; c; -1/x) by the 1/z connection formula.
 
-    Written in x rather than z, so nothing overflows as z -> -infinity.
+    Written in x rather than z, so nothing overflows as x -> 0.
     """
     coef_a = (
         math.gamma(c)
@@ -114,59 +114,12 @@ def _inversion(a, b, c, x):
     return coef_a * s1 + coef_b * x ** (b - a) * s2
 
 
-def hyp2f1(a, b, c, z):
-    """Evaluate 2F1(a, b; c; z) for a, b, c > 0 and real z <= 0.
-
-    Parameters
-    ----------
-    a, b, c : float
-        Positive parameters.  (c may not be a nonpositive integer, which is
-        implied by c > 0.)
-    z : float or ndarray
-        Argument(s), each <= 0.
-
-    Returns
-    -------
-    float or ndarray
-        Function values, matching the shape of ``z``.
-
-    Raises
-    ------
-    DomainError
-        If a parameter or argument leaves the supported domain.
-    ConvergenceError
-        If a series exceeds its term budget.
-    """
-    _check_parameters(a, b, c)
-    z_arr = np.asarray(z, dtype=np.float64)
-    scalar = z_arr.ndim == 0
-    z_arr = np.atleast_1d(z_arr)
-    if np.any(z_arr > 0.0) or not np.all(np.isfinite(z_arr)):
-        raise DomainError("hyp2f1 argument must be finite and <= 0")
-
-    out = np.ones_like(z_arr)
-    invertible = _inversion_usable(a, b, c)
-    far = z_arr < -4.0 if invertible else np.zeros(z_arr.shape, dtype=bool)
-    near = (z_arr < 0.0) & ~far
-
-    if np.any(near):
-        zn = z_arr[near]
-        out[near] = (1.0 - zn) ** (-a) * _pfaff(a, b, c, zn / (zn - 1.0))
-
-    if np.any(far):
-        zf = z_arr[far]
-        out[far] = (-zf) ** (-a) * _inversion(a, b, c, -1.0 / zf)
-
-    return float(out[0]) if scalar else out
-
-
 def hyp2f1_reciprocal(a, b, c, x):
     """Evaluate x**(-a) * 2F1(a, b; c; -1/x) for a, b, c > 0 and x > 0.
 
-    The same two routes as :func:`hyp2f1`, written in x = -1/z: the Pfaff
-    series runs at 1/(1 + x), and the inversion series at -x.  No
-    intermediate overflows or underflows as x -> 0, which the Pareto
-    transforms need at tiny fractions, where -1/x itself is out of range.
+    The Pfaff series runs at 1/(1 + x) (x >= 1/4, or every x when a - b
+    is near an integer), and the inversion series at -x.  Nothing
+    overflows or underflows as x -> 0.
 
     Parameters
     ----------

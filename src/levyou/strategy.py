@@ -19,13 +19,12 @@ interval; all price dependence enters through the scalar q, which makes
 whole-grid solves cheap and the clamping thresholds in price explicit.
 """
 
-import math
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .jumps import NoJumps
 
 BISECT_ITERS = 80
 NEWTON_ITERS = 3
@@ -162,10 +161,7 @@ def inverse_price(market, t, pi):
         raise DomainError(
             "the stationary price is undefined without mean reversion"
         )
-    sg = market.sigma_at(t)
-    psi = market.psi_at(t)
-    g = sg * sg * float(pi) + market.measure.drag(float(pi), psi)
-    return (market.foc_drift(t) - g) / market.lam
+    return (market.foc_drift(t) - _stationarity(market, t, pi)) / market.lam
 
 
 def clamp_thresholds(market, t, pi_min, pi_max):
@@ -255,22 +251,17 @@ def strategy_surface(market, t_grid, s_grid, pi_min, pi_max):
 # -- dense tables for the simulation kernels --------------------------------
 
 
-class FractionTable(NamedTuple):
-    """Per-node price brackets plus fraction values on a unit grid.
+class PriceTable(NamedTuple):
+    """Per-node price brackets plus tabulated values on a unit grid.
 
-    Row k holds the fraction at prices s1[k] + x * (s2[k] - s1[k]) for x on
-    a uniform grid over [0, 1].  Outside the bracket the fraction is
-    constant (pi_max below, pi_min above), which the kernels apply exactly.
+    Row k holds the value at prices s1[k] + x * (s2[k] - s1[k]) for x on a
+    uniform grid over [0, 1].  Outside the bracket the value is exactly
+    linear in the price, with slope ``slope_lo`` below s1 and ``slope_hi``
+    above s2, which the kernels apply exactly.  Fraction tables are flat
+    there (slopes 0.0: pi_max below, pi_min above); the growth table has
+    slopes -lam*pi_max and -lam*pi_min.  The kernels take the five fields
+    in this order.
     """
-
-    values: np.ndarray
-    s1: np.ndarray
-    s2: np.ndarray
-
-
-class GrowthTable(NamedTuple):
-    """Like :class:`FractionTable` for the optimal growth rate, which is
-    exactly linear outside the bracket with the recorded slopes."""
 
     values: np.ndarray
     s1: np.ndarray
@@ -285,23 +276,25 @@ class GrowthTable(NamedTuple):
                              s2=self.s2[nodes])
 
 
-def _bracket(market, t, pi_min, pi_max):
-    """Price bracket [s1, s2] outside which the optimum is clamped."""
-    s1 = inverse_price(market, t, pi_max)
-    s2 = inverse_price(market, t, pi_min)
-    if not s1 < s2:
-        # degenerate stochastic part; any bracket works, fractions constant
-        return s1, s1 + 1.0
-    return s1, s2
+def _stationarity(market, t, pi):
+    """G(pi) = sigma(t)^2 * pi + drag(pi), the exact stationarity map."""
+    sg = market.sigma_at(t)
+    pi = float(pi)
+    return sg * sg * pi + market.measure.drag(pi, market.psi_at(t))
 
 
-def fraction_table(market, times, solver, bracket_fn, ns=257):
+def fraction_table(market, times, solver, stationarity, pi_min, pi_max,
+                   ns=257):
     """Tabulate a price-monotone strategy at every time node.
 
     ``solver(t, s_arr)`` returns the tabulated values (fractions, or growth
-    rates for :func:`growth_table`); ``bracket_fn(t)`` the price bracket
-    outside which the strategy equals pi_max / pi_min exactly.  A constant
-    market reuses the first row.
+    rates for :func:`growth_table`).  The strategy depends on the price only
+    through q = d(t) - lam*s and is clamped where q leaves
+    [G(t, pi_min), G(t, pi_max)], with G = ``stationarity`` its map, so the
+    bracket is s1 = (d - G(t, pi_max))/lam, s2 = (d - G(t, pi_min))/lam.
+    Without mean reversion the strategy ignores the price and the bracket
+    is [0, 1]; a degenerate bracket becomes [s1, s1 + 1].  The result has
+    zero slopes; a constant market reuses the first row.
     """
     times = np.asarray(times, dtype=np.float64)
     nk = len(times)
@@ -309,41 +302,44 @@ def fraction_table(market, times, solver, bracket_fn, ns=257):
     vals = np.empty((nk, ns))
     s1 = np.empty(nk)
     s2 = np.empty(nk)
+    lam = market.lam
     prev = None
     for k, tv in enumerate(times):
         if market.is_constant and prev is not None:
             vals[k], s1[k], s2[k] = prev
             continue
-        a, b = bracket_fn(float(tv))
-        grid = a + x * (b - a)
-        vals[k] = solver(float(tv), grid)
+        tv = float(tv)
+        if lam == 0.0:
+            a, b = 0.0, 1.0
+        else:
+            d = market.foc_drift(tv)
+            a = (d - stationarity(tv, pi_max)) / lam
+            b = (d - stationarity(tv, pi_min)) / lam
+            if not a < b:
+                b = a + 1.0
+        vals[k] = solver(tv, a + x * (b - a))
         s1[k], s2[k] = a, b
         prev = (vals[k], a, b)
-    return FractionTable(values=vals, s1=s1, s2=s2)
+    return PriceTable(vals, s1, s2, 0.0, 0.0)
 
 
 def exact_fraction_table(market, times, pi_min, pi_max, ns=257):
+    """Dense table of the exact optimal fraction for the kernels."""
     market.validate_interval(pi_min, pi_max)
 
     def solver(tv, grid):
         pi, _ = optimal_fraction_grid(market, tv, grid, pi_min, pi_max)
         return pi
 
-    def bracket(tv):
-        return _bracket(market, tv, pi_min, pi_max)
-
-    return fraction_table(market, times, solver, bracket, ns)
+    return fraction_table(market, times, solver,
+                          partial(_stationarity, market), pi_min, pi_max, ns)
 
 
 def constant_fraction_table(times, value):
     """Table for a fraction that ignores the price entirely."""
-    times = np.asarray(times, dtype=np.float64)
     nk = len(times)
-    return FractionTable(
-        values=np.full((nk, 2), float(value)),
-        s1=np.zeros(nk),
-        s2=np.ones(nk),
-    )
+    return PriceTable(np.full((nk, 2), float(value)), np.zeros(nk),
+                      np.ones(nk), 0.0, 0.0)
 
 
 def growth_table(market, times, pi_min, pi_max, ns=257):
@@ -363,11 +359,7 @@ def growth_table(market, times, pi_min, pi_max, ns=257):
         pen = market.measure.log_penalty(pi, psi)
         return q * pi - 0.5 * sg * sg * pi * pi + pen
 
-    def bracket(tv):
-        return _bracket(market, tv, pi_min, pi_max)
-
-    return GrowthTable(
-        *fraction_table(market, times, solver, bracket, ns),
-        slope_lo=-market.lam * pi_max,
-        slope_hi=-market.lam * pi_min,
-    )
+    table = fraction_table(market, times, solver,
+                           partial(_stationarity, market), pi_min, pi_max, ns)
+    return table._replace(slope_lo=-market.lam * pi_max,
+                          slope_hi=-market.lam * pi_min)

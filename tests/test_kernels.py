@@ -66,6 +66,33 @@ def test_numpy_kernels_are_batch_split_invariant(name, n_steps):
         assert np.array_equal(got, want), f"{name} {key}"
 
 
+@pytest.mark.parametrize("kern", [_kernels_np, _kernels_nb],
+                         ids=["numpy", "scalar"])
+@pytest.mark.parametrize("side", ["above", "below"])
+def test_wealth_walk_reads_the_flat_extension_exactly(kern, side):
+    # Outside its bracket a fraction table is its end value, with no
+    # slope: pi_max below the bracket, pi_min above it.  Both fractions are
+    # nonzero here, so a growth-table slope (-lam*pi) would show.  Paths
+    # start at 20 and stay above 1, outside the constant table's [0, 1].
+    p = presets.get_preset("uniform-two-sided")
+    sim = build_sim_inputs(p.market, 0.0, p.horizon, SimConfig(16, 24, 5))
+    args = (_rng.derive_keys(5, np.arange(16)), np.full(16, 20.0),
+            *sim.kernel_args)
+    assert _kernels_np.price_paths(*args).min() > 1.0
+    ft = strategy.exact_fraction_table(p.market, sim.times, p.pi_min,
+                                       p.pi_max, ns=33)
+    shift = 1e3 if side == "above" else -1e3
+    far = ft._replace(s1=ft.s1 + shift, s2=ft.s2 + shift)
+    end = far.values[0, 0] if side == "above" else far.values[0, -1]
+    assert end == (p.pi_max if side == "above" else p.pi_min)
+    const = strategy.constant_fraction_table(sim.times, end)
+    with np.errstate(over="ignore"):  # the uint64 hash wraps on purpose
+        got = kern.wealth_paths(*args, *far)
+        want = kern.wealth_paths(*args, *const)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+
+
 # Outputs of the separate per-kernel numpy walks for 4 paths (keys from
 # seed 7): final node price, reward integral (growth table, 33 prices) and
 # log-wealth (exact fraction table, 33 prices).  The benth2012 values at

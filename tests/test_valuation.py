@@ -8,6 +8,7 @@ time integral was evaluated to 1e-13 — fully independent of the path
 simulator under test.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -18,7 +19,8 @@ from levyou._backend import HAVE_NUMBA
 from levyou.errors import ConfigError, DomainError
 from levyou.jumps import ConstantJump, NoJumps, ParetoJump
 from levyou.market import MarketCoefficients, SimConfig, simulate_paths
-from levyou.strategy import constant_fraction_table
+from levyou.presets import get_preset
+from levyou.strategy import best_growth, constant_fraction_table
 
 LAM = 0.3333 / 24
 ETA = 3.7249 / 24
@@ -126,6 +128,24 @@ class TestValueEstimate:
             slope = abs(cur.g_hat - prev.g_hat) / 0.5
             assert slope <= cap + 1e-3
             prev = cur
+
+
+@pytest.mark.parametrize("name",
+                         ["uniform-two-sided", "benth2012", "gaussian"])
+def test_no_mean_reversion_value_is_the_growth_rate_times_horizon(name):
+    # Without mean reversion the drift gap, hence every strategy, ignores
+    # the price, so each path integrates one constant growth rate.
+    p = get_preset(name)
+    m = dataclasses.replace(p.market, lam=0.0)
+    config = SimConfig(n_paths=200, n_steps=12, seed=5)
+    est = vl.estimate_value(m, 0.0, p.s0, p.horizon, p.pi_min, p.pi_max,
+                            config)
+    g = p.horizon * best_growth(m, 0.0, p.s0, p.pi_min, p.pi_max)
+    assert est.g_hat == pytest.approx(g, rel=1e-12)
+    assert est.std_err < 1e-12 * abs(g)
+    report = vl.compare_strategies(m, 0.0, p.s0, 1.0, p.horizon, p.pi_min,
+                                   p.pi_max, config)
+    assert [row.label for row in report.scores] == list(vl.STRATEGY_KINDS)
 
 
 class TestTotalValue:
