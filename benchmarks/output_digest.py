@@ -1,0 +1,143 @@
+#!/usr/bin/env python3
+"""Print one SHA-256 digest per group of levyou outputs.
+
+A refactor that claims bit-identical outputs can be checked by running
+this script on the old and the new code and diffing what it prints.  The
+groups are:
+
+* per preset: the growth table, the exact, risk-ratio and jump-mean
+  fraction tables, a 101-price ``optimal_fraction_grid``, ``best_growth``
+  at three prices and the clamp thresholds;
+* per preset that can be simulated: numpy-backend ``price_paths``,
+  ``value_paths`` and ``wealth_paths``;
+* a small benth2012 ``TowerReport``;
+* the CSVs of ``levyou value`` and ``levyou compare`` on benth2012.
+
+A group whose computation raises a levyou error digests the error's type
+and message instead, so a changed error shows up as well.  Runs in a few seconds on
+one core; takes no flags.
+
+Usage::
+
+    PYTHONPATH=src python3 benchmarks/output_digest.py
+"""
+
+import contextlib
+import hashlib
+import io
+import os
+import tempfile
+
+import numpy as np
+
+from levyou import _rng, approx, cli, presets, strategy, valuation
+from levyou._backend import get_kernels
+from levyou.errors import LevyOUError
+from levyou.market import SimConfig, build_sim_inputs
+
+NS = 257
+STEPS = 24
+PATHS = 500
+SEED = 7
+
+
+def digest(*parts):
+    """SHA-256 of arrays, tuples of them, floats and strings, in order."""
+    h = hashlib.sha256()
+    for part in parts:
+        if isinstance(part, tuple):
+            h.update(digest(*part).encode())
+            continue
+        arr = np.asarray(part)
+        h.update(f"{arr.dtype.str}{arr.shape}".encode())
+        h.update(np.ascontiguousarray(arr).tobytes())
+    return h.hexdigest()
+
+
+def guarded(fn):
+    """``fn()``, or the type and message of the levyou error it raised."""
+    try:
+        return fn()
+    except LevyOUError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def table_groups(preset):
+    market, lo, hi = preset.market, preset.pi_min, preset.pi_max
+    times = np.linspace(0.0, preset.horizon, STEPS + 1)
+    builders = {
+        "growth_table": strategy.growth_table,
+        "exact_fraction_table": strategy.exact_fraction_table,
+        "merton_fraction_table": approx.merton_fraction_table,
+        "jump_mean_fraction_table": approx.jump_mean_fraction_table,
+    }
+    for label, build in builders.items():
+        yield label, guarded(lambda: tuple(build(market, times, lo, hi, NS)))
+    s_grid = np.linspace(0.0, 2.0 * preset.s0, 101)
+    yield "optimal_fraction_grid", guarded(
+        lambda: strategy.optimal_fraction_grid(market, 0.0, s_grid, lo, hi))
+    yield "best_growth", guarded(lambda: tuple(
+        strategy.best_growth(market, 0.0, s, lo, hi)
+        for s in (0.0, preset.s0, 2.0 * preset.s0)))
+    yield "clamp_thresholds", guarded(
+        lambda: strategy.clamp_thresholds(market, 0.0, lo, hi))
+
+
+def kernel_groups(preset):
+    market, lo, hi = preset.market, preset.pi_min, preset.pi_max
+    config = SimConfig(n_paths=PATHS, n_steps=STEPS, seed=SEED)
+    sim = build_sim_inputs(market, 0.0, preset.horizon, config)
+    keys = _rng.derive_keys(SEED, np.arange(PATHS))
+    s0 = np.full(PATHS, float(preset.s0))
+    kern = get_kernels("numpy")
+    gt = strategy.growth_table(market, sim.times, lo, hi, NS)
+    ft = strategy.exact_fraction_table(market, sim.times, lo, hi, NS)
+    yield "price_paths", kern.price_paths(keys, s0, *sim.kernel_args)
+    yield "value_paths", kern.value_paths(keys, s0, *sim.kernel_args, *gt)
+    yield "wealth_paths", kern.wealth_paths(keys, s0, *sim.kernel_args, *ft)
+
+
+def cli_csv(command, extra):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "out.csv")
+        argv = [command, "--preset", "benth2012", "--steps", str(STEPS),
+                "--paths", str(PATHS), "--seed", str(SEED),
+                "--backend", "numpy", "--out", out, *extra]
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(argv)
+        with open(out, encoding="utf-8") as fh:
+            return f"exit={code}\n{fh.read()}"
+
+
+def groups():
+    for name in presets.PRESET_NAMES:
+        preset = presets.get_preset(name)
+        for label, value in table_groups(preset):
+            yield f"{name} {label}", value
+        sim = guarded(lambda: list(kernel_groups(preset)))
+        if isinstance(sim, str):
+            yield f"{name} kernels", sim
+            continue
+        for label, value in sim:
+            yield f"{name} {label}", value
+    preset = presets.get_preset("benth2012")
+    report = valuation.tower_check(
+        preset.market, 0.0, preset.s0, preset.horizon / 2.0, preset.horizon,
+        preset.pi_min, preset.pi_max,
+        config=SimConfig(n_paths=16, n_steps=STEPS, seed=SEED),
+        backend="numpy",
+    )
+    yield "benth2012 tower_check", repr(tuple(report))
+    yield "cli value", cli_csv("value", ["--s-grid", "4:6:3"])
+    yield "cli compare", cli_csv("compare", [])
+
+
+def main():
+    for label, value in groups():
+        if isinstance(value, str):
+            value = np.frombuffer(value.encode(), dtype=np.uint8)
+        print(f"{digest(value)}  {label}")
+
+
+if __name__ == "__main__":
+    main()

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import BranchError, CaseError, DegenerateError
 from .market import CaseTag, classify_case
-from .strategy import fraction_table
+from .strategy import _clamp, fraction_table
 
 
 class ApproxFraction(NamedTuple):
@@ -175,15 +175,8 @@ def jump_mean_fraction_grid(market, t, s_grid, pi_min, pi_max):
     g_lo = _jump_mean_stationarity(market, t, pi_min)
     with np.errstate(divide="ignore", invalid="ignore"):
         raw = _jump_mean_raw(market, t, q)
-    val = np.empty_like(q)
-    clamped = np.zeros(q.shape, dtype=bool)
-    hi = q >= g_hi
-    lo = q <= g_lo
-    interior = ~(hi | lo)
-    val[hi] = pi_max
-    val[lo] = pi_min
-    clamped[hi | lo] = True
-    val[interior] = raw[interior]
+    val, clamped = _clamp(q, g_lo, g_hi, pi_min, pi_max)
+    val[~clamped] = raw[~clamped]
     return val, clamped, raw
 
 

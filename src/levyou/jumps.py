@@ -30,12 +30,17 @@ them closed forms:
   series near u = 0;
 * constant sizes: point evaluation.
 
-Other measures (``CompoundPoisson`` with a custom density, ``LevyDensity``)
-fall back to one quadrature per fraction.  The Pareto and uniform closed
-forms share no code with the quadrature route, so each is a cross-check
-of the other.
+Constant sizes have no other route: their ``*_integral`` methods are the
+closed forms.  Other measures (``CompoundPoisson`` with a custom density,
+``LevyDensity``) fall back to the base class, whose one per-fraction loop
+runs the quadrature at each fraction of an array of any shape.  That loop
+returns zeros for a zero rate, and an empty support makes every moment
+zero, so the zero measure ``NoJumps`` overrides neither.  The Pareto and
+uniform closed forms share no code with the quadrature route, so each is
+a cross-check of the other.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -121,13 +126,13 @@ def _g_log_penalty(u):
         lambda u: (((1.0 + 1.0 / u) * np.log1p(u) - 1.0) / u - 0.5) / u)
 
 
-def _quad(fn, lo, hi):
+def _quad(fn, lo, hi, epsabs=QUAD_EPSABS):
     """scipy.integrate.quad with this package's tolerances and error policy."""
     res = quad(
         fn,
         lo,
         hi,
-        epsabs=QUAD_EPSABS,
+        epsabs=epsabs,
         epsrel=QUAD_EPSREL,
         limit=QUAD_LIMIT,
         full_output=1,
@@ -197,7 +202,7 @@ class JumpMeasure:
         if big > 0.0:
             fn = lambda y: y**k * self.density(y)
             pieces.append(_quad(fn, max(m, 0.0), big))
-        return sum(pieces)
+        return math.fsum(pieces)
 
     @property
     def mean_size(self):
@@ -309,10 +314,24 @@ class JumpMeasure:
         m, big = self.support()
         fn = lambda y: g(y) * self.density(y)
         if not self._singular:
+            # Near pi = 0 the transform is about g2 * ∫y²ν, so an absolute
+            # tolerance above that scale would stop the quadrature early.
+            tol = min(QUAD_EPSABS, QUAD_EPSREL * abs(taylor[0])
+                      * self._second_moment)
             if m < 0.0 < big:
-                return math.fsum([_quad(fn, m, 0.0), _quad(fn, 0.0, big)])
-            return _quad(fn, m, big)
+                return math.fsum([_quad(fn, m, 0.0, tol),
+                                  _quad(fn, 0.0, big, tol)])
+            return _quad(fn, m, big, tol)
         return self._integrate_singular(fn, taylor, x, m, big)
+
+    @functools.cached_property
+    def _second_moment(self):
+        """∫y²ν, the scale of the quadrature's absolute tolerance; inf
+        (which leaves ``QUAD_EPSABS`` in force) when it diverges."""
+        try:
+            return self.moment(2)
+        except QuadratureError:
+            return math.inf
 
     def _integrate_singular(self, fn, taylor, x, m, big):
         g2, g3, r4 = taylor
@@ -350,34 +369,35 @@ class JumpMeasure:
 
     # -- fast routes used by the optimizer --------------------------------
 
-    def drag(self, pi, psi=1.0):
-        """Drag transform; subclasses may override with a closed form.
-
-        Accepts scalar or ndarray ``pi``; the default implementation loops
-        over the quadrature route.
-        """
+    def _per_fraction(self, integral, pi, psi):
+        """``integral`` at every fraction of a scalar or ndarray ``pi``, in
+        the shape of ``pi``; zeros for the zero measure."""
         pi_arr = np.asarray(pi, dtype=np.float64)
+        if self.rate == 0.0:
+            return 0.0 if pi_arr.ndim == 0 else np.zeros_like(pi_arr)
         if pi_arr.ndim == 0:
-            return self.drag_integral(float(pi_arr), psi)
-        return np.array([self.drag_integral(p, psi) for p in pi_arr])
+            return integral(float(pi_arr), psi)
+        return np.array([integral(p, psi)
+                         for p in pi_arr.flat]).reshape(pi_arr.shape)
+
+    def drag(self, pi, psi=1.0):
+        """Drag transform of a scalar or ndarray ``pi``; subclasses may
+        override the per-fraction quadrature with a closed form."""
+        return self._per_fraction(self.drag_integral, pi, psi)
 
     def curvature(self, pi, psi=1.0):
         """d(drag)/d(pi); subclasses may override with a closed form."""
-        pi_arr = np.asarray(pi, dtype=np.float64)
-        if pi_arr.ndim == 0:
-            return self.curvature_integral(float(pi_arr), psi)
-        return np.array([self.curvature_integral(p, psi) for p in pi_arr])
+        return self._per_fraction(self.curvature_integral, pi, psi)
 
     def log_penalty(self, pi, psi=1.0):
-        """Log penalty transform, ndarray-capable wrapper."""
-        pi_arr = np.asarray(pi, dtype=np.float64)
-        if pi_arr.ndim == 0:
-            return self.log_penalty_integral(float(pi_arr), psi)
-        return np.array([self.log_penalty_integral(p, psi) for p in pi_arr])
+        """Log penalty transform; subclasses may override with a closed
+        form."""
+        return self._per_fraction(self.log_penalty_integral, pi, psi)
 
 
 class NoJumps(JumpMeasure):
-    """The zero measure: a purely continuous price."""
+    """The zero measure: a purely continuous price.  Its empty support
+    makes every moment and transform of the base class zero."""
 
     def __init__(self):
         super().__init__(rate=0.0)
@@ -393,36 +413,6 @@ class NoJumps(JumpMeasure):
 
     def sampler_code(self):
         return (_rng.SIZE_NONE, 0.0, 0.0)
-
-    def moment(self, k):
-        return 0.0
-
-    def abs_moment(self, k):
-        return 0.0
-
-    def drag_integral(self, pi, psi=1.0):
-        return 0.0
-
-    def log_penalty_integral(self, pi, psi=1.0):
-        return 0.0
-
-    def curvature_integral(self, pi, psi=1.0):
-        return 0.0
-
-    def tilted_second_moment(self, pi, psi=1.0):
-        return 0.0
-
-    def drag(self, pi, psi=1.0):
-        pi_arr = np.asarray(pi, dtype=np.float64)
-        return 0.0 if pi_arr.ndim == 0 else np.zeros_like(pi_arr)
-
-    def curvature(self, pi, psi=1.0):
-        pi_arr = np.asarray(pi, dtype=np.float64)
-        return 0.0 if pi_arr.ndim == 0 else np.zeros_like(pi_arr)
-
-    def log_penalty(self, pi, psi=1.0):
-        pi_arr = np.asarray(pi, dtype=np.float64)
-        return 0.0 if pi_arr.ndim == 0 else np.zeros_like(pi_arr)
 
 
 class CompoundPoisson(JumpMeasure):
@@ -610,25 +600,6 @@ class ConstantJump(JumpMeasure):
     def abs_moment(self, k):
         return self.rate * abs(self.size) ** k
 
-    def drag_integral(self, pi, psi=1.0):
-        self._require_admissible(pi, psi)
-        y = self.size
-        return self.rate * pi * psi * psi * y * y / (1.0 + pi * psi * y)
-
-    def curvature_integral(self, pi, psi=1.0):
-        self._require_admissible(pi, psi)
-        y = self.size
-        return self.rate * psi * psi * y * y / (1.0 + pi * psi * y) ** 2
-
-    def log_penalty_integral(self, pi, psi=1.0):
-        self._require_admissible(pi, psi)
-        return self.rate * log1p_minus(pi * psi * self.size)
-
-    def tilted_second_moment(self, pi, psi=1.0):
-        self._require_admissible(pi, psi)
-        y = self.size
-        return self.rate * y * y / (1.0 + pi * psi * y)
-
     def drag(self, pi, psi=1.0):
         self._require_admissible(pi, psi)
         pi_arr = np.asarray(pi, dtype=np.float64)
@@ -650,6 +621,16 @@ class ConstantJump(JumpMeasure):
         pi_arr = np.asarray(pi, dtype=np.float64)
         out = self.rate * log1p_minus(pi_arr * psi * self.size)
         return float(out) if pi_arr.ndim == 0 else out
+
+    # point evaluation is exact, so the closed forms are the integrals
+    drag_integral = drag
+    curvature_integral = curvature
+    log_penalty_integral = log_penalty
+
+    def tilted_second_moment(self, pi, psi=1.0):
+        self._require_admissible(pi, psi)
+        y = self.size
+        return self.rate * y * y / (1.0 + pi * psi * y)
 
 
 class LevyDensity(JumpMeasure):

@@ -420,34 +420,61 @@ class PathBundle:
 
     @classmethod
     def from_csv(cls, path):
-        seed = 0
-        offset = 0
-        rows = []
-        with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if line.startswith("#"):
-                    for tok in line[1:].split():
-                        if tok.startswith("seed="):
-                            seed = int(tok[5:])
-                        elif tok.startswith("path_offset="):
-                            offset = int(tok[12:])
-                    continue
-                if not line or line.startswith("path_id"):
-                    continue
-                pid, tv, pv = line.split(",")
-                rows.append((int(pid), float(tv), float(pv)))
-        if not rows:
-            raise ConfigError(f"no data rows in {path}")
-        ids = sorted({r[0] for r in rows})
-        times = sorted({r[1] for r in rows})
+        header, rows = _read_run_csv(path, 3)
+        offset = int(header.get("path_offset", 0))
+        cells = {(pid, tv) for pid, tv, _ in rows}
+        ids = sorted({pid for pid, _ in cells})
+        times = sorted({tv for _, tv in cells})
+        _check_path_ids(ids, offset, header.get("n_paths"), path)
+        n_times = int(header.get("n_steps", len(times) - 1)) + 1
+        if (len(times) != n_times or len(cells) != len(rows)
+                or len(rows) != len(ids) * n_times):
+            raise ConfigError(
+                f"{path} does not hold every (path, time) cell exactly once"
+            )
         tindex = {tv: k for k, tv in enumerate(times)}
-        pindex = {pid: i for i, pid in enumerate(ids)}
         prices = np.empty((len(ids), len(times)))
         for pid, tv, pv in rows:
-            prices[pindex[pid], tindex[tv]] = pv
+            prices[pid - offset, tindex[tv]] = pv
         return cls(
-            times=np.array(times), prices=prices, seed=seed, path_offset=offset
+            times=np.array(times), prices=prices,
+            seed=int(header.get("seed", 0)), path_offset=offset,
+        )
+
+
+def _read_run_csv(path, n_fields):
+    """(header, rows) of a run CSV: the ``key=value`` tokens of its ``#``
+    lines, and its data rows as (int path id, float, ...) tuples."""
+    header, rows = {}, []
+    with open(path) as fh:
+        for line in fh:
+            line = line.strip()
+            if line.startswith("#"):
+                header.update(tok.split("=", 1) for tok in line[1:].split()
+                              if "=" in tok)
+                continue
+            if not line or line.startswith("path_id"):
+                continue
+            fields = line.split(",")
+            try:
+                if len(fields) != n_fields:
+                    raise ValueError
+                rows.append((int(fields[0]), *map(float, fields[1:])))
+            except ValueError:
+                raise ConfigError(f"malformed row {line!r} in {path}") from None
+    if not rows:
+        raise ConfigError(f"no data rows in {path}")
+    return header, rows
+
+
+def _check_path_ids(ids, offset, n_paths, path):
+    """Require the sorted ``ids`` to be offset, offset + 1, ..., each once,
+    and ``n_paths`` of them when the header gives a count."""
+    n = len(ids) if n_paths is None else int(n_paths)
+    if list(ids) != list(range(offset, offset + n)):
+        raise ConfigError(
+            f"{path}: path ids must run from {offset} to {offset + n - 1}, "
+            "each once"
         )
 
 

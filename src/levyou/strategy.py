@@ -32,11 +32,12 @@ RESIDUAL_SLACK = 1e-7
 
 
 def growth_rate(pi, market, t, s):
-    """Expected log-wealth growth rate per unit time for fraction ``pi``."""
+    """Expected log-wealth growth rate per unit time for fraction ``pi``.
+
+    ``pi`` and ``s`` may be scalars or matching ndarrays."""
     psi = market.psi_at(t)
     sg = market.sigma_at(t)
     q = market.foc_drift(t) - market.lam * s
-    pi = float(pi)
     return (
         q * pi
         - 0.5 * sg * sg * pi * pi
@@ -73,21 +74,11 @@ def _solve_q(market, t, q, pi_min, pi_max):
     psi = market.psi_at(t)
     sg2 = sg * sg
     meas = market.measure
-
-    def G(p):
-        return sg2 * p + meas.drag(p, psi)
-
+    G = partial(_stationarity, market, t)
     g_hi = float(G(pi_max))
     g_lo = float(G(pi_min))
-    pi = np.empty_like(q)
-    clamped = np.zeros(q.shape, dtype=bool)
-    hi_mask = q >= g_hi
-    lo_mask = q <= g_lo
-    pi[hi_mask] = pi_max
-    pi[lo_mask] = pi_min
-    clamped[hi_mask | lo_mask] = True
-
-    interior = ~(hi_mask | lo_mask)
+    pi, clamped = _clamp(q, g_lo, g_hi, pi_min, pi_max)
+    interior = ~clamped
     iters = 0
     resid = np.zeros_like(q)
     if np.any(interior):
@@ -126,6 +117,21 @@ def _solve_q(market, t, q, pi_min, pi_max):
                 f"worst relative residual {float(np.max(np.abs(r) / scale))}"
             )
     return pi, clamped, iters, resid
+
+
+def _clamp(q, g_lo, g_hi, pi_min, pi_max):
+    """Boundary-first clamp of the solution of q = G(pi), G increasing.
+
+    With g_lo = G(pi_min) and g_hi = G(pi_max), the fraction is pi_max
+    where q >= g_hi and pi_min where q <= g_lo.  Returns (pi, clamped);
+    ``pi`` is unset at the interior points.
+    """
+    hi = q >= g_hi
+    lo = q <= g_lo
+    pi = np.empty_like(q)
+    pi[hi] = pi_max
+    pi[lo] = pi_min
+    return pi, hi | lo
 
 
 def optimal_fraction(market, t, s, pi_min, pi_max):
@@ -277,9 +283,9 @@ class PriceTable(NamedTuple):
 
 
 def _stationarity(market, t, pi):
-    """G(pi) = sigma(t)^2 * pi + drag(pi), the exact stationarity map."""
+    """G(pi) = sigma(t)^2 * pi + drag(pi), the exact stationarity map, for
+    a scalar or ndarray ``pi``."""
     sg = market.sigma_at(t)
-    pi = float(pi)
     return sg * sg * pi + market.measure.drag(pi, market.psi_at(t))
 
 
@@ -353,11 +359,7 @@ def growth_table(market, times, pi_min, pi_max, ns=257):
 
     def solver(tv, grid):
         pi, _ = optimal_fraction_grid(market, tv, grid, pi_min, pi_max)
-        psi = market.psi_at(tv)
-        sg = market.sigma_at(tv)
-        q = market.foc_drift(tv) - market.lam * grid
-        pen = market.measure.log_penalty(pi, psi)
-        return q * pi - 0.5 * sg * sg * pi * pi + pen
+        return growth_rate(pi, market, tv, grid)
 
     table = fraction_table(market, times, solver,
                            partial(_stationarity, market), pi_min, pi_max, ns)

@@ -20,7 +20,12 @@ from . import _rng
 from ._backend import get_kernels
 from .approx import jump_mean_fraction_table, merton_fraction_table
 from .errors import ConfigError, DomainError
-from .market import SimConfig, build_sim_inputs
+from .market import (
+    SimConfig,
+    _check_path_ids,
+    _read_run_csv,
+    build_sim_inputs,
+)
 from .strategy import (
     constant_fraction_table,
     exact_fraction_table,
@@ -93,7 +98,7 @@ class WealthRun:
             fh.write("# levyou wealth run\n")
             fh.write(
                 f"# label={self.label} x0={self.x0:.17g} seed={self.seed} "
-                f"path_offset={self.path_offset} "
+                f"path_offset={self.path_offset} n_paths={self.n_paths} "
                 f"violations={self.positivity_violations}\n"
             )
             fh.write("path_id,log_terminal_wealth\n")
@@ -102,38 +107,18 @@ class WealthRun:
 
     @classmethod
     def from_csv(cls, path):
-        label, x0, seed, offset, viol = "unknown", 1.0, 0, 0, 0
-        rows = []
-        with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if line.startswith("#"):
-                    for tok in line[1:].split():
-                        if tok.startswith("label="):
-                            label = tok[6:]
-                        elif tok.startswith("x0="):
-                            x0 = float(tok[3:])
-                        elif tok.startswith("seed="):
-                            seed = int(tok[5:])
-                        elif tok.startswith("path_offset="):
-                            offset = int(tok[12:])
-                        elif tok.startswith("violations="):
-                            viol = int(tok[11:])
-                    continue
-                if not line or line.startswith("path_id"):
-                    continue
-                pid, w = line.split(",")
-                rows.append((int(pid), float(w)))
-        if not rows:
-            raise ConfigError(f"no data rows in {path}")
+        header, rows = _read_run_csv(path, 2)
+        offset = int(header.get("path_offset", 0))
         rows.sort()
+        _check_path_ids([pid for pid, _ in rows], offset,
+                        header.get("n_paths"), path)
         return cls(
             terminal_log_wealth=np.array([w for _, w in rows]),
-            positivity_violations=viol,
-            label=label,
-            x0=x0,
-            seed=seed,
-            path_offset=rows[0][0],
+            positivity_violations=int(header.get("violations", 0)),
+            label=header.get("label", "unknown"),
+            x0=float(header.get("x0", 1.0)),
+            seed=int(header.get("seed", 0)),
+            path_offset=offset,
         )
 
 

@@ -408,6 +408,58 @@ class TestNoJumps:
         assert none.admissible(1e12)
         assert none.rate == 0.0
 
+    @pytest.mark.parametrize("shape", [(), (0,), (4,), (2, 3)])
+    def test_transforms_are_zeros_in_the_input_shape(self, shape):
+        none = NoJumps()
+        pis = np.full(shape, 0.7)
+        for fn in (none.drag, none.curvature, none.log_penalty):
+            out = fn(pis if shape else 0.7, psi=1.3)
+            if shape:
+                assert out.shape == shape
+                assert not np.any(out)
+            else:
+                assert out == 0.0 and isinstance(out, float)
+
+
+class TestPerFractionQuadrature:
+    """The quadrature route for measures without a closed form."""
+
+    @pytest.mark.parametrize("measure", [
+        CompoundPoisson(1.0, lambda y: 1.0, (0.0, 1.0)),
+        NoJumps(),
+    ], ids=["compound-poisson", "no-jumps"])
+    def test_two_dimensional_fractions(self, measure):
+        pis = np.array([[0.0, 0.3], [-0.2, 1.5]])
+        for fn in (measure.drag, measure.curvature, measure.log_penalty):
+            out = fn(pis, 1.2)
+            assert out.shape == (2, 2)
+            np.testing.assert_array_equal(
+                out, [[fn(float(p), 1.2) for p in row] for row in pis]
+            )
+
+    @pytest.mark.parametrize("pi", [1e-6, 1.07e-3])
+    def test_relative_accuracy_at_small_fractions(self, pareto, pi):
+        # benth2012's jump law as a plain density, against the closed forms.
+        # With an absolute tolerance alone the quadratures stopped at
+        # 6.0e-3 (1e-6) and 1.5e-6 (1.07e-3) relative error.
+        plain = CompoundPoisson(
+            RATE, lambda y: ALPHA * SCALE**ALPHA / y ** (ALPHA + 1.0),
+            (SCALE, math.inf),
+        )
+        np.testing.assert_allclose(plain.drag(pi), pareto.drag(pi),
+                                   rtol=1e-10, atol=0.0)
+        np.testing.assert_allclose(plain.log_penalty(pi),
+                                   pareto.log_penalty(pi),
+                                   rtol=1e-10, atol=0.0)
+
+    def test_infinite_second_moment_keeps_the_absolute_tolerance(self):
+        # alpha = 1.5: the tolerance scale ∫y²ν diverges, the drag does not.
+        plain = CompoundPoisson(
+            1.0, lambda y: 1.5 * 0.3**1.5 / y**2.5, (0.3, math.inf))
+        closed = ParetoJump(alpha=1.5, scale=0.3, rate=1.0)
+        np.testing.assert_allclose(plain.drag(0.1), closed.drag(0.1),
+                                   rtol=1e-9)
+
 
 class TestConstantJump:
     def test_moments_are_rate_scaled_powers(self):
@@ -451,6 +503,18 @@ class TestConstantJump:
                                  for p in pis],
             rtol=1e-15,
         )
+
+    def test_integrals_are_the_array_forms(self):
+        m = ConstantJump(size=-0.6, rate=2.0)
+        pis = np.array([-0.5, 0.0, 0.3, 1.0])
+        pairs = ((m.drag_integral, m.drag),
+                 (m.curvature_integral, m.curvature),
+                 (m.log_penalty_integral, m.log_penalty))
+        for integral, closed in pairs:
+            np.testing.assert_array_equal(integral(pis, 1.5),
+                                          closed(pis, 1.5))
+            for p in pis:
+                assert integral(float(p), 1.5) == closed(float(p), 1.5)
 
     def test_inadmissible_fraction_rejected(self):
         m = ConstantJump(size=-0.5, rate=1.0)

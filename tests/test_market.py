@@ -419,3 +419,23 @@ class TestCSV:
         f.write_text("path_id,time,price\n")
         with pytest.raises(ConfigError):
             mk.PathBundle.from_csv(f)
+
+    @pytest.mark.parametrize("edit", ["drop_last", "cut_last", "duplicate",
+                                      "drop_path"])
+    def test_incomplete_file_rejected(self, tmp_path, edit):
+        pb = mk.simulate_paths(calibrated_market(), 0.0, 5.0, 24.0,
+                               mk.SimConfig(4, 6, 77, path_offset=3))
+        f = tmp_path / "paths.csv"
+        pb.to_csv(f)
+        lines = f.read_text().splitlines()
+        if edit == "drop_last":
+            lines = lines[:-1]
+        elif edit == "cut_last":
+            lines[-1] = lines[-1].rsplit(",", 1)[0]
+        elif edit == "duplicate":
+            lines.insert(5, lines[4])
+        else:
+            lines = [ln for ln in lines if not ln.startswith("6,")]
+        f.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ConfigError):
+            mk.PathBundle.from_csv(f)

@@ -339,6 +339,19 @@ class TestGrowthTable:
             assert tab.values[0, j] == pytest.approx(direct, rel=1e-10,
                                                      abs=1e-16)
 
+    @pytest.mark.parametrize("market, lo, hi", [
+        (pareto_market(), 0.0, 0.2),
+        (uniform_market(), -0.5, 1.0),
+        (gaussian_market(), -2.0, 2.0),
+    ])
+    def test_row_is_growth_rate_on_its_price_grid(self, market, lo, hi):
+        tab = sg.growth_table(market, [0.0], lo, hi, ns=65)
+        grid = tab.s1[0] + np.linspace(0, 1, 65) * (tab.s2[0] - tab.s1[0])
+        pi, _ = sg.optimal_fraction_grid(market, 0.0, grid, lo, hi)
+        np.testing.assert_array_equal(
+            sg.growth_rate(pi, market, 0.0, grid), tab.values[0]
+        )
+
     def test_linear_extension_is_exact(self):
         m = pareto_market()
         tab = sg.growth_table(m, [0.0], 0.0, 0.2, ns=33)

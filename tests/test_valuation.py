@@ -275,6 +275,28 @@ class TestWealthSimulate:
             back.terminal_log_wealth, run.terminal_log_wealth
         )
 
+    @pytest.mark.parametrize("edit", ["drop_last", "cut_last", "duplicate",
+                                      "gap", "offset"])
+    def test_incomplete_csv_rejected(self, tmp_path, edit):
+        run = vl.WealthRun(np.array([0.1, -0.2, 0.3, 0.05]), 0, "exact",
+                           1.0, 3, path_offset=7)
+        path = tmp_path / "wealth.csv"
+        run.to_csv(path)
+        lines = path.read_text().splitlines()
+        if edit == "drop_last":
+            lines = lines[:-1]
+        elif edit == "cut_last":
+            lines[-1] = lines[-1].split(",")[0] + ","
+        elif edit == "duplicate":
+            lines.append(lines[-1])
+        elif edit == "gap":
+            del lines[4]
+        else:
+            lines[1] = lines[1].replace("path_offset=7", "path_offset=6")
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ConfigError):
+            vl.WealthRun.from_csv(path)
+
     def test_csv_requires_rows(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("# levyou wealth run\npath_id,log_terminal_wealth\n")
