@@ -11,7 +11,12 @@ groups are:
 * per preset that can be simulated: numpy-backend ``price_paths``,
   ``value_paths`` and ``wealth_paths``;
 * a small benth2012 ``TowerReport``;
-* the CSVs of ``levyou value`` and ``levyou compare`` on benth2012.
+* every ``levyou`` result file: ``solve`` at a point and, per preset, on a
+  grid; the ``figure`` CSVs and SVGs per preset; the ``simulate`` summary
+  and its ``--out`` paths; the ``value`` and ``compare`` CSVs on
+  benth2012, and a ``value`` run whose settings come from a config file;
+* the CSVs of the four run records: ``PathBundle``, ``WealthRun``,
+  ``ValueGrid`` and ``StrategySurface``.
 
 A group whose computation raises a levyou error digests the error's type
 and message instead, so a changed error shows up as well.  Runs in a few seconds on
@@ -33,7 +38,7 @@ import numpy as np
 from levyou import _rng, approx, cli, presets, strategy, valuation
 from levyou._backend import get_kernels
 from levyou.errors import LevyOUError
-from levyou.market import SimConfig, build_sim_inputs
+from levyou.market import SimConfig, build_sim_inputs, simulate_paths
 
 NS = 257
 STEPS = 24
@@ -97,16 +102,74 @@ def kernel_groups(preset):
     yield "wealth_paths", kern.wealth_paths(keys, s0, *sim.kernel_args, *ft)
 
 
-def cli_csv(command, extra):
+def cli_files(argv):
+    """Exit code, stdout and every file ``levyou`` wrote for ``argv``, in
+    which ``{tmp}`` stands for a scratch directory."""
     with tempfile.TemporaryDirectory() as tmp:
-        out = os.path.join(tmp, "out.csv")
-        argv = [command, "--preset", "benth2012", "--steps", str(STEPS),
-                "--paths", str(PATHS), "--seed", str(SEED),
-                "--backend", "numpy", "--out", out, *extra]
-        with contextlib.redirect_stdout(io.StringIO()):
-            code = cli.main(argv)
-        with open(out, encoding="utf-8") as fh:
-            return f"exit={code}\n{fh.read()}"
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = cli.main([arg.format(tmp=tmp) for arg in argv])
+        parts = [f"exit={code}", buf.getvalue().replace(tmp, "{tmp}")]
+        for root, _, names in sorted(os.walk(tmp)):
+            for name in sorted(names):
+                with open(os.path.join(root, name), encoding="utf-8") as fh:
+                    parts += [os.path.relpath(fh.name, tmp), fh.read()]
+        return "\n".join(parts)
+
+
+def cli_csv(command, extra):
+    return cli_files([command, "--preset", "benth2012",
+                      "--steps", str(STEPS), "--paths", str(PATHS),
+                      "--seed", str(SEED), "--backend", "numpy",
+                      "--out", "{tmp}/out.csv", *extra])
+
+
+def cli_groups():
+    for name in presets.PRESET_NAMES:
+        hi = 2.0 * presets.get_preset(name).s0
+        yield f"{name} cli solve", cli_files(
+            ["solve", "--preset", name, "--s-grid", f"0:{hi:g}:41"])
+        yield f"{name} cli figure", cli_files(
+            ["figure", "--preset", name, "--points", "40",
+             "--fractions", "1.5,0.2", "--out", "{tmp}"])
+    yield "cli solve point", cli_files(
+        ["solve", "--s", "4.5", "--b-frac", "0.5", "--t", "2"])
+    yield "cli simulate", cli_csv("simulate", [])
+    yield "cli value", cli_csv("value", ["--s-grid", "4:6:3"])
+    yield "cli compare", cli_csv("compare", [])
+    with tempfile.TemporaryDirectory() as tmp:
+        ini = os.path.join(tmp, "run.ini")
+        with open(ini, "w", encoding="utf-8") as fh:
+            fh.write("[benth2012]\nb_frac = 0.5\npaths = 200\nsteps = 12\n"
+                     "seed = 3\ns_grid = 4:6:3\nhorizon = 12\n")
+        yield "cli value --config", cli_files(
+            ["value", "--config", ini, "--backend", "numpy"])
+
+
+def record_text(record):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "record.csv")
+        record.to_csv(path)
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+
+
+def record_groups(preset):
+    market, lo, hi = preset.market, preset.pi_min, preset.pi_max
+    config = SimConfig(n_paths=40, n_steps=STEPS, seed=SEED, path_offset=5)
+    T = preset.horizon
+    table = strategy.exact_fraction_table(
+        market, np.linspace(0.0, T, STEPS + 1), lo, hi, NS)
+    yield "PathBundle", simulate_paths(
+        market, 0.0, preset.s0, T, config, backend="numpy")
+    yield "WealthRun", valuation.wealth_simulate(
+        market, table, 0.0, preset.s0, 2.0, T, config, backend="numpy",
+        label="exact")
+    yield "ValueGrid", valuation.value_grid(
+        market, [0.0, T / 2.0], [4.0, 5.0, 6.0], T, lo, hi, config=config,
+        backend="numpy")
+    yield "StrategySurface", strategy.strategy_surface(
+        market, [0.0, T / 2.0], np.linspace(0.0, 10.0, 11), lo, hi)
 
 
 def groups():
@@ -128,8 +191,9 @@ def groups():
         backend="numpy",
     )
     yield "benth2012 tower_check", repr(tuple(report))
-    yield "cli value", cli_csv("value", ["--s-grid", "4:6:3"])
-    yield "cli compare", cli_csv("compare", [])
+    yield from cli_groups()
+    for label, record in record_groups(preset):
+        yield f"benth2012 {label} csv", record_text(record)
 
 
 def main():

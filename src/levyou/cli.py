@@ -13,8 +13,12 @@ Conventions
 -----------
 * Settings resolve in three layers: preset defaults, then the matching
   section of an INI config file (``--config``), then command line flags.
-* CSV output uses 17 significant digits, ``#`` comment headers carrying
-  the run parameters, and is written to ``--out`` (stdout otherwise).
+  ``presets.SETTINGS`` declares each run setting once (type, default,
+  help); it gives the flags, the config-file keys and the defaults.
+  Float settings must be finite.
+* Result files are written by ``levyou._csv``: 17 significant digits,
+  ``#`` comment headers carrying the run parameters, to ``--out``
+  (stdout otherwise).
 * Every command is deterministic given its flags; Monte Carlo commands
   take an explicit ``--seed``.
 * Exit codes: 0 success, 2 configuration/usage error, 3 numerical
@@ -31,7 +35,7 @@ import sys
 
 import numpy as np
 
-from . import _svg, approx, presets, strategy, valuation
+from . import _csv, _svg, approx, presets, strategy, valuation
 from .errors import (
     CONFIG_ERRORS,
     EXIT_CONFIG,
@@ -46,13 +50,6 @@ from .market import SimConfig, analytic_mean, analytic_variance, simulate_paths
 
 __all__ = ["main"]
 
-_DEFAULT_FRACTIONS = "1.5,0.8,0.5,0.2"
-
-
-def _fmt(value):
-    """CSV float formatting: 17 significant digits."""
-    return f"{float(value):.17g}"
-
 
 def _parse_grid(spec):
     """Parse a ``min:max:n`` grid string into a float array."""
@@ -64,9 +61,9 @@ def _parse_grid(spec):
     except ValueError:
         raise ConfigError(f"grid must look like min:max:n, got {spec!r}") \
             from None
-    if n < 2 or not lo < hi:
+    if n < 2 or not lo < hi or not math.isfinite(hi - lo):
         raise ConfigError(
-            f"grid needs min < max and n >= 2 points, got {spec!r}"
+            f"grid needs finite min < max and n >= 2 points, got {spec!r}"
         )
     return np.linspace(lo, hi, n)
 
@@ -99,39 +96,33 @@ def _resolve(args, need_sim=False):
     """Merge preset defaults, config file section and flags.
 
     Returns ``(preset, settings)`` where ``settings`` holds the resolved
-    scalar run parameters (t, s, x0, horizon, paths, steps, seed, grids).
+    run settings (``presets.SETTINGS``), with ``s`` and ``horizon`` filled
+    in from the preset and, with ``need_sim``, a ``SimConfig`` as ``sim``.
     """
     file_values = {}
     if getattr(args, "config", None):
-        sections = presets.load_config(args.config)
-        file_values = sections.get(args.preset, {})
-
-    defaults = {
-        "b": None, "b_frac": None, "pi_min": None, "pi_max": None,
-        "t": 0.0, "s": None, "x0": 1.0, "horizon": None,
-        "paths": 10_000, "steps": 96, "seed": 20120808,
-        "s_grid": None, "fractions": _DEFAULT_FRACTIONS,
-    }
-    flag_values = {
-        key: getattr(args, key, None) for key in defaults
-    }
-    merged = presets.merge_overrides(defaults, file_values, flag_values)
+        file_values = presets.load_config(args.config).get(args.preset, {})
+    defaults = {key: setting.default
+                for key, setting in presets.SETTINGS.items()}
+    flag_values = {key: getattr(args, key, None) for key in defaults}
+    settings = presets.merge_overrides(defaults, file_values, flag_values)
+    for key, setting in presets.SETTINGS.items():
+        value = settings[key]
+        if (setting.type is float and value is not None
+                and not math.isfinite(value)):
+            raise ConfigError(f"{key} must be finite, got {value}")
 
     preset = presets.get_preset(
-        args.preset, b=merged["b"], b_frac=merged["b_frac"],
-        pi_min=merged["pi_min"], pi_max=merged["pi_max"],
+        args.preset, b=settings["b"], b_frac=settings["b_frac"],
+        pi_min=settings["pi_min"], pi_max=settings["pi_max"],
     )
-    settings = dict(merged)
-    settings["horizon"] = (preset.horizon if merged["horizon"] is None
-                           else float(merged["horizon"]))
-    settings["s"] = preset.s0 if merged["s"] is None else float(merged["s"])
+    for key, value in (("horizon", preset.horizon), ("s", preset.s0)):
+        if settings[key] is None:
+            settings[key] = value
     if need_sim:
-        if settings["paths"] < 1 or settings["steps"] < 1:
-            raise ConfigError("paths and steps must be positive")
-        settings["sim"] = SimConfig(
-            n_paths=int(settings["paths"]), n_steps=int(settings["steps"]),
-            seed=int(settings["seed"]),
-        )
+        settings["sim"] = SimConfig(n_paths=settings["paths"],
+                                    n_steps=settings["steps"],
+                                    seed=settings["seed"])
     if not 0.0 <= settings["t"] <= settings["horizon"]:
         raise ConfigError(
             f"need 0 <= t <= horizon, got t={settings['t']} "
@@ -140,16 +131,26 @@ def _resolve(args, need_sim=False):
     return preset, settings
 
 
-def _header(command, preset, settings, keys):
-    """Two-line CSV comment header with the run parameters."""
-    tokens = [f"preset={preset.name}", f"b={_fmt(preset.market.b)}",
-              f"pi_min={_fmt(preset.pi_min)}", f"pi_max={_fmt(preset.pi_max)}"]
-    for key in keys:
-        value = settings[key]
-        tokens.append(
-            f"{key}={value if isinstance(value, int) else _fmt(value)}"
-        )
-    return f"# levyou {command}\n# " + " ".join(tokens) + "\n"
+def _params(preset, settings, keys):
+    """Header parameters: the preset's drift and interval, then ``keys``."""
+    return {"preset": preset.name, "b": preset.market.b,
+            "pi_min": preset.pi_min, "pi_max": preset.pi_max,
+            **{key: settings[key] for key in keys}}
+
+
+def _prices(settings):
+    """The prices a run covers: the ``s_grid`` setting, else ``s``."""
+    if settings["s_grid"] is not None:
+        return _parse_grid(settings["s_grid"])
+    return np.array([settings["s"]])
+
+
+def _fractions(market, t, s_values, pi_min, pi_max):
+    """The exact, risk-ratio and jump-mean fractions at the prices."""
+    args = (market, t, s_values, pi_min, pi_max)
+    return (strategy.optimal_fraction_grid(*args)[0],
+            approx.merton_fraction_grid(*args)[0],
+            approx.jump_mean_fraction_grid(*args)[0])
 
 
 # -- subcommands -----------------------------------------------------------
@@ -165,45 +166,26 @@ def _bound_or_nan(fn, market, pi_min, pi_max):
 
 def _cmd_solve(args):
     preset, settings = _resolve(args)
-    market = preset.market
-    t = settings["t"]
-    if settings["s_grid"] is not None:
-        s_values = _parse_grid(settings["s_grid"])
-    else:
-        s_values = np.array([settings["s"]])
-
-    pi_exact, _ = strategy.optimal_fraction_grid(
-        market, t, s_values, preset.pi_min, preset.pi_max
-    )
-    pi_merton, _, _ = approx.merton_fraction_grid(
-        market, t, s_values, preset.pi_min, preset.pi_max
-    )
-    pi_jump_mean, _, _ = approx.jump_mean_fraction_grid(
-        market, t, s_values, preset.pi_min, preset.pi_max
-    )
-    bound_m = _bound_or_nan(approx.merton_error_bound, market,
-                            preset.pi_min, preset.pi_max)
-    bound_j = _bound_or_nan(approx.jump_mean_error_bound, market,
-                            preset.pi_min, preset.pi_max)
-
-    lines = [_header("solve", preset, settings, ("t",)).rstrip("\n")]
-    lines.append("s,pi_exact,pi_merton,pi_jump_mean,"
-                 "bound_merton,bound_jump_mean")
-    for j, sv in enumerate(s_values):
-        lines.append(
-            f"{_fmt(sv)},{_fmt(pi_exact[j])},{_fmt(pi_merton[j])},"
-            f"{_fmt(pi_jump_mean[j])},{_fmt(bound_m)},{_fmt(bound_j)}"
-        )
-    _emit("\n".join(lines) + "\n", args.out)
+    market, pi_min, pi_max = preset.market, preset.pi_min, preset.pi_max
+    s_values = _prices(settings)
+    columns = _fractions(market, settings["t"], s_values, pi_min, pi_max)
+    bounds = [_bound_or_nan(fn, market, pi_min, pi_max)
+              for fn in (approx.merton_error_bound,
+                         approx.jump_mean_error_bound)]
+    rows = [(*row, *bounds) for row in zip(s_values, *columns)]
+    _emit(_csv.text("solve", [_params(preset, settings, ("t",))],
+                    ("s", "pi_exact", "pi_merton", "pi_jump_mean",
+                     "bound_merton", "bound_jump_mean"), rows), args.out)
     return EXIT_OK
 
 
 def _cmd_figure(args):
-    if getattr(args, "b", None) is not None:
-        raise ConfigError(
-            "figure sweeps drift fractions; use --fractions, not --b"
-        )
     preset, settings = _resolve(args)
+    if settings["b"] is not None or settings["b_frac"] is not None:
+        raise ConfigError(
+            "figure sweeps drift fractions; use --fractions, not --b or "
+            "--b-frac"
+        )
     fractions = _parse_fractions(settings["fractions"])
     n_points = args.points
     if n_points < 2:
@@ -223,34 +205,17 @@ def _cmd_figure(args):
             raise ConfigError("figure needs a mean-reverting model (lam > 0)")
         s_flat = market.foc_drift(t) / market.lam
         s_values = np.linspace(0.0, 1.1 * s_flat, n_points)
-        pi_exact, _ = strategy.optimal_fraction_grid(
-            market, t, s_values, sub.pi_min, sub.pi_max
-        )
-        pi_merton, _, _ = approx.merton_fraction_grid(
-            market, t, s_values, sub.pi_min, sub.pi_max
-        )
-        pi_jump_mean, _, _ = approx.jump_mean_fraction_grid(
-            market, t, s_values, sub.pi_min, sub.pi_max
-        )
+        columns = _fractions(market, t, s_values, sub.pi_min, sub.pi_max)
 
         stem = os.path.join(out_dir, f"figure_bfrac_{frac:g}")
-        lines = [
-            "# levyou figure",
-            f"# preset={sub.name} b_frac={frac:g} b={_fmt(market.b)} "
-            f"t={_fmt(t)} pi_min={_fmt(sub.pi_min)} "
-            f"pi_max={_fmt(sub.pi_max)}",
-            "s,pi_exact,pi_merton,pi_jump_mean",
-        ]
-        for j, sv in enumerate(s_values):
-            lines.append(f"{_fmt(sv)},{_fmt(pi_exact[j])},"
-                         f"{_fmt(pi_merton[j])},{_fmt(pi_jump_mean[j])}")
-        with open(stem + ".csv", "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
-
+        header = {"preset": sub.name, "b_frac": f"{frac:g}", "b": market.b,
+                  "t": t, "pi_min": sub.pi_min, "pi_max": sub.pi_max}
+        _csv.write(stem + ".csv", "figure", [header],
+                   ("s", "pi_exact", "pi_merton", "pi_jump_mean"),
+                   zip(s_values, *columns))
         svg = _svg.line_chart(
-            [("exact", s_values, pi_exact),
-             ("merton", s_values, pi_merton),
-             ("jump-mean", s_values, pi_jump_mean)],
+            [(label, s_values, column) for label, column
+             in zip(("exact", "merton", "jump-mean"), columns)],
             title=f"optimal fraction vs price (drift = {frac:g} x jump drift)",
             xlabel="price s",
             ylabel="fraction of wealth",
@@ -285,17 +250,16 @@ def _cmd_simulate(args):
     def z(emp, ana, se):
         return (emp - ana) / se if se > 0.0 else 0.0
 
-    lines = [
-        _header("simulate", preset, settings,
-                ("t", "s", "horizon", "paths", "steps", "seed")).rstrip("\n"),
+    header = _params(preset, settings,
+                     ("t", "s", "horizon", "paths", "steps", "seed"))
+    print(_csv.text("simulate", [header]) + "\n".join([
         f"terminal mean:     empirical {emp_mean:.6g} +/- {se_mean:.3g}"
         f" | analytic {ana_mean:.6g} | z = {z(emp_mean, ana_mean, se_mean):+.2f}",
         f"terminal variance: empirical {emp_var:.6g} +/- {se_var:.3g}"
         f" | analytic {ana_var:.6g} | z = {z(emp_var, ana_var, se_var):+.2f}",
         f"price range:       [{np.min(bundle.prices):.6g}, "
         f"{np.max(bundle.prices):.6g}]",
-    ]
-    print("\n".join(lines))
+    ]))
     if args.out is not None:
         bundle.to_csv(args.out)
         print(f"wrote {args.out}")
@@ -304,21 +268,14 @@ def _cmd_simulate(args):
 
 def _cmd_value(args):
     preset, settings = _resolve(args, need_sim=True)
-    market = preset.market
-    t, T = settings["t"], settings["horizon"]
-    if settings["s_grid"] is not None:
-        s_values = _parse_grid(settings["s_grid"])
-    else:
-        s_values = np.array([settings["s"]])
     grid = valuation.value_grid(
-        market, np.array([t]), s_values, T, preset.pi_min, preset.pi_max,
+        preset.market, np.array([settings["t"]]), _prices(settings),
+        settings["horizon"], preset.pi_min, preset.pi_max,
         config=settings["sim"], backend=args.backend,
     )
-    lines = grid.csv_text().splitlines()
-    lines.insert(1, _header("value", preset, settings,
-                            ("t", "horizon", "paths", "steps",
-                             "seed")).splitlines()[1])
-    _emit("\n".join(lines) + "\n", args.out)
+    header = _params(preset, settings,
+                     ("t", "horizon", "paths", "steps", "seed"))
+    _emit(grid.csv_text([header]), args.out)
     return EXIT_OK
 
 
@@ -326,7 +283,7 @@ def _cmd_compare(args):
     preset, settings = _resolve(args, need_sim=True)
     market = preset.market
     t, s, T = settings["t"], settings["s"], settings["horizon"]
-    x0 = float(settings["x0"])
+    x0 = settings["x0"]
     if not t < T:
         raise ConfigError(f"compare needs t < horizon, got {t} >= {T}")
     report = valuation.compare_strategies(
@@ -339,20 +296,14 @@ def _cmd_compare(args):
     )
     total = math.log(x0) + value.g_hat
 
-    lines = [_header("compare", preset, settings,
-                     ("t", "s", "x0", "horizon", "paths", "steps",
-                      "seed")).rstrip("\n")]
-    lines.append("label,mean_log_wealth,std_err,gap_to_exact,gap_std_err")
-    for row in report.scores:
-        lines.append(
-            f"{row.label},{_fmt(row.mean_log_wealth)},{_fmt(row.std_err)},"
-            f"{_fmt(row.gap_to_ref)},{_fmt(row.gap_std_err)}"
-        )
-    lines.append(
-        f"# log-value estimate: log(x0) + g_hat = {_fmt(total)} "
-        f"+/- {_fmt(value.std_err)}"
-    )
-    _emit("\n".join(lines) + "\n", args.out)
+    header = _params(preset, settings,
+                     ("t", "s", "x0", "horizon", "paths", "steps", "seed"))
+    text = _csv.text("compare", [header],
+                     ("label", "mean_log_wealth", "std_err", "gap_to_exact",
+                      "gap_std_err"), report.scores)
+    text += (f"# log-value estimate: log(x0) + g_hat = {_csv.cell(total)} "
+             f"+/- {_csv.cell(value.std_err)}\n")
+    _emit(text, args.out)
     return EXIT_OK
 
 
@@ -370,37 +321,46 @@ def _cmd_describe(args):
 # -- parser ----------------------------------------------------------------
 
 
-def _add_model_flags(parser):
-    parser.add_argument("--preset", default="benth2012",
-                        help="model preset (see describe-preset)")
-    parser.add_argument("--config", default=None,
-                        help="INI config file; its [preset] section "
-                             "overrides preset defaults, flags win")
-    parser.add_argument("--b", type=float, default=None,
-                        help="absolute drift level")
-    parser.add_argument("--b-frac", dest="b_frac", type=float, default=None,
-                        help="drift as a fraction of the mean jump drift")
-    parser.add_argument("--pi-min", dest="pi_min", type=float, default=None,
-                        help="lower end of the fraction interval")
-    parser.add_argument("--pi-max", dest="pi_max", type=float, default=None,
-                        help="upper end of the fraction interval")
-    parser.add_argument("--t", type=float, default=None,
-                        help="start time (default 0)")
-    parser.add_argument("--horizon", type=float, default=None,
-                        help="trading horizon T (default from preset)")
+#: Flags of every subcommand but describe-preset, and of the simulating ones.
+_MODEL_FLAGS = ("preset", "config", "b", "b_frac", "pi_min", "pi_max", "t",
+                "horizon")
+_SIM_FLAGS = ("paths", "steps", "seed", "backend")
+
+#: Flags that are not run settings (those are in ``presets.SETTINGS``).
+_FLAGS = {
+    "preset": {"default": "benth2012",
+               "help": "model preset (default %(default)s)"},
+    "config": {"help": "INI config file; flags win over its [preset] section"},
+    "backend": {"choices": ("numba", "numpy"),
+                "help": "default: LEVYOU_BACKEND, else numba if importable"},
+    "points": {"type": int, "default": 200,
+               "help": "grid points per curve (default %(default)s)"},
+    "out": {"help": "output file (default stdout); figure: a directory "
+                    "(default .); simulate: a file for the paths"},
+}
+
+#: Subcommand: (handler, help, flags besides the model flags).
+_COMMANDS = {
+    "solve": (_cmd_solve, "fractions and error bounds as CSV",
+              ("s", "s_grid", "out")),
+    "figure": (_cmd_figure, "fraction curves per drift level (CSV + SVG)",
+               ("fractions", "points", "out")),
+    "simulate": (_cmd_simulate, "simulate paths and check analytic moments",
+                 (*_SIM_FLAGS, "s", "out")),
+    "value": (_cmd_value, "Monte Carlo reward estimates over a price grid",
+              (*_SIM_FLAGS, "s", "s_grid", "out")),
+    "compare": (_cmd_compare, "terminal log-wealth of the strategies",
+                (*_SIM_FLAGS, "s", "x0", "out")),
+}
 
 
-def _add_sim_flags(parser):
-    parser.add_argument("--paths", type=int, default=None,
-                        help="Monte Carlo path count (default 10000)")
-    parser.add_argument("--steps", type=int, default=None,
-                        help="time steps per path (default 96)")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="random seed (default 20120808)")
-    parser.add_argument("--backend", choices=("numba", "numpy"), default=None,
-                        help="simulation backend (default: LEVYOU_BACKEND "
-                             "env var, else numba when importable, else "
-                             "numpy)")
+def _flag(name):
+    """``add_argument`` keywords; a setting's flag defaults to None (unset)."""
+    setting = presets.SETTINGS.get(name)
+    if setting is None:
+        return _FLAGS[name]
+    default = "" if setting.default is None else f" (default {setting.default})"
+    return {"type": setting.type, "help": setting.help + default}
 
 
 def _build_parser():
@@ -410,61 +370,13 @@ def _build_parser():
                     "jump price models.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    for command, (func, help_text, flags) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for name in (*_MODEL_FLAGS, *flags):
+            p.add_argument("--" + name.replace("_", "-"), **_flag(name))
+        p.set_defaults(func=func)
 
-    p = sub.add_parser("solve", help="fractions and error bounds as CSV")
-    _add_model_flags(p)
-    p.add_argument("--s", type=float, default=None,
-                   help="single price (default: preset start price)")
-    p.add_argument("--s-grid", dest="s_grid", default=None,
-                   help="price grid min:max:n")
-    p.add_argument("--out", default=None, help="output CSV path")
-    p.set_defaults(func=_cmd_solve)
-
-    p = sub.add_parser("figure",
-                       help="fraction curves per drift level (CSV + SVG)")
-    _add_model_flags(p)
-    p.add_argument("--fractions", default=None,
-                   help=f"comma list of drift fractions "
-                        f"(default {_DEFAULT_FRACTIONS})")
-    p.add_argument("--points", type=int, default=200,
-                   help="grid points per curve (default 200)")
-    p.add_argument("--out", default=None,
-                   help="output directory (default: current)")
-    p.set_defaults(func=_cmd_figure)
-
-    p = sub.add_parser("simulate",
-                       help="simulate paths and check analytic moments")
-    _add_model_flags(p)
-    _add_sim_flags(p)
-    p.add_argument("--s", type=float, default=None,
-                   help="start price (default: preset start price)")
-    p.add_argument("--out", default=None, help="write the paths as CSV")
-    p.set_defaults(func=_cmd_simulate)
-
-    p = sub.add_parser("value",
-                       help="Monte Carlo reward estimates over a price grid")
-    _add_model_flags(p)
-    _add_sim_flags(p)
-    p.add_argument("--s", type=float, default=None,
-                   help="single price (default: preset start price)")
-    p.add_argument("--s-grid", dest="s_grid", default=None,
-                   help="price grid min:max:n")
-    p.add_argument("--out", default=None, help="output CSV path")
-    p.set_defaults(func=_cmd_value)
-
-    p = sub.add_parser("compare",
-                       help="terminal log-wealth of the candidate strategies")
-    _add_model_flags(p)
-    _add_sim_flags(p)
-    p.add_argument("--s", type=float, default=None,
-                   help="start price (default: preset start price)")
-    p.add_argument("--x0", type=float, default=None,
-                   help="starting wealth (default 1)")
-    p.add_argument("--out", default=None, help="output CSV path")
-    p.set_defaults(func=_cmd_compare)
-
-    p = sub.add_parser("describe-preset",
-                       help="show a preset (or list all presets)")
+    p = sub.add_parser("describe-preset", help="show or list the presets")
     p.add_argument("name", nargs="?", default=None,
                    help="preset name; omit to list all")
     p.set_defaults(func=_cmd_describe)

@@ -16,17 +16,16 @@ consistently uses the effective mean drift ``foc_drift``.
 """
 
 import enum
-import io
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from . import _rng
+from . import _csv, _rng
 from ._backend import get_kernels
 from .errors import AdmissibilityError, CaseError, ConfigError, DomainError
-from .jumps import JumpMeasure, NoJumps, _quad
+from .jumps import JumpMeasure, _quad
 
 
 class CaseTag(enum.Enum):
@@ -403,29 +402,21 @@ class PathBundle:
         return self.prices.shape[0]
 
     def to_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("# levyou path bundle\n")
-            fh.write(
-                f"# seed={self.seed} path_offset={self.path_offset} "
-                f"n_paths={self.prices.shape[0]} "
-                f"n_steps={self.prices.shape[1] - 1}\n"
-            )
-            fh.write("path_id,time,price\n")
-            for i in range(self.prices.shape[0]):
-                pid = self.path_offset + i
-                for k in range(self.times.shape[0]):
-                    fh.write(
-                        f"{pid},{self.times[k]:.17g},{self.prices[i, k]:.17g}\n"
-                    )
+        n_paths, n_times = self.prices.shape
+        header = {"seed": self.seed, "path_offset": self.path_offset,
+                  "n_paths": n_paths, "n_steps": n_times - 1}
+        rows = ((self.path_offset + i, self.times[k], self.prices[i, k])
+                for i in range(n_paths) for k in range(n_times))
+        _csv.write(path, "path bundle", [header], ("path_id", "time", "price"),
+                   rows)
 
     @classmethod
     def from_csv(cls, path):
-        header, rows = _read_run_csv(path, 3)
-        offset = int(header.get("path_offset", 0))
+        header, rows = _csv.read_runs(path, 3)
         cells = {(pid, tv) for pid, tv, _ in rows}
         ids = sorted({pid for pid, _ in cells})
         times = sorted({tv for _, tv in cells})
-        _check_path_ids(ids, offset, header.get("n_paths"), path)
+        offset = _csv.check_path_ids(ids, header, path)
         n_times = int(header.get("n_steps", len(times) - 1)) + 1
         if (len(times) != n_times or len(cells) != len(rows)
                 or len(rows) != len(ids) * n_times):
@@ -439,42 +430,6 @@ class PathBundle:
         return cls(
             times=np.array(times), prices=prices,
             seed=int(header.get("seed", 0)), path_offset=offset,
-        )
-
-
-def _read_run_csv(path, n_fields):
-    """(header, rows) of a run CSV: the ``key=value`` tokens of its ``#``
-    lines, and its data rows as (int path id, float, ...) tuples."""
-    header, rows = {}, []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line.startswith("#"):
-                header.update(tok.split("=", 1) for tok in line[1:].split()
-                              if "=" in tok)
-                continue
-            if not line or line.startswith("path_id"):
-                continue
-            fields = line.split(",")
-            try:
-                if len(fields) != n_fields:
-                    raise ValueError
-                rows.append((int(fields[0]), *map(float, fields[1:])))
-            except ValueError:
-                raise ConfigError(f"malformed row {line!r} in {path}") from None
-    if not rows:
-        raise ConfigError(f"no data rows in {path}")
-    return header, rows
-
-
-def _check_path_ids(ids, offset, n_paths, path):
-    """Require the sorted ``ids`` to be offset, offset + 1, ..., each once,
-    and ``n_paths`` of them when the header gives a count."""
-    n = len(ids) if n_paths is None else int(n_paths)
-    if list(ids) != list(range(offset, offset + n)):
-        raise ConfigError(
-            f"{path}: path ids must run from {offset} to {offset + n - 1}, "
-            "each once"
         )
 
 

@@ -28,14 +28,17 @@ import configparser
 import dataclasses
 import math
 import os
+from typing import NamedTuple
 
 from .errors import ConfigError
 from .jumps import NoJumps, ParetoJump, UniformJump
-from .market import MarketCoefficients
+from .market import MarketCoefficients, SimConfig
 
 __all__ = [
     "Preset",
     "PRESET_NAMES",
+    "SETTINGS",
+    "Setting",
     "get_preset",
     "load_config",
     "merge_overrides",
@@ -235,21 +238,32 @@ def get_preset(name, b=None, b_frac=None, pi_min=None, pi_max=None):
     return preset
 
 
-# Keys a config file section may set, with their parsers.
-_CONFIG_KEYS = {
-    "b": float,
-    "b_frac": float,
-    "pi_min": float,
-    "pi_max": float,
-    "t": float,
-    "s": float,
-    "x0": float,
-    "horizon": float,
-    "paths": int,
-    "steps": int,
-    "seed": int,
-    "s_grid": str,
-    "fractions": str,
+class Setting(NamedTuple):
+    """A run setting: its parser, its default and its help text."""
+
+    type: type
+    default: object
+    help: str
+
+
+#: The run settings a config-file section or a flag can set, with their
+#: parsers and defaults; a ``None`` default comes from the preset.
+SETTINGS = {
+    "b": Setting(float, None, "absolute drift level"),
+    "b_frac": Setting(float, None, "drift as a fraction of the jump drift"),
+    "pi_min": Setting(float, None, "lower end of the fraction interval"),
+    "pi_max": Setting(float, None, "upper end of the fraction interval"),
+    "t": Setting(float, 0.0, "start time"),
+    "s": Setting(float, None, "price (default: the preset's start price)"),
+    "x0": Setting(float, 1.0, "starting wealth"),
+    "horizon": Setting(float, None,
+                       "trading horizon T (default: the preset's)"),
+    "paths": Setting(int, SimConfig.n_paths, "Monte Carlo path count"),
+    "steps": Setting(int, SimConfig.n_steps, "time steps per path"),
+    "seed": Setting(int, SimConfig.seed, "random seed"),
+    "s_grid": Setting(str, None, "price grid min:max:n"),
+    "fractions": Setting(str, "1.5,0.8,0.5,0.2",
+                         "comma list of drift fractions"),
 }
 
 
@@ -257,8 +271,8 @@ def load_config(path):
     """Read an INI config file into ``{section: {key: parsed value}}``.
 
     Every section name is taken verbatim (it usually matches a preset
-    name); keys must come from the known flag set and parse with the
-    flag's type.
+    name); keys must be names in :data:`SETTINGS` and parse with the
+    setting's type.
 
     Raises
     ------
@@ -278,14 +292,14 @@ def load_config(path):
         values = {}
         for key, raw in parser.items(section):
             key = key.replace("-", "_")
-            if key not in _CONFIG_KEYS:
-                known = ", ".join(sorted(_CONFIG_KEYS))
+            if key not in SETTINGS:
+                known = ", ".join(sorted(SETTINGS))
                 raise ConfigError(
                     f"unknown key {key!r} in config section [{section}] "
                     f"(known: {known})"
                 )
             try:
-                values[key] = _CONFIG_KEYS[key](raw)
+                values[key] = SETTINGS[key].type(raw)
             except ValueError as exc:
                 raise ConfigError(
                     f"bad value for {key!r} in config section "

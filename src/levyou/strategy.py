@@ -24,6 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import _csv
 from .errors import ConvergenceError, DomainError
 
 BISECT_ITERS = 80
@@ -68,8 +69,11 @@ def _solve_q(market, t, q, pi_min, pi_max):
 
     Returns (pi, clamped, iterations, residual) arrays.  ``residual`` is the
     remaining slope q - G(pi); it is zero at clamped points by convention.
+    A NaN in ``q`` (a NaN price) raises :class:`DomainError`.
     """
     q = np.asarray(q, dtype=np.float64)
+    if np.isnan(q).any():
+        raise DomainError("the drift gap d(t) - lam*s is NaN; check the price")
     sg = market.sigma_at(t)
     psi = market.psi_at(t)
     sg2 = sg * sg
@@ -82,13 +86,6 @@ def _solve_q(market, t, q, pi_min, pi_max):
     iters = 0
     resid = np.zeros_like(q)
     if np.any(interior):
-        if g_hi <= g_lo:
-            # no stochastic term at all: the growth rate is linear and the
-            # optimum sits on a boundary, already handled above
-            raise DomainError(
-                "stationarity condition is degenerate: the model has no "
-                "Brownian or jump risk, so interior optima do not exist"
-            )
         qi = q[interior]
         lo = np.full(qi.shape, float(pi_min))
         hi = np.full(qi.shape, float(pi_max))
@@ -222,16 +219,11 @@ class StrategySurface:
         self.label = label
 
     def to_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write(f"# levyou strategy surface label={self.label}\n")
-            fh.write("time,price,fraction,clamped\n")
-            for i, tv in enumerate(self.t_grid):
-                for j, sv in enumerate(self.s_grid):
-                    fh.write(
-                        f"{tv:.17g},{sv:.17g},"
-                        f"{self.fractions[i, j]:.17g},"
-                        f"{int(self.clamped[i, j])}\n"
-                    )
+        rows = ((tv, sv, self.fractions[i, j], int(self.clamped[i, j]))
+                for i, tv in enumerate(self.t_grid)
+                for j, sv in enumerate(self.s_grid))
+        _csv.write(path, f"strategy surface label={self.label}", (),
+                   ("time", "price", "fraction", "clamped"), rows)
 
 
 def strategy_surface(market, t_grid, s_grid, pi_min, pi_max):

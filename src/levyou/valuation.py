@@ -16,16 +16,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import _rng
+from . import _csv, _rng
 from ._backend import get_kernels
 from .approx import jump_mean_fraction_table, merton_fraction_table
 from .errors import ConfigError, DomainError
-from .market import (
-    SimConfig,
-    _check_path_ids,
-    _read_run_csv,
-    build_sim_inputs,
-)
+from .market import SimConfig, build_sim_inputs
 from .strategy import (
     constant_fraction_table,
     exact_fraction_table,
@@ -94,24 +89,18 @@ class WealthRun:
         return float(np.std(self.terminal_log_wealth, ddof=1) / math.sqrt(n))
 
     def to_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("# levyou wealth run\n")
-            fh.write(
-                f"# label={self.label} x0={self.x0:.17g} seed={self.seed} "
-                f"path_offset={self.path_offset} n_paths={self.n_paths} "
-                f"violations={self.positivity_violations}\n"
-            )
-            fh.write("path_id,log_terminal_wealth\n")
-            for i, w in enumerate(self.terminal_log_wealth):
-                fh.write(f"{self.path_offset + i},{w:.17g}\n")
+        header = {"label": self.label, "x0": self.x0, "seed": self.seed,
+                  "path_offset": self.path_offset, "n_paths": self.n_paths,
+                  "violations": self.positivity_violations}
+        rows = enumerate(self.terminal_log_wealth, self.path_offset)
+        _csv.write(path, "wealth run", [header],
+                   ("path_id", "log_terminal_wealth"), rows)
 
     @classmethod
     def from_csv(cls, path):
-        header, rows = _read_run_csv(path, 2)
-        offset = int(header.get("path_offset", 0))
+        header, rows = _csv.read_runs(path, 2)
         rows.sort()
-        _check_path_ids([pid for pid, _ in rows], offset,
-                        header.get("n_paths"), path)
+        offset = _csv.check_path_ids([pid for pid, _ in rows], header, path)
         return cls(
             terminal_log_wealth=np.array([w for _, w in rows]),
             positivity_violations=int(header.get("violations", 0)),
@@ -159,16 +148,13 @@ class ValueGrid:
     std_err: np.ndarray
     seed: int
 
-    def csv_text(self):
-        lines = ["# levyou value grid", f"# seed={self.seed}",
-                 "t,s,g_hat,std_err"]
-        for i, tv in enumerate(self.t_values):
-            for j, sv in enumerate(self.s_values):
-                lines.append(
-                    f"{tv:.17g},{sv:.17g},{self.g_hat[i, j]:.17g},"
-                    f"{self.std_err[i, j]:.17g}"
-                )
-        return "\n".join(lines) + "\n"
+    def csv_text(self, headers=()):
+        """The grid as CSV text, with the ``headers`` before the seed."""
+        rows = ((tv, sv, self.g_hat[i, j], self.std_err[i, j])
+                for i, tv in enumerate(self.t_values)
+                for j, sv in enumerate(self.s_values))
+        return _csv.text("value grid", [*headers, {"seed": self.seed}],
+                         ("t", "s", "g_hat", "std_err"), rows)
 
     def to_csv(self, path):
         with open(path, "w") as fh:

@@ -151,6 +151,17 @@ class TestFigure:
         assert code == errors.EXIT_CONFIG
         assert "--fractions" in err
 
+    @pytest.mark.parametrize("line", ["b = 0.9", "b_frac = 0.3"])
+    def test_drift_from_a_config_file_is_rejected(self, capsys, tmp_path,
+                                                  line):
+        ini = tmp_path / "run.ini"
+        ini.write_text(f"[benth2012]\n{line}\n")
+        code, _, err = run_cli(capsys, "figure", "--config", str(ini),
+                               "--out", str(tmp_path / "figs"))
+        assert code == errors.EXIT_CONFIG
+        assert "--fractions" in err
+        assert not (tmp_path / "figs").exists()
+
 
 class TestSimulate:
     def test_moment_summary_and_determinism(self, capsys):
@@ -253,6 +264,16 @@ class TestExitCodes:
         assert code == errors.EXIT_CONFIG
         assert "min:max:n" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("solve", "--s-grid", "0:inf:3"),
+        ("solve", "--s-grid=-inf:0:3"),
+        ("value", "--s-grid", "0:inf:3", "--paths", "10", "--steps", "2"),
+    ])
+    def test_non_finite_grid_end(self, capsys, argv):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == errors.EXIT_CONFIG
+        assert "finite min < max" in err
+
     def test_start_time_past_horizon(self, capsys):
         code, _, err = run_cli(capsys, "solve", "--t", "30")
         assert code == errors.EXIT_CONFIG
@@ -280,6 +301,83 @@ class TestExitCodes:
         )
         assert proc.returncode == 0
         assert "benth2012" in proc.stdout
+
+
+# Every flag each subcommand takes; the parser must keep exactly these.
+MODEL_FLAGS = {"--preset": "gaussian", "--config": "run.ini", "--b": "0.1",
+               "--b-frac": "0.5", "--pi-min": "-0.1", "--pi-max": "0.1",
+               "--t": "0", "--horizon": "1"}
+SIM_FLAGS = {"--paths": "10", "--steps": "4", "--seed": "1",
+             "--backend": "numpy"}
+COMMAND_FLAGS = {
+    "solve": {**MODEL_FLAGS, "--s": "1", "--s-grid": "0:1:3",
+              "--out": "x.csv"},
+    "figure": {**MODEL_FLAGS, "--fractions": "0.5", "--points": "9",
+               "--out": "figs"},
+    "simulate": {**MODEL_FLAGS, **SIM_FLAGS, "--s": "1", "--out": "x.csv"},
+    "value": {**MODEL_FLAGS, **SIM_FLAGS, "--s": "1", "--s-grid": "0:1:3",
+              "--out": "x.csv"},
+    "compare": {**MODEL_FLAGS, **SIM_FLAGS, "--s": "1", "--x0": "2",
+                "--out": "x.csv"},
+}
+ALL_FLAGS = {flag: value for flags in COMMAND_FLAGS.values()
+             for flag, value in flags.items()}
+
+
+class TestFlagSets:
+    @pytest.mark.parametrize("command", sorted(COMMAND_FLAGS))
+    def test_every_flag_of_a_subcommand_parses(self, command):
+        argv = [command]
+        for flag, value in COMMAND_FLAGS[command].items():
+            argv += [flag, value]
+        args = cli._build_parser().parse_args(argv)
+        assert args.command == command
+
+    @pytest.mark.parametrize("command,flag", [
+        (command, flag) for command in sorted(COMMAND_FLAGS)
+        for flag in sorted(ALL_FLAGS) if flag not in COMMAND_FLAGS[command]
+    ])
+    def test_a_flag_the_subcommand_does_not_take_is_rejected(
+            self, capsys, command, flag):
+        with pytest.raises(SystemExit) as exc:
+            cli._build_parser().parse_args([command, flag, ALL_FLAGS[flag]])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_describe_preset_takes_no_flags(self, capsys):
+        with pytest.raises(SystemExit):
+            cli._build_parser().parse_args(["describe-preset", "--preset",
+                                            "gaussian"])
+        capsys.readouterr()
+
+
+NON_FINITE_CASES = [
+    (command, flag, value)
+    for command, flags in COMMAND_FLAGS.items()
+    for flag in ("--s", "--t", "--horizon", "--x0") if flag in flags
+    for value in ("nan", "inf")
+]
+
+
+class TestNonFiniteSettings:
+    @pytest.mark.parametrize("command,flag,value", NON_FINITE_CASES)
+    def test_flag_is_a_config_error(self, capsys, tmp_path, command, flag,
+                                    value):
+        small = ("--paths", "10", "--steps", "2")
+        sim = small if "--paths" in COMMAND_FLAGS[command] else ()
+        out = tmp_path / ("figs" if command == "figure" else "out.csv")
+        code, _, err = run_cli(capsys, command, flag, value, *sim,
+                               "--out", str(out))
+        assert code == errors.EXIT_CONFIG
+        assert f"{flag[2:]} must be finite, got {value}" in err
+        assert not out.exists()
+
+    def test_config_file_value_is_a_config_error(self, capsys, tmp_path):
+        ini = tmp_path / "run.ini"
+        ini.write_text("[benth2012]\ns = nan\n")
+        code, _, err = run_cli(capsys, "solve", "--config", str(ini))
+        assert code == errors.EXIT_CONFIG
+        assert "s must be finite, got nan" in err
 
 
 class TestConfigFile:

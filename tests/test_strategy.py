@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from levyou import market as mk
+from levyou import presets
 from levyou import strategy as sg
 from levyou.errors import AdmissibilityError, DomainError
 from levyou.jumps import NoJumps, ParetoJump, UniformJump
@@ -141,6 +142,18 @@ class TestOptimalFraction:
     def test_invalid_interval_rejected(self):
         with pytest.raises(AdmissibilityError):
             sg.optimal_fraction(pareto_market(), 0.0, 5.0, -0.1, 0.2)
+
+    @pytest.mark.parametrize("name", ["benth2012", "uniform-two-sided",
+                                      "gaussian"])
+    def test_nan_price_is_rejected(self, name):
+        preset = presets.get_preset(name)
+        m, lo, hi = preset.market, preset.pi_min, preset.pi_max
+        with pytest.raises(DomainError, match="NaN"):
+            sg.optimal_fraction(m, 0.0, math.nan, lo, hi)
+        with pytest.raises(DomainError, match="NaN"):
+            sg.optimal_fraction_grid(m, 0.0, [0.1, math.nan, 0.3], lo, hi)
+        with pytest.raises(DomainError, match="NaN"):
+            sg.best_growth(m, 0.0, math.nan, lo, hi)
 
     def test_no_risk_is_bang_bang(self):
         m = mk.MarketCoefficients(lam=0.5, b=0.2, sigma=0.0, psi=0.0,
