@@ -6,7 +6,10 @@ accumulation) on the benth2012 preset for each backend and reports
 path-steps/s, the speedup and a cross-backend agreement check.  The
 simulation inputs, the growth table and the fraction table are built once,
 outside the timed region, and JIT compilation is paid in a warm-up call,
-so each row times one kernel call and nothing else.  A last row times
+so each row times one kernel call and nothing else.  The ``small call``
+row times one ``value_paths`` call of 100 paths x 48 steps over the second
+half of the horizon, the inner run of the acceptance suite's tower check,
+where the fixed cost of a call dominates.  A last row times
 ``strategy.growth_table`` itself: one 257-price table (a single time node)
 for benth2012 and uniform-two-sided, which no backend choice affects.
 
@@ -24,6 +27,10 @@ import numpy as np
 from levyou import _rng, presets, strategy
 from levyou._backend import available_backends, get_kernels
 from levyou.market import SimConfig, build_sim_inputs
+
+
+# Calls per timing of the small-call row.
+SMALL_CALLS = 20
 
 
 def best_of(repeats, fn):
@@ -83,6 +90,23 @@ def main():
             line += (f"  speedup x{timings[backends[1]] / timings[backends[0]]:.1f}"
                      f"  max rel diff {agree:.2e}")
         print(line)
+
+    half = 0.5 * preset.horizon
+    small = build_sim_inputs(market, half, preset.horizon,
+                             SimConfig(n_paths=100, n_steps=48))
+    small_walk = (_rng.derive_keys(args.seed, np.arange(100)),
+                  np.full(100, preset.s0), *small.kernel_args,
+                  *strategy.growth_table(market, small.times, preset.pi_min,
+                                         preset.pi_max))
+    line = f"{'small call':16s}"
+    for be in backends:
+        kern = get_kernels(be)
+        kern.value_paths(*small_walk)  # warm-up: JIT compile
+        calls = lambda kern=kern: [kern.value_paths(*small_walk)
+                                   for _ in range(SMALL_CALLS)]
+        per_call = best_of(args.repeats, calls) / SMALL_CALLS
+        line += f"  {be}: {per_call * 1e3:8.2f} ms"
+    print(line + "  (per value_paths call, 100 paths x 48 steps)")
 
     line = f"{'growth table':16s}"
     for name in ("benth2012", "uniform-two-sided"):

@@ -164,9 +164,11 @@ def uniforms(keys, step, slot):
 
 
 def _horner(coeffs, x):
-    acc = np.full_like(x, coeffs[-1])
-    for c in coeffs[-2::-1]:
-        acc = acc * x + c
+    acc = x * coeffs[-1]
+    acc += coeffs[-2]
+    for c in coeffs[-3::-1]:
+        acc *= x
+        acc += c
     return acc
 
 
@@ -245,8 +247,17 @@ def poisson_cdf_table(mu, cap=MAX_JUMPS_PER_STEP):
 
 
 def poisson_counts(u, cdf):
-    """Invert uniforms through a Poisson CDF table."""
-    return np.searchsorted(cdf, u, side="left")
+    """Invert uniforms through a Poisson CDF table.
+
+    With a 2-D ``cdf``, row ``k`` of ``u`` is inverted through row ``k`` of
+    the table.
+    """
+    if cdf.ndim == 1:
+        return np.searchsorted(cdf, u, side="left")
+    out = np.empty(u.shape, dtype=np.intp)
+    for k, row in enumerate(cdf):
+        out[k] = np.searchsorted(row, u[k], side="left")
+    return out
 
 
 def sample_sizes(kind, p0, p1, u):

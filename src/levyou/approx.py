@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import BranchError, CaseError, DegenerateError
 from .market import CaseTag, classify_case
-from .strategy import _clamp, fraction_table
+from .strategy import _clamp, drift_gap, fraction_table
 
 
 class ApproxFraction(NamedTuple):
@@ -66,9 +66,7 @@ def merton_fraction_grid(market, t, s_grid, pi_min, pi_max):
         raise DegenerateError(
             "risk-ratio approximation needs sigma^2 + psi^2 * m2 > 0"
         )
-    s_grid = np.asarray(s_grid, dtype=np.float64)
-    q = market.foc_drift(t) - market.lam * s_grid
-    return _finalize(q / denom, pi_min, pi_max)
+    return _finalize(drift_gap(market, t, s_grid) / denom, pi_min, pi_max)
 
 
 def merton_fraction(market, t, s, pi_min, pi_max):
@@ -162,8 +160,7 @@ def jump_mean_fraction_grid(market, t, s_grid, pi_min, pi_max):
     Returns (values, clamped, raw) arrays.
     """
     market.validate_interval(pi_min, pi_max)
-    s_grid = np.asarray(s_grid, dtype=np.float64)
-    q = market.foc_drift(t) - market.lam * s_grid
+    q = drift_gap(market, t, s_grid)
     eta, mu = _jump_mean_params(market, t)
     sg = market.sigma_at(t)
     if mu == 0.0 and sg == 0.0:

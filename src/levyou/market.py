@@ -433,12 +433,24 @@ class PathBundle:
         )
 
 
+def check_start(s, x=1.0):
+    """Raise :class:`DomainError` unless every start price in ``s`` is
+    finite and the start wealth ``x`` is positive and finite."""
+    s = np.asarray(s, dtype=np.float64)
+    bad = s[~np.isfinite(s)]
+    if bad.size:
+        raise DomainError(f"start price must be finite, got {bad[0]}")
+    if not (x > 0.0 and math.isfinite(x)):
+        raise DomainError(f"initial wealth must be positive, got {x}")
+
+
 def simulate_paths(market, t, s, T, config, backend=None):
     """Simulate price paths; returns a :class:`PathBundle`.
 
     Batch-splitting invariance: running this twice with offsets 0 and k (and
     path counts k and n-k) concatenates to exactly the single-run result.
     """
+    check_start(s)
     sim = build_sim_inputs(market, t, T, config)
     keys = _rng.derive_keys(
         config.seed, config.path_offset + np.arange(config.n_paths)

@@ -64,16 +64,25 @@ class OptimalFraction(NamedTuple):
     residual: float
 
 
+def drift_gap(market, t, s):
+    """The drift gaps q = d(t) - lam*s of an array of prices.
+
+    A NaN gap (a NaN price) raises :class:`DomainError`: no fraction
+    solves the stationarity condition there.
+    """
+    q = market.foc_drift(t) - market.lam * np.asarray(s, dtype=np.float64)
+    if np.isnan(q).any():
+        raise DomainError("the drift gap d(t) - lam*s is NaN; check the price")
+    return q
+
+
 def _solve_q(market, t, q, pi_min, pi_max):
-    """Invert the stationarity condition for an array of drift gaps ``q``.
+    """Invert the stationarity condition for an array of drift gaps ``q``
+    from :func:`drift_gap`.
 
     Returns (pi, clamped, iterations, residual) arrays.  ``residual`` is the
     remaining slope q - G(pi); it is zero at clamped points by convention.
-    A NaN in ``q`` (a NaN price) raises :class:`DomainError`.
     """
-    q = np.asarray(q, dtype=np.float64)
-    if np.isnan(q).any():
-        raise DomainError("the drift gap d(t) - lam*s is NaN; check the price")
     sg = market.sigma_at(t)
     psi = market.psi_at(t)
     sg2 = sg * sg
@@ -134,10 +143,8 @@ def _clamp(q, g_lo, g_hi, pi_min, pi_max):
 def optimal_fraction(market, t, s, pi_min, pi_max):
     """Optimal fraction at time ``t`` and price ``s`` on [pi_min, pi_max]."""
     market.validate_interval(pi_min, pi_max)
-    q = market.foc_drift(t) - market.lam * s
-    pi, clamped, iters, resid = _solve_q(
-        market, t, np.array([q]), pi_min, pi_max
-    )
+    q = drift_gap(market, t, [s])
+    pi, clamped, iters, resid = _solve_q(market, t, q, pi_min, pi_max)
     return OptimalFraction(
         value=float(pi[0]),
         clamped=bool(clamped[0]),
@@ -149,8 +156,7 @@ def optimal_fraction(market, t, s, pi_min, pi_max):
 def optimal_fraction_grid(market, t, s_grid, pi_min, pi_max):
     """Optimal fractions for an array of prices; returns (pi, clamped)."""
     market.validate_interval(pi_min, pi_max)
-    s_grid = np.asarray(s_grid, dtype=np.float64)
-    q = market.foc_drift(t) - market.lam * s_grid
+    q = drift_gap(market, t, s_grid)
     pi, clamped, _, _ = _solve_q(market, t, q, pi_min, pi_max)
     return pi, clamped
 

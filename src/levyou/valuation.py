@@ -20,7 +20,7 @@ from . import _csv, _rng
 from ._backend import get_kernels
 from .approx import jump_mean_fraction_table, merton_fraction_table
 from .errors import ConfigError, DomainError
-from .market import SimConfig, build_sim_inputs
+from .market import SimConfig, build_sim_inputs, check_start
 from .strategy import (
     constant_fraction_table,
     exact_fraction_table,
@@ -199,6 +199,7 @@ def estimate_value(market, t, s, T, pi_min, pi_max, config=None,
     exact).  At ``T == t`` the estimate is exactly zero.
     """
     config = config or SimConfig()
+    check_start(s)
     if T < t:
         raise DomainError(f"need T >= t, got t={t}, T={T}")
     if T == t:
@@ -216,8 +217,7 @@ def estimate_value(market, t, s, T, pi_min, pi_max, config=None,
 def total_value(market, t, s, x, T, pi_min, pi_max, config=None,
                 backend=None, table_ns=257):
     """log(x) plus the estimated growth integral from (t, s)."""
-    if not (x > 0.0 and math.isfinite(x)):
-        raise DomainError(f"initial wealth must be positive, got {x}")
+    check_start(s, x)
     est = estimate_value(
         market, t, s, T, pi_min, pi_max, config, backend, table_ns
     )
@@ -235,8 +235,7 @@ def wealth_simulate(market, table, t, s, x, T, config=None, backend=None,
     an admissible interval; reported for auditability).
     """
     config = config or SimConfig()
-    if not (x > 0.0 and math.isfinite(x)):
-        raise DomainError(f"initial wealth must be positive, got {x}")
+    check_start(s, x)
     sim = build_sim_inputs(market, t, T, config)
     if table.values.shape[0] != sim.times.shape[0]:
         raise ConfigError(
@@ -268,6 +267,7 @@ def compare_strategies(market, t, s, x, T, pi_min, pi_max, config=None,
     difference of independent runs would.
     """
     config = config or SimConfig()
+    check_start(s, x)
     if reference not in kinds:
         raise ConfigError(
             f"reference {reference!r} is not among the kinds {kinds}"
@@ -303,6 +303,7 @@ def tower_check(market, t, s, h, T, pi_min, pi_max, config=None,
     runs use roughly the square root of the outer path count.
     """
     config = config or SimConfig()
+    check_start(s)
     if not (t < t + h <= T):
         raise DomainError(
             f"need t < t+h <= T, got t={t}, h={h}, T={T}"
@@ -374,6 +375,7 @@ def value_grid(market, t_values, s_values, T, pi_min, pi_max, config=None,
     config = config or SimConfig()
     t_values = np.asarray(t_values, dtype=np.float64)
     s_values = np.asarray(s_values, dtype=np.float64)
+    check_start(s_values)
     g_hat = np.zeros((t_values.shape[0], s_values.shape[0]))
     std_err = np.zeros_like(g_hat)
     kern = get_kernels(backend)

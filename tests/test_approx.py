@@ -12,8 +12,9 @@ import pytest
 
 from levyou import approx as ax
 from levyou import market as mk
+from levyou import presets
 from levyou import strategy as sg
-from levyou.errors import BranchError, CaseError, DegenerateError
+from levyou.errors import BranchError, CaseError, DegenerateError, DomainError
 from levyou.jumps import (
     ConstantJump,
     LevyDensity,
@@ -571,3 +572,15 @@ class TestApproxTables:
             m, 0.0, mid, 0.0, 0.2
         )
         assert np.max(np.abs(interp - exact_mid)) < 5e-6
+
+
+@pytest.mark.parametrize("grid", [ax.merton_fraction_grid,
+                                  ax.jump_mean_fraction_grid])
+@pytest.mark.parametrize("name", presets.PRESET_NAMES)
+def test_nan_price_is_rejected_by_the_approximations(grid, name):
+    # the rule of the exact solve: a NaN drift gap has no fraction (the
+    # grids used to return NaN, marked clamped, or raise BranchError)
+    p = presets.get_preset(name)
+    grid(p.market, 0.0, [1.0, 2.0], p.pi_min, p.pi_max)
+    with pytest.raises(DomainError, match="NaN"):
+        grid(p.market, 0.0, [1.0, math.nan], p.pi_min, p.pi_max)

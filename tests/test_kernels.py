@@ -53,10 +53,14 @@ def test_scalar_kernels_match_numpy(name):
 
 @pytest.mark.parametrize("name, n_steps", [("uniform-two-sided", 4),
                                            ("benth2012", 24)])
-def test_numpy_kernels_are_batch_split_invariant(name, n_steps):
+def test_numpy_kernels_are_batch_split_invariant(name, n_steps, monkeypatch):
     # Each step walks only the paths that jump, so a path's lanes depend on
-    # which other paths share its batch; its outputs must not.
+    # which other paths share its batch; its outputs must not.  Nor may they
+    # depend on how many steps share one block of drawn variates: a budget
+    # of 1 path-step gives one step per block, 3 * 64 gives 3 (a last,
+    # shorter block included).
     args, gt, ft = kernel_inputs(name, 64, n_steps, 11)
+    assert 64 * n_steps <= _kernels_np.BLOCK_PATH_STEPS  # one block
     whole = run_all(_kernels_np, args, gt, ft)
     parts = [run_all(_kernels_np, (args[0][sl], args[1][sl], *args[2:]),
                      gt, ft)
@@ -64,6 +68,12 @@ def test_numpy_kernels_are_batch_split_invariant(name, n_steps):
     for key, want in whole.items():
         got = np.concatenate([part[key] for part in parts])
         assert np.array_equal(got, want), f"{name} {key}"
+    for budget in (1, 3 * 64):
+        monkeypatch.setattr(_kernels_np, "BLOCK_PATH_STEPS", budget)
+        blocked = run_all(_kernels_np, args, gt, ft)
+        for key, want in whole.items():
+            assert np.array_equal(blocked[key], want), \
+                f"{name} {key} budget {budget}"
 
 
 @pytest.mark.parametrize("kern", [_kernels_np, _kernels_nb],

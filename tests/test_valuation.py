@@ -490,3 +490,47 @@ class TestValueGrid:
         assert float(first[0]) == 0.0
         assert float(first[1]) == 0.0
         assert float(first[2]) == grid.g_hat[0, 0]
+
+
+# Each entry point with a start price (or a grid of them) and a start
+# wealth on benth2012, at a tiny size: name -> call(s, x).
+def _entry_points():
+    p = get_preset("benth2012")
+    m, T, lo, hi = p.market, p.horizon, p.pi_min, p.pi_max
+    cfg = SimConfig(n_paths=8, n_steps=4, seed=2)
+    table = constant_fraction_table(np.linspace(0.0, T, 5), 0.1)
+    return {
+        "estimate_value": lambda s, x: vl.estimate_value(
+            m, 0.0, s, T, lo, hi, cfg, backend="numpy"),
+        "total_value": lambda s, x: vl.total_value(
+            m, 0.0, s, x, T, lo, hi, cfg, backend="numpy"),
+        "value_grid": lambda s, x: vl.value_grid(
+            m, [0.0], [5.0, s], T, lo, hi, cfg, backend="numpy"),
+        "wealth_simulate": lambda s, x: vl.wealth_simulate(
+            m, table, 0.0, s, x, T, cfg, backend="numpy"),
+        "compare_strategies": lambda s, x: vl.compare_strategies(
+            m, 0.0, s, x, T, lo, hi, cfg, backend="numpy"),
+        "tower_check": lambda s, x: vl.tower_check(
+            m, 0.0, s, T / 2, T, lo, hi, cfg, backend="numpy"),
+        "simulate_paths": lambda s, x: simulate_paths(
+            m, 0.0, s, T, cfg, backend="numpy"),
+    }
+
+
+@pytest.mark.parametrize("entry", sorted(_entry_points()))
+@pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf])
+def test_non_finite_start_price_is_rejected(entry, s):
+    # a NaN price used to give NaN estimates and "invalid value
+    # encountered in cast" warnings from the kernel's table lookup
+    call = _entry_points()[entry]
+    call(5.0, 1.0)
+    with pytest.raises(DomainError, match="start price must be finite"):
+        call(s, 1.0)
+
+
+@pytest.mark.parametrize("entry", ["total_value", "wealth_simulate",
+                                   "compare_strategies"])
+@pytest.mark.parametrize("x", [math.nan, math.inf, 0.0])
+def test_bad_start_wealth_is_rejected(entry, x):
+    with pytest.raises(DomainError, match="initial wealth"):
+        _entry_points()[entry](5.0, x)
