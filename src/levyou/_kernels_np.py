@@ -198,7 +198,8 @@ def _walk(mode, keys, s0, times, b_step, sig_step, psi_step, comp_step,
                 if mode == VALUE:
                     # one lookup for the rewards just before and after
                     f = _interp_slope(vals, k, s1[k], s2[k], slope_lo,
-                                      slope_hi, np.concatenate([s_pre, s_post]))
+                                      slope_hi,
+                                      np.concatenate([s_pre, s_post]))
                     m = idx.shape[0]
                     acc[idx] += 0.5 * (f_prev[idx] + f[:m]) * delta
                     f_prev[idx] = f[m:]
@@ -218,6 +219,9 @@ def _walk(mode, keys, s0, times, b_step, sig_step, psi_step, comp_step,
                 sig = sig_step[k]
                 acc += pi * (s - s_left - psi * sumy)
                 acc -= 0.5 * pi * pi * sig * sig * (times[k + 1] - times[k])
+        # Free this block's skeleton before the next is drawn: holding two
+        # at once fragments the heap and raised the peak RSS of large runs.
+        del sk
     if mode == PRICE:
         return nodes
     return acc, s
