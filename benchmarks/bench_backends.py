@@ -9,7 +9,9 @@ outside the timed region, and JIT compilation is paid in a warm-up call,
 so each row times one kernel call and nothing else.  The ``small call``
 row times one ``value_paths`` call of 100 paths x 48 steps over the second
 half of the horizon, the inner run of the acceptance suite's tower check,
-where the fixed cost of a call dominates.  A last row times
+where the fixed cost of a call dominates; the ``tower call`` row does the
+same for 20 paths x 24 steps, the inner run of the perfbench ``tower``
+workload.  A last row times
 ``strategy.growth_table`` itself: one 257-price table (a single time node)
 for benth2012 and uniform-two-sided, which no backend choice affects.
 
@@ -92,21 +94,24 @@ def main():
         print(line)
 
     half = 0.5 * preset.horizon
-    small = build_sim_inputs(market, half, preset.horizon,
-                             SimConfig(n_paths=100, n_steps=48))
-    small_walk = (_rng.derive_keys(args.seed, np.arange(100)),
-                  np.full(100, preset.s0), *small.kernel_args,
-                  *strategy.growth_table(market, small.times, preset.pi_min,
-                                         preset.pi_max))
-    line = f"{'small call':16s}"
-    for be in backends:
-        kern = get_kernels(be)
-        kern.value_paths(*small_walk)  # warm-up: JIT compile
-        calls = lambda kern=kern: [kern.value_paths(*small_walk)
-                                   for _ in range(SMALL_CALLS)]
-        per_call = best_of(args.repeats, calls) / SMALL_CALLS
-        line += f"  {be}: {per_call * 1e3:8.2f} ms"
-    print(line + "  (per value_paths call, 100 paths x 48 steps)")
+    for label, n_paths, n_steps in (("small call", 100, 48),
+                                    ("tower call", 20, 24)):
+        small = build_sim_inputs(market, half, preset.horizon,
+                                 SimConfig(n_paths=n_paths, n_steps=n_steps))
+        small_walk = (_rng.derive_keys(args.seed, np.arange(n_paths)),
+                      np.full(n_paths, preset.s0), *small.kernel_args,
+                      *strategy.growth_table(market, small.times,
+                                             preset.pi_min, preset.pi_max))
+        line = f"{label:16s}"
+        for be in backends:
+            kern = get_kernels(be)
+            kern.value_paths(*small_walk)  # warm-up: JIT compile
+            calls = lambda kern=kern: [kern.value_paths(*small_walk)
+                                       for _ in range(SMALL_CALLS)]
+            per_call = best_of(args.repeats, calls) / SMALL_CALLS
+            line += f"  {be}: {per_call * 1e3:8.2f} ms"
+        print(line + f"  (per value_paths call, {n_paths} paths x "
+              f"{n_steps} steps)")
 
     line = f"{'growth table':16s}"
     for name in ("benth2012", "uniform-two-sided"):

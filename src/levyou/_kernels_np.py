@@ -2,19 +2,29 @@
 
 Same stream, same slot layout and the same arithmetic per element as the
 scalar backend.  Each variate is addressed by (path key, step, slot), so
-nothing random depends on the prices, and the walk runs in two parts over
-blocks of ``max(1, BLOCK_PATH_STEPS // n_paths)`` steps:
+nothing random depends on the prices, and the price recursion reads no
+table.  The walk therefore runs over blocks of
+``max(1, BLOCK_PATH_STEPS // n_paths)`` steps, and does each block in
+these parts:
 
 1. :func:`_skeleton` draws the block's random skeleton with a few array
    calls across paths *and* steps: the jump counts, each path's jump times
    (sorted) and sizes, the interval before each jump and before each step's
    right node, and for every interval its decay factor, drift and Gaussian
    noise term.
-2. :func:`_walk` then steps through the block doing only what depends on
-   the price.  Jump rank ``j`` of a step runs on the compacted rows of the
+2. The price loop steps through the block running only the price
+   recursion.  Jump rank ``j`` of a step runs on the compacted rows of the
    paths with more than ``j`` jumps in it (``s * decay + drift + noise``,
-   then the jump); every path then advances the same way to the step's
-   right node.  The mode's table lookups and accumulators run alongside.
+   then the jump); every path then advances the same way, in place, to the
+   step's right node.  It records every node price and each jump's pre-
+   and post-jump price.
+3. The mode's table lookups then read all of the block's recorded prices
+   at once (:func:`_lookup` takes a table row per element), and
+   :func:`_value_terms` or :func:`_wealth_terms` turn them into one term
+   per jump and per node.
+4. A last loop adds the terms to the accumulator in the order of a
+   step-by-step walk: each step's jump ranks, then its node.  No sum is
+   regrouped, so no bit moves.
 
 A small call draws its whole skeleton at once; a large one keeps its memory
 bounded by the block.  No output depends on the block length or on which
@@ -41,15 +51,17 @@ class _Skeleton(NamedTuple):
 
     ``ed``, ``drift``, ``noise`` and ``delta`` are (steps, paths) arrays
     for the last quiet interval of each step.  The ``j_`` arrays hold one
-    entry per jump, ordered by (step, rank, path): the path, the quiet
-    interval up to the jump and its terms, and the jump size.
-    ``groups[r]`` holds one slice of them per jump rank of block step ``r``.
+    entry per jump, ordered by (rank, step, path): the block step and the
+    path, the quiet interval up to the jump and its terms, and the jump
+    size.  ``groups[r]`` holds one slice of them per jump rank of block
+    step ``r``, in rank order; ``ranks[j]`` is the slice of rank ``j``.
     """
 
     ed: np.ndarray
     drift: np.ndarray
     noise: np.ndarray
     delta: np.ndarray
+    j_row: np.ndarray
     j_path: np.ndarray
     j_ed: np.ndarray
     j_drift: np.ndarray
@@ -57,6 +69,7 @@ class _Skeleton(NamedTuple):
     j_delta: np.ndarray
     j_size: np.ndarray
     groups: list
+    ranks: list
 
 
 def _decay_drift_std(lam, bc, sig, delta):
@@ -121,46 +134,103 @@ def _skeleton(keys, ks, times, bc_step, sig_step, lam, cdf, kind, p0, p1):
                                       sig_step[ks][at], delta)
     noise = std * _rng.normal_ppf(u)
 
-    # The walk takes jump rank j of a step on all its paths at once.
-    order = np.lexsort((rank, row))
+    # The walk takes jump rank j of a step on all its paths at once; the
+    # jumps are ordered by (rank, step, path), so each (step, rank) group
+    # and each rank of the whole block is one slice.
+    order = np.lexsort((row, rank))
     groups = [[] for _ in range(ks.shape[0])]
+    ranks = []
     if n_jumps:
         row, rank = row[order], rank[order]
         cut = np.flatnonzero(np.diff(row) | np.diff(rank)) + 1
         edges = [0, *cut.tolist(), n_jumps]
         for r, a, b in zip(row[edges[:-1]].tolist(), edges[:-1], edges[1:]):
             groups[r].append(slice(a, b))
+        edges = [0, *(np.flatnonzero(np.diff(rank)) + 1).tolist(), n_jumps]
+        ranks = [slice(a, b) for a, b in zip(edges[:-1], edges[1:])]
     tail = slice(n_jumps, None)
     shape = cnt.shape
     return _Skeleton(
         ed[tail].reshape(shape), drift[tail].reshape(shape),
         noise[tail].reshape(shape), delta[tail].reshape(shape),
-        path[order], ed[order], drift[order], noise[order], delta[order],
-        size[order], groups,
+        row, path[order], ed[order], drift[order], noise[order],
+        delta[order], size[order], groups, ranks,
     )
 
 
-def _interp_slope(vals, row, s1, s2, slope_lo, slope_hi, s):
-    """Piecewise-linear table lookup with linear extension outside."""
-    v = vals[row]
-    top = v.shape[0] - 1
-    d = s - s1
-    x = d / (s2 - s1)
+def _lookup(vals, s1, s2, slope_lo, slope_hi, row, s):
+    """Piecewise-linear table lookup with linear extension outside.
+
+    Element ``i`` reads table row ``row[i]`` at price ``s[i]``; ``row``
+    broadcasts against ``s``.
+    """
+    top = vals.shape[1] - 1
+    d = s - s1[row]
+    x = d / (s2[row] - s1[row])
     f = x * top
     j = f.astype(np.int64)
     np.maximum(j, 0, out=j)
     np.minimum(j, top - 1, out=j)
     fr = f - j
-    mid = v[j] * (1.0 - fr) + v[j + 1] * fr
-    lo = v[0] + slope_lo * d
-    hi = v[top] + slope_hi * (s - s2)
+    at = j + row * (top + 1)
+    flat = vals.ravel()
+    mid = flat[at] * (1.0 - fr) + flat[at + 1] * fr
+    lo = vals[row, 0] + slope_lo * d
+    hi = vals[row, top] + slope_hi * (s - s2[row])
     return np.where(x <= 0.0, lo, np.where(x >= 1.0, hi, mid))
+
+
+def _value_terms(table, ks, sk, price, jumped, f_left):
+    """Trapezoid terms of a block's jumps and nodes, and the reward at its
+    last node.  ``f_left`` is the reward at the block's first node."""
+    n = price.shape[1]
+    f = _lookup(*table, (ks + 1)[:, None], price[1:])
+    f_jump = _lookup(*table, ks[sk.j_row], jumped)
+    f_prev = np.empty_like(f)  # the reward where each step last stood
+    f_prev[0] = f_left
+    f_prev[1:] = f[:-1]
+    # A rank holds at most one jump per (step, path): ``at`` is each
+    # jump's flat position in the (steps, paths) arrays.
+    at = sk.j_row * n + sk.j_path
+    flat = f_prev.ravel()
+    jump_term = np.empty_like(sk.j_delta)
+    for ranked in sk.ranks:
+        on = at[ranked]
+        jump_term[ranked] = 0.5 * (flat[on] + f_jump[0, ranked]) \
+            * sk.j_delta[ranked]
+        flat[on] = f_jump[1, ranked]
+    return jump_term, 0.5 * (f_prev + f) * sk.delta, f[-1]
+
+
+def _wealth_terms(table, ks, sk, price, times, psi_step, sig_step):
+    """Log-wealth terms of a block's jumps and nodes: the jumps' log1p,
+    then per node the price move net of jumps and the variance drag."""
+    n = price.shape[1]
+    pi = _lookup(*table, ks[:, None], price[:-1])
+    at = sk.j_row * n + sk.j_path
+    jump_term = np.log1p(pi.ravel()[at] * psi_step[ks][sk.j_row] * sk.j_size)
+    sumy = np.zeros_like(pi)
+    flat = sumy.ravel()
+    for ranked in sk.ranks:
+        flat[at[ranked]] += sk.j_size[ranked]
+    psi = psi_step[ks][:, None]
+    sig = sig_step[ks][:, None]
+    dt = (times[ks + 1] - times[ks])[:, None]
+    return (jump_term, pi * (price[1:] - price[:-1] - psi * sumy),
+            0.5 * pi * pi * sig * sig * dt)
 
 
 def _walk(mode, keys, s0, times, b_step, sig_step, psi_step, comp_step,
           lam, cdf, kind, p0, p1, vals=None, s1=None, s2=None,
           slope_lo=0.0, slope_hi=0.0):
     """Exact transition walk over the step grid, accumulating per ``mode``.
+
+    After each block's skeleton is drawn, the block runs in three parts:
+    the price loop records the node prices and every jump's pre- and
+    post-jump price; the mode's table lookups then read the whole block at
+    once and give each jump and node its term; a last loop adds the terms
+    in the order of a step-by-step walk (each step's jump ranks, then its
+    node), so no sum is regrouped.
 
     Returns the (n_paths, n_nodes) node prices for PRICE, else the
     accumulated integral and the final prices.
@@ -170,55 +240,59 @@ def _walk(mode, keys, s0, times, b_step, sig_step, psi_step, comp_step,
     n_steps = times.shape[0] - 1
     bc_step = b_step - comp_step
     block = max(1, BLOCK_PATH_STEPS // max(n, 1))
-    s = s0.astype(np.float64).copy()
+    s = s0.astype(np.float64)
     acc = np.zeros(n)
+    table = (vals, s1, s2, slope_lo, slope_hi)
     if mode == PRICE:
         nodes = np.empty((n, n_steps + 1))
         nodes[:, 0] = s
     elif mode == VALUE:
-        f_prev = _interp_slope(vals, 0, s1[0], s2[0], slope_lo, slope_hi, s)
+        f_left = _lookup(*table, 0, s)
     for k0 in range(0, n_steps, block):
         ks = np.arange(k0, min(k0 + block, n_steps))
         sk = _skeleton(keys, ks, times, bc_step, sig_step, lam, cdf, kind,
                        p0, p1)
-        for r, k in enumerate(ks.tolist()):
-            psi = psi_step[k]
-            if mode == WEALTH:
-                pi = _interp_slope(vals, k, s1[k], s2[k], slope_lo, slope_hi,
-                                   s)
-                s_left = s.copy()  # s is written in place below
-                sumy = np.zeros(n)
-            for jumps in sk.groups[r]:
-                idx = sk.j_path[jumps]
-                y = sk.j_size[jumps]
-                delta = sk.j_delta[jumps]
-                s_pre = s[idx] * sk.j_ed[jumps] + sk.j_drift[jumps] \
-                    + sk.j_noise[jumps]
-                s_post = s_pre + psi * y
-                if mode == VALUE:
-                    # one lookup for the rewards just before and after
-                    f = _interp_slope(vals, k, s1[k], s2[k], slope_lo,
-                                      slope_hi,
-                                      np.concatenate([s_pre, s_post]))
-                    m = idx.shape[0]
-                    acc[idx] += 0.5 * (f_prev[idx] + f[:m]) * delta
-                    f_prev[idx] = f[m:]
-                elif mode == WEALTH:
-                    acc[idx] += np.log1p(pi[idx] * psi * y)
-                    sumy[idx] += y
-                s[idx] = s_post
-            s = s * sk.ed[r] + sk.drift[r] + sk.noise[r]
-            if mode == PRICE:
-                nodes[:, k + 1] = s
-            elif mode == VALUE:
-                f_right = _interp_slope(vals, k + 1, s1[k + 1], s2[k + 1],
-                                        slope_lo, slope_hi, s)
-                acc += 0.5 * (f_prev + f_right) * sk.delta[r]
-                f_prev = f_right
+
+        # The price loop: row r of ``price`` is the left node of block step r,
+        # row r + 1 its right node; ``jumped`` holds each jump's pre- and
+        # post-jump price in the skeleton's jump order.
+        price = np.empty((ks.shape[0] + 1, n))
+        price[0] = s
+        jumped = np.empty((2, sk.j_path.shape[0]))
+        shift = psi_step[ks][sk.j_row] * sk.j_size
+        for r, groups in enumerate(sk.groups):
+            s = price[r + 1]
+            left = price[r]
+            if groups:
+                s[...] = left
+                for jumps in groups:
+                    idx = sk.j_path[jumps]
+                    pre = s[idx] * sk.j_ed[jumps] + sk.j_drift[jumps] \
+                        + sk.j_noise[jumps]
+                    jumped[0, jumps] = pre
+                    s[idx] = jumped[1, jumps] = pre + shift[jumps]
+                left = s
+            np.multiply(left, sk.ed[r], out=s)
+            s += sk.drift[r]
+            s += sk.noise[r]
+
+        # The table lookups of the whole block, and the terms.
+        if mode == PRICE:
+            nodes[:, ks + 1] = price[1:].T
+        else:
+            if mode == VALUE:
+                jump_term, node_term, f_left = _value_terms(
+                    table, ks, sk, price, jumped, f_left)
             else:
-                sig = sig_step[k]
-                acc += pi * (s - s_left - psi * sumy)
-                acc -= 0.5 * pi * pi * sig * sig * (times[k + 1] - times[k])
+                jump_term, node_term, drag = _wealth_terms(
+                    table, ks, sk, price, times, psi_step, sig_step)
+            # Accumulate in walk order.
+            for r, groups in enumerate(sk.groups):
+                for jumps in groups:
+                    acc[sk.j_path[jumps]] += jump_term[jumps]
+                acc += node_term[r]
+                if mode == WEALTH:
+                    acc -= drag[r]
         # Free this block's skeleton before the next is drawn: holding two
         # at once fragments the heap and raised the peak RSS of large runs.
         del sk

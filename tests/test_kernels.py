@@ -51,6 +51,24 @@ def test_scalar_kernels_match_numpy(name):
                                    err_msg=f"{name} {key}")
 
 
+@pytest.mark.parametrize("name", PRESETS)
+def test_scalar_kernels_match_numpy_on_tables_that_vary_in_time(name):
+    # The presets' markets are constant, so every row of their tables is
+    # the same and a lookup in the wrong time row would not show.  Give
+    # each row its own bracket and scale; tolerances as above.
+    args, gt, ft = kernel_inputs(name, 64, 24, 99)
+    k = np.arange(gt.s1.shape[0])
+    gt, ft = (t._replace(values=t.values * (1.0 + 0.05 * k)[:, None],
+                         s1=t.s1 + 0.02 * k, s2=t.s2 + 0.03 * k)
+              for t in (gt, ft))
+    with np.errstate(over="ignore"):  # the uint64 hash wraps on purpose
+        scalar = run_all(_kernels_nb, args, gt, ft)
+    vector = run_all(_kernels_np, args, gt, ft)
+    for key, want in vector.items():
+        np.testing.assert_allclose(scalar[key], want, rtol=1e-14, atol=1e-14,
+                                   err_msg=f"{name} {key}")
+
+
 @pytest.mark.parametrize("name, n_steps", [("uniform-two-sided", 4),
                                            ("benth2012", 24)])
 def test_numpy_kernels_are_batch_split_invariant(name, n_steps, monkeypatch):
@@ -101,6 +119,84 @@ def test_wealth_walk_reads_the_flat_extension_exactly(kern, side):
         want = kern.wealth_paths(*args, *const)
     for g, w in zip(got, want):
         assert np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("kern", [_kernels_np, _kernels_nb],
+                         ids=["numpy", "scalar"])
+@pytest.mark.parametrize("side", ["above", "below"])
+def test_value_walk_reads_the_linear_extension_exactly(kern, side):
+    # Outside its bracket a growth table is exactly linear in the price:
+    # v_end + slope * (s - s_end).  With the bracket far above (below) the
+    # paths, every node and jump lookup takes that branch, so the walk
+    # must equal one over a two-point table that is this line everywhere.
+    # Each row's bracket moves by a different amount, so a lookup in the
+    # wrong row would show.
+    p = presets.get_preset("uniform-two-sided")
+    sim = build_sim_inputs(p.market, 0.0, p.horizon, SimConfig(16, 24, 5))
+    args = (_rng.derive_keys(5, np.arange(16)), np.full(16, p.s0),
+            *sim.kernel_args)
+    prices = _kernels_np.price_paths(*args)
+    gt = strategy.growth_table(p.market, sim.times, p.pi_min, p.pi_max,
+                               ns=33)
+    assert gt.slope_lo != 0.0 and gt.slope_hi != 0.0
+    shift = np.arange(sim.times.shape[0]) + 1e3
+    if side == "above":
+        far = gt._replace(s1=gt.s1 + shift, s2=gt.s2 + shift)
+        assert prices.max() < far.s1.min()
+        v_end, s_end, slope = far.values[:, 0], far.s1, gt.slope_lo
+        line = gt._replace(values=np.stack([v_end, v_end + slope], axis=1),
+                           s1=s_end, s2=s_end + 1.0)
+    else:
+        far = gt._replace(s1=gt.s1 - shift, s2=gt.s2 - shift)
+        assert prices.min() > far.s2.max()
+        v_end, s_end, slope = far.values[:, -1], far.s2, gt.slope_hi
+        line = gt._replace(values=np.stack([v_end - slope, v_end], axis=1),
+                           s1=s_end - 1.0, s2=s_end)
+    with np.errstate(over="ignore"):  # the uint64 hash wraps on purpose
+        got = kern.value_paths(*args, *far)
+        want = kern.value_paths(*args, *line)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+    assert np.all(got[0] != 0.0)
+
+
+def test_block_lookup_matches_the_scalar_twin():
+    # The numpy walk reads a whole block of prices at once, each element
+    # in its own table row.  Every element must equal the scalar lookup bit
+    # for bit: below the bracket, on s1, inside it, on its nodes, on s2
+    # and above it, with rows mixed across the elements.
+    rng = np.random.default_rng(4)
+    n_rows, ns, n = 7, 33, 50
+    s1 = rng.uniform(-2.0, 2.0, n_rows)
+    s2 = s1 + rng.uniform(0.5, 3.0, n_rows)
+    table = (rng.normal(size=(n_rows, ns)), s1, s2, -0.7, 0.3)
+    row = rng.integers(0, n_rows, size=(6, n))
+    lo, hi = s1[row], s2[row]
+    width = hi - lo
+    u = rng.uniform(0.0, 1.0, size=(6, n))
+    nodes = rng.integers(1, ns - 1, size=n) / (ns - 1)
+    prices = np.stack([
+        lo[0] - width[0] * (u[0] + 0.01),
+        lo[1],
+        lo[2] + width[2] * u[2],
+        lo[3] + width[3] * nodes,
+        hi[4],
+        hi[5] + width[5] * u[5],
+    ])
+    got = _kernels_np._lookup(*table, row, prices)
+    want = np.array([
+        _kernels_nb._interp_slope(table[0], r, s1[r], s2[r], *table[3:], s)
+        for r, s in zip(row.ravel().tolist(), prices.ravel().tolist())
+    ]).reshape(prices.shape)
+    assert got.shape == prices.shape
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+    # one row for all elements, as for the walk's first node
+    first = _kernels_np._lookup(*table, 0, prices[2])
+    want = [_kernels_nb._interp_slope(table[0], 0, s1[0], s2[0],
+                                      *table[3:], s)
+            for s in prices[2].tolist()]
+    np.testing.assert_array_equal(first.view(np.int64),
+                                  np.array(want).view(np.int64))
 
 
 # Outputs of the separate per-kernel numpy walks for 4 paths (keys from
