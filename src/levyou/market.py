@@ -358,6 +358,7 @@ def build_sim_inputs(market, t, T, config, times=None):
     increasing nodes, start at ``t`` and end at ``T``, or
     :class:`ConfigError` is raised.
     """
+    check_times(t=t, T=T)
     if not T > t:
         raise DomainError(f"need T > t, got t={t}, T={T}")
     if times is None:
@@ -442,6 +443,17 @@ def check_start(s, x=1.0):
         raise DomainError(f"start price must be finite, got {bad[0]}")
     if not (x > 0.0 and math.isfinite(x)):
         raise DomainError(f"initial wealth must be positive, got {x}")
+
+
+def check_times(**times):
+    """Raise :class:`DomainError` unless every named time (a number or an
+    array of them), such as ``t``, ``T`` or the tower step ``h``, is
+    finite."""
+    for name, value in times.items():
+        value = np.asarray(value, dtype=np.float64)
+        bad = value[~np.isfinite(value)]
+        if bad.size:
+            raise DomainError(f"{name} must be finite, got {bad[0]}")
 
 
 def simulate_paths(market, t, s, T, config, backend=None):

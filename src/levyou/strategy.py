@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _csv
-from .errors import ConvergenceError, DomainError
+from .errors import ConfigError, ConvergenceError, DomainError
 
 BISECT_ITERS = 80
 NEWTON_ITERS = 3
@@ -298,8 +298,11 @@ def fraction_table(market, times, solver, stationarity, pi_min, pi_max,
     bracket is s1 = (d - G(t, pi_max))/lam, s2 = (d - G(t, pi_min))/lam.
     Without mean reversion the strategy ignores the price and the bracket
     is [0, 1]; a degenerate bracket becomes [s1, s1 + 1].  The result has
-    zero slopes; a constant market reuses the first row.
+    zero slopes; a constant market reuses the first row.  A table needs
+    at least 2 prices, or :class:`ConfigError` is raised.
     """
+    if ns < 2:
+        raise ConfigError(f"a price table needs at least 2 prices, got {ns}")
     times = np.asarray(times, dtype=np.float64)
     nk = len(times)
     x = np.linspace(0.0, 1.0, ns)

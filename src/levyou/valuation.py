@@ -20,7 +20,7 @@ from . import _csv, _rng
 from ._backend import get_kernels
 from .approx import jump_mean_fraction_table, merton_fraction_table
 from .errors import ConfigError, DomainError
-from .market import SimConfig, build_sim_inputs, check_start
+from .market import SimConfig, build_sim_inputs, check_start, check_times
 from .strategy import (
     constant_fraction_table,
     exact_fraction_table,
@@ -200,6 +200,7 @@ def estimate_value(market, t, s, T, pi_min, pi_max, config=None,
     """
     config = config or SimConfig()
     check_start(s)
+    check_times(t=t, T=T)
     if T < t:
         raise DomainError(f"need T >= t, got t={t}, T={T}")
     if T == t:
@@ -268,6 +269,7 @@ def compare_strategies(market, t, s, x, T, pi_min, pi_max, config=None,
     """
     config = config or SimConfig()
     check_start(s, x)
+    check_times(t=t, T=T)
     if reference not in kinds:
         raise ConfigError(
             f"reference {reference!r} is not among the kinds {kinds}"
@@ -304,6 +306,7 @@ def tower_check(market, t, s, h, T, pi_min, pi_max, config=None,
     """
     config = config or SimConfig()
     check_start(s)
+    check_times(t=t, h=h, T=T)
     if not (t < t + h <= T):
         raise DomainError(
             f"need t < t+h <= T, got t={t}, h={h}, T={T}"
@@ -376,6 +379,7 @@ def value_grid(market, t_values, s_values, T, pi_min, pi_max, config=None,
     t_values = np.asarray(t_values, dtype=np.float64)
     s_values = np.asarray(s_values, dtype=np.float64)
     check_start(s_values)
+    check_times(t=t_values, T=T)
     g_hat = np.zeros((t_values.shape[0], s_values.shape[0]))
     std_err = np.zeros_like(g_hat)
     kern = get_kernels(backend)

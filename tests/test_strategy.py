@@ -14,7 +14,7 @@ import pytest
 from levyou import market as mk
 from levyou import presets
 from levyou import strategy as sg
-from levyou.errors import AdmissibilityError, DomainError
+from levyou.errors import AdmissibilityError, ConfigError, DomainError
 from levyou.jumps import NoJumps, ParetoJump, UniformJump
 
 LAM = 0.3333 / 24
@@ -333,6 +333,15 @@ class TestFractionTable:
             )
             exact = sg.optimal_fraction(m, 0.0, float(s), 0.0, 0.2).value
             assert interp == pytest.approx(exact, abs=5e-6)
+
+    @pytest.mark.parametrize("ns", [0, 1])
+    def test_fewer_than_two_prices_rejected(self, ns):
+        # one price gives no interval to interpolate in: the scalar kernel
+        # would read past the row, the numpy kernel the next row
+        with pytest.raises(ConfigError, match="at least 2 prices"):
+            sg.exact_fraction_table(pareto_market(), [0.0], 0.0, 0.2, ns=ns)
+        with pytest.raises(ConfigError, match="at least 2 prices"):
+            sg.growth_table(pareto_market(), [0.0], 0.0, 0.2, ns=ns)
 
     def test_constant_table(self):
         tab = sg.constant_fraction_table([0.0, 1.0, 2.0], 0.13)

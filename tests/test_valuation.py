@@ -534,3 +534,43 @@ def test_non_finite_start_price_is_rejected(entry, s):
 def test_bad_start_wealth_is_rejected(entry, x):
     with pytest.raises(DomainError, match="initial wealth"):
         _entry_points()[entry](5.0, x)
+
+
+# Each entry point with start and end times on benth2012, at a tiny size:
+# name -> call(t, T, h); only the tower check reads h.
+def _timed_entry_points():
+    p = get_preset("benth2012")
+    m, lo, hi = p.market, p.pi_min, p.pi_max
+    cfg = SimConfig(n_paths=8, n_steps=4, seed=2)
+    table = constant_fraction_table(np.linspace(0.0, p.horizon, 5), 0.1)
+    return {
+        "estimate_value": lambda t, T, h: vl.estimate_value(
+            m, t, 5.0, T, lo, hi, cfg, backend="numpy"),
+        "value_grid": lambda t, T, h: vl.value_grid(
+            m, [0.0, t], [5.0], T, lo, hi, cfg, backend="numpy"),
+        "wealth_simulate": lambda t, T, h: vl.wealth_simulate(
+            m, table, t, 5.0, 1.0, T, cfg, backend="numpy"),
+        "compare_strategies": lambda t, T, h: vl.compare_strategies(
+            m, t, 5.0, 1.0, T, lo, hi, cfg, backend="numpy"),
+        "tower_check": lambda t, T, h: vl.tower_check(
+            m, t, 5.0, h, T, lo, hi, cfg, backend="numpy"),
+        "simulate_paths": lambda t, T, h: simulate_paths(
+            m, t, 5.0, T, cfg, backend="numpy"),
+    }
+
+
+@pytest.mark.parametrize("entry, name", [
+    (entry, name) for entry in sorted(_timed_entry_points())
+    for name in ("t", "T", "h") if name != "h" or entry == "tower_check"
+])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_time_is_rejected(entry, name, bad):
+    # T = inf used to fail on a NaN Poisson mean from the time grid, and a
+    # NaN start time as being "past the horizon"
+    times = {"t": 0.0, "T": get_preset("benth2012").horizon}
+    times["h"] = times["T"] / 2
+    call = _timed_entry_points()[entry]
+    call(**times)
+    times[name] = bad
+    with pytest.raises(DomainError, match=f"^{name} must be finite"):
+        call(**times)
