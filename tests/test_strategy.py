@@ -337,7 +337,7 @@ class TestFractionTable:
     @pytest.mark.parametrize("ns", [0, 1])
     def test_fewer_than_two_prices_rejected(self, ns):
         # one price gives no interval to interpolate in: the scalar kernel
-        # would read past the row, the numpy kernel the next row
+        # would read past the row
         with pytest.raises(ConfigError, match="at least 2 prices"):
             sg.exact_fraction_table(pareto_market(), [0.0], 0.0, 0.2, ns=ns)
         with pytest.raises(ConfigError, match="at least 2 prices"):
