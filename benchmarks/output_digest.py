@@ -10,7 +10,9 @@ groups are:
   at three prices and the clamp thresholds;
 * per preset that can be simulated: numpy-backend ``price_paths``,
   ``value_paths`` and ``wealth_paths``;
-* a small benth2012 ``TowerReport``;
+* on benth2012: a small ``TowerReport`` at h = T/2 and at h = T - t;
+  ``estimate_value`` at a point, at T == t and at T < t (an error); the
+  mean log-wealth and standard error of a ``WealthRun``;
 * every ``levyou`` result file: ``solve`` at a point and, per preset, on a
   grid; the ``figure`` CSVs and SVGs per preset; the ``simulate`` summary
   and its ``--out`` paths; the ``value`` and ``compare`` CSVs on
@@ -172,6 +174,27 @@ def record_groups(preset):
         market, [0.0, T / 2.0], np.linspace(0.0, 10.0, 11), lo, hi)
 
 
+def valuation_groups(preset):
+    market, lo, hi = preset.market, preset.pi_min, preset.pi_max
+    T = preset.horizon
+    config = SimConfig(n_paths=16, n_steps=STEPS, seed=SEED)
+    for label, h in (("tower_check", T / 2.0), ("tower_check h=T-t", T)):
+        yield label, repr(tuple(valuation.tower_check(
+            market, 0.0, preset.s0, h, T, lo, hi, config=config,
+            backend="numpy")))
+    config = SimConfig(n_paths=PATHS, n_steps=STEPS, seed=SEED)
+    for label, t in (("point", 0.0), ("T == t", T), ("T < t", T + 1.0)):
+        yield f"estimate_value {label}", guarded(lambda: repr(tuple(
+            valuation.estimate_value(market, t, preset.s0, T, lo, hi,
+                                     config=config, backend="numpy"))))
+    table = strategy.exact_fraction_table(
+        market, np.linspace(0.0, T, STEPS + 1), lo, hi, NS)
+    run = valuation.wealth_simulate(market, table, 0.0, preset.s0, 2.0, T,
+                                    config, backend="numpy")
+    yield "WealthRun mean and std_err", repr(
+        (run.mean_log_wealth, run.std_err))
+
+
 def groups():
     for name in presets.PRESET_NAMES:
         preset = presets.get_preset(name)
@@ -184,13 +207,8 @@ def groups():
         for label, value in sim:
             yield f"{name} {label}", value
     preset = presets.get_preset("benth2012")
-    report = valuation.tower_check(
-        preset.market, 0.0, preset.s0, preset.horizon / 2.0, preset.horizon,
-        preset.pi_min, preset.pi_max,
-        config=SimConfig(n_paths=16, n_steps=STEPS, seed=SEED),
-        backend="numpy",
-    )
-    yield "benth2012 tower_check", repr(tuple(report))
+    for label, value in valuation_groups(preset):
+        yield f"benth2012 {label}", value
     yield from cli_groups()
     for label, record in record_groups(preset):
         yield f"benth2012 {label} csv", record_text(record)

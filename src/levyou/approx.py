@@ -161,13 +161,6 @@ def jump_mean_fraction_grid(market, t, s_grid, pi_min, pi_max):
     """
     market.validate_interval(pi_min, pi_max)
     q = drift_gap(market, t, s_grid)
-    eta, mu = _jump_mean_params(market, t)
-    sg = market.sigma_at(t)
-    if mu == 0.0 and sg == 0.0:
-        raise DegenerateError(
-            "jump-mean approximation needs a Brownian part or a nonzero "
-            "mean jump size"
-        )
     g_hi = _jump_mean_stationarity(market, t, pi_max)
     g_lo = _jump_mean_stationarity(market, t, pi_min)
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -239,11 +239,10 @@ def _cmd_simulate(args):
     terminal = bundle.prices[:, -1]
     n = terminal.shape[0]
 
-    emp_mean = float(np.mean(terminal))
-    se_mean = float(np.std(terminal, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    emp_mean, se_mean = valuation._mean_se(terminal)
     dev_sq = (terminal - emp_mean) ** 2
     emp_var = float(np.sum(dev_sq) / (n - 1)) if n > 1 else 0.0
-    se_var = float(np.std(dev_sq, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    _, se_var = valuation._mean_se(dev_sq)
     ana_mean = analytic_mean(market, t, s, T)
     ana_var = analytic_variance(market, t, T)
 

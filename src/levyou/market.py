@@ -17,6 +17,7 @@ consistently uses the effective mean drift ``foc_drift``.
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -321,8 +322,19 @@ class SimConfig:
     path_offset: int = 0
 
     def __post_init__(self):
+        for name in ("n_paths", "n_steps", "seed", "path_offset"):
+            value = getattr(self, name)
+            if (not isinstance(value, numbers.Integral)
+                    or isinstance(value, bool)):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.n_paths <= 0 or self.n_steps <= 0:
             raise ConfigError("n_paths and n_steps must be positive")
+
+    def path_keys(self):
+        """Counter-based keys of the run's paths, ids ``path_offset`` on."""
+        return _rng.derive_keys(
+            self.seed, self.path_offset + np.arange(self.n_paths)
+        )
 
 
 class SimInputs(NamedTuple):
@@ -464,12 +476,10 @@ def simulate_paths(market, t, s, T, config, backend=None):
     """
     check_start(s)
     sim = build_sim_inputs(market, t, T, config)
-    keys = _rng.derive_keys(
-        config.seed, config.path_offset + np.arange(config.n_paths)
-    )
     s0 = np.full(config.n_paths, float(s))
-    kern = get_kernels(backend)
-    prices = kern.price_paths(keys, s0, *sim.kernel_args)
+    prices = get_kernels(backend).price_paths(
+        config.path_keys(), s0, *sim.kernel_args
+    )
     return PathBundle(
         times=sim.times, prices=prices, seed=config.seed,
         path_offset=config.path_offset,

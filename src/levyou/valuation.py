@@ -79,14 +79,11 @@ class WealthRun:
 
     @property
     def mean_log_wealth(self):
-        return float(np.mean(self.terminal_log_wealth))
+        return _mean_se(self.terminal_log_wealth)[0]
 
     @property
     def std_err(self):
-        n = self.n_paths
-        if n < 2:
-            return 0.0
-        return float(np.std(self.terminal_log_wealth, ddof=1) / math.sqrt(n))
+        return _mean_se(self.terminal_log_wealth)[1]
 
     def to_csv(self, path):
         header = {"label": self.label, "x0": self.x0, "seed": self.seed,
@@ -161,13 +158,8 @@ class ValueGrid:
             fh.write(self.csv_text())
 
 
-def _path_keys(config):
-    return _rng.derive_keys(
-        config.seed, config.path_offset + np.arange(config.n_paths)
-    )
-
-
 def _mean_se(samples):
+    """Sample mean and its standard error (0 for fewer than 2 samples)."""
     n = samples.shape[0]
     mean = float(np.mean(samples))
     se = float(np.std(samples, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
@@ -196,23 +188,15 @@ def estimate_value(market, t, s, T, pi_min, pi_max, config=None,
     The integrand — the optimal growth rate along the simulated price —
     comes from a per-node table (documented interpolation error decreasing
     in ``table_ns``; the linear extension outside the table bracket is
-    exact).  At ``T == t`` the estimate is exactly zero.
+    exact).  It is the one cell of :func:`value_grid` at ``(t, s)``: at
+    ``T == t`` the estimate is exactly zero, and ``T < t`` is rejected.
     """
     config = config or SimConfig()
-    check_start(s)
-    check_times(t=t, T=T)
-    if T < t:
-        raise DomainError(f"need T >= t, got t={t}, T={T}")
-    if T == t:
-        return ValueEstimate(0.0, 0.0, 0, config.seed)
-    sim = build_sim_inputs(market, t, T, config)
-    gt = growth_table(market, sim.times, pi_min, pi_max, ns=table_ns)
-    keys = _path_keys(config)
-    s0 = np.full(config.n_paths, float(s))
-    kern = get_kernels(backend)
-    acc, _ = kern.value_paths(keys, s0, *sim.kernel_args, *gt)
-    g_hat, se = _mean_se(acc)
-    return ValueEstimate(g_hat, se, config.n_paths, config.seed)
+    grid = value_grid(market, [t], [s], T, pi_min, pi_max, config, backend,
+                      table_ns)
+    n_paths = config.n_paths if T > t else 0
+    return ValueEstimate(float(grid.g_hat[0, 0]), float(grid.std_err[0, 0]),
+                         n_paths, config.seed)
 
 
 def total_value(market, t, s, x, T, pi_min, pi_max, config=None,
@@ -243,10 +227,10 @@ def wealth_simulate(market, table, t, s, x, T, config=None, backend=None,
             f"strategy table has {table.values.shape[0]} time rows, the "
             f"run needs {sim.times.shape[0]}"
         )
-    keys = _path_keys(config)
     s0 = np.full(config.n_paths, float(s))
-    kern = get_kernels(backend)
-    acc, _ = kern.wealth_paths(keys, s0, *sim.kernel_args, *table)
+    acc, _ = get_kernels(backend).wealth_paths(
+        config.path_keys(), s0, *sim.kernel_args, *table
+    )
     bad = int(np.count_nonzero(~np.isfinite(acc)))
     return WealthRun(
         terminal_log_wealth=math.log(x) + acc,
@@ -320,24 +304,23 @@ def tower_check(market, t, s, h, T, pi_min, pi_max, config=None,
     n1 = min(max(1, int(round(config.n_steps * frac))), config.n_steps - 1) \
         if t_mid < T else config.n_steps
     n2 = config.n_steps - n1
-    head_times = np.linspace(t, t_mid, n1 + 1)
+    full_times = np.linspace(t, t_mid, n1 + 1)
     if n2 > 0:
-        tail_times = np.linspace(t_mid, T, n2 + 1)
-        full_times = np.concatenate([head_times, tail_times[1:]])
-    else:
-        tail_times = None
-        full_times = head_times
+        full_times = np.concatenate(
+            [full_times, np.linspace(t_mid, T, n2 + 1)[1:]]
+        )
     kern = get_kernels(backend)
-    keys = _path_keys(config)
+    keys = config.path_keys()
     s0 = np.full(config.n_paths, float(s))
 
-    # head_times and tail_times are the node slices [:n1+1] and [n1:] of
+    # the head and tail runs take the node slices [:n1+1] and [n1:] of
     # full_times, so one table serves all three runs
     gt = growth_table(market, full_times, pi_min, pi_max, ns=table_ns)
     inputs_full = build_sim_inputs(market, t, T, config, times=full_times)
     acc_full, _ = kern.value_paths(keys, s0, *inputs_full.kernel_args, *gt)
 
-    inputs_head = build_sim_inputs(market, t, t_mid, config, times=head_times)
+    inputs_head = build_sim_inputs(market, t, t_mid, config,
+                                   times=full_times[:n1 + 1])
     acc_head, s_mid = kern.value_paths(
         keys, s0, *inputs_head.kernel_args, *gt.rows(0, n1 + 1)
     )
@@ -347,7 +330,7 @@ def tower_check(market, t, s, h, T, pi_min, pi_max, config=None,
     inner = np.zeros(config.n_paths)
     if n2 > 0:
         inputs_tail = build_sim_inputs(
-            market, t_mid, T, config, times=tail_times
+            market, t_mid, T, config, times=full_times[n1:]
         )
         tail_args = (*inputs_tail.kernel_args, *gt.rows(n1))
         ids = np.arange(n_inner)
@@ -383,7 +366,7 @@ def value_grid(market, t_values, s_values, T, pi_min, pi_max, config=None,
     g_hat = np.zeros((t_values.shape[0], s_values.shape[0]))
     std_err = np.zeros_like(g_hat)
     kern = get_kernels(backend)
-    keys = _path_keys(config)
+    keys = config.path_keys()
     for i, tv in enumerate(t_values):
         if not tv <= T:
             raise DomainError(f"start time {tv} is past the horizon {T}")

@@ -337,9 +337,8 @@ def test_property_suite():
     kern = get_kernels()
 
     def path_sums(offset, n_paths):
-        keys = valuation._path_keys(
-            SimConfig(n_paths, cfg.n_steps, cfg.seed, path_offset=offset)
-        )
+        keys = SimConfig(n_paths, cfg.n_steps, cfg.seed,
+                         path_offset=offset).path_keys()
         acc, _ = kern.value_paths(keys, np.full(n_paths, p.s0),
                                   *sim.kernel_args, *gt)
         return acc

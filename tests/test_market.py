@@ -380,6 +380,28 @@ class TestSimulationInputs:
         with pytest.raises(ConfigError):
             mk.SimConfig(4, 0, 1)
 
+    @pytest.mark.parametrize("name", ["n_paths", "n_steps", "seed",
+                                      "path_offset"])
+    @pytest.mark.parametrize("value", [2.5, 3.0, np.float64(3.0), True,
+                                       np.bool_(True), "4", None])
+    def test_non_integer_config_rejected(self, name, value):
+        # a float offset or seed would run truncated but be written to the
+        # CSV headers as given, which from_csv cannot read back
+        settings = {"n_paths": 4, "n_steps": 4, "seed": 1, "path_offset": 0}
+        settings[name] = value
+        with pytest.raises(ConfigError, match=name):
+            mk.SimConfig(**settings)
+
+    def test_numpy_integer_config_runs_the_same_paths(self):
+        m = calibrated_market()
+        plain = mk.SimConfig(5, 6, 77, path_offset=3)
+        typed = mk.SimConfig(np.int64(5), np.int32(6), np.uint64(77),
+                             path_offset=np.int16(3))
+        assert np.array_equal(typed.path_keys(), plain.path_keys())
+        a = mk.simulate_paths(m, 0.0, 5.0, 24.0, plain, backend="numpy")
+        b = mk.simulate_paths(m, 0.0, 5.0, 24.0, typed, backend="numpy")
+        assert np.array_equal(a.prices, b.prices)
+
     @pytest.mark.parametrize("times", [
         [0.0],                    # one node: no step
         [0.0, 12.0, 12.0, 24.0],  # repeated node
