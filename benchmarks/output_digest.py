@@ -18,7 +18,13 @@ groups are:
   and its ``--out`` paths; the ``value`` and ``compare`` CSVs on
   benth2012, and a ``value`` run whose settings come from a config file;
 * the CSVs of the four run records: ``PathBundle``, ``WealthRun``,
-  ``ValueGrid`` and ``StrategySurface``.
+  ``ValueGrid`` and ``StrategySurface``;
+* per preset measure, plus a ``ConstantJump`` and a plain
+  ``CompoundPoisson`` density: the array transforms on a fraction grid,
+  the ``*_integral`` and ``tilted_second_moment`` routes at each of its
+  fractions, and every route at impact scale 0 and at a negative one;
+* per preset: the exact, risk-ratio and jump-mean grids at the prices
+  ±1e308 and ±inf.
 
 A group whose computation raises a levyou error digests the error's type
 and message instead, so a changed error shows up as well.  Runs in a few seconds on
@@ -40,6 +46,7 @@ import numpy as np
 from levyou import _rng, approx, cli, presets, strategy, valuation
 from levyou._backend import get_kernels
 from levyou.errors import LevyOUError
+from levyou.jumps import CompoundPoisson, ConstantJump
 from levyou.market import SimConfig, build_sim_inputs, simulate_paths
 
 NS = 257
@@ -195,6 +202,44 @@ def valuation_groups(preset):
         (run.mean_log_wealth, run.std_err))
 
 
+FRACTIONS = np.array([0.0, 1e-6, 0.05, 0.2, 0.8])
+ROUTES = ("drag", "curvature", "log_penalty", "drag_integral",
+          "curvature_integral", "log_penalty_integral",
+          "tilted_second_moment")
+
+
+def measure_groups(measure):
+    yield "transforms", tuple(
+        getattr(measure, name)(FRACTIONS, psi)
+        for name in ("drag", "curvature", "log_penalty") for psi in (1.0, 0.7))
+    for name in ROUTES[3:]:
+        yield name, guarded(lambda: np.array(
+            [getattr(measure, name)(float(p), 1.0) for p in FRACTIONS]))
+    for label, pi, psi in (("psi=0", -0.1, 0.0), ("psi<0", 0.1, -0.5)):
+        yield f"every route {label}", tuple(
+            guarded(lambda: getattr(measure, name)(pi, psi))
+            for name in ROUTES)
+
+
+def measures():
+    for name in presets.PRESET_NAMES:
+        yield f"{name} measure", presets.get_preset(name).market.measure
+    yield "ConstantJump", ConstantJump(size=-0.6, rate=2.0)
+    yield "CompoundPoisson", CompoundPoisson(
+        0.5, lambda y: 0.75 * (1.0 - y * y), (-1.0, 1.0))
+
+
+def edge_price_groups(preset):
+    market, lo, hi = preset.market, preset.pi_min, preset.pi_max
+    rules = {"exact": strategy.optimal_fraction_grid,
+             "merton": approx.merton_fraction_grid,
+             "jump_mean": approx.jump_mean_fraction_grid}
+    for label, s in (("1e308", 1e308), ("inf", np.inf)):
+        for rule, grid in rules.items():
+            yield f"{rule} grid at s=±{label}", guarded(
+                lambda: grid(market, 0.0, np.array([-s, s]), lo, hi))
+
+
 def groups():
     for name in presets.PRESET_NAMES:
         preset = presets.get_preset(name)
@@ -212,6 +257,12 @@ def groups():
     yield from cli_groups()
     for label, record in record_groups(preset):
         yield f"benth2012 {label} csv", record_text(record)
+    for owner, measure in measures():
+        for label, value in measure_groups(measure):
+            yield f"{owner} {label}", value
+    for name in presets.PRESET_NAMES:
+        for label, value in edge_price_groups(presets.get_preset(name)):
+            yield f"{name} {label}", value
 
 
 def main():

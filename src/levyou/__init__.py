@@ -5,9 +5,10 @@ log-utility optimal trading fraction for a price that mean-reverts
 around zero drift and moves by Brownian noise plus compound-Poisson (or
 more general Lévy) jumps:
 
-* :mod:`levyou.jumps` — jump measures and their integral transforms;
-* :mod:`levyou.market` — model coefficients, admissible fraction sets,
-  exact simulation and analytic moments;
+* :mod:`levyou.jumps` — jump measures, their admissible fraction sets
+  and their integral transforms;
+* :mod:`levyou.market` — model coefficients, exact simulation and
+  analytic moments;
 * :mod:`levyou.strategy` — the exact optimal fraction (first-order
   condition inverted by a safeguarded root finder) and growth tables;
 * :mod:`levyou.approx` — two closed-form approximations with uniform
@@ -50,6 +51,8 @@ from .errors import (
     QuadratureError,
 )
 from .jumps import (
+    AdmissibleSet,
+    CaseTag,
     CompoundPoisson,
     ConstantJump,
     JumpMeasure,
@@ -57,19 +60,15 @@ from .jumps import (
     NoJumps,
     ParetoJump,
     UniformJump,
-    pareto_curvature_closed_form,
-    pareto_drag_closed_form,
+    admissible_set,
+    classify_case,
 )
 from .market import (
-    AdmissibleSet,
-    CaseTag,
     MarketCoefficients,
     PathBundle,
     SimConfig,
-    admissible_set,
     analytic_mean,
     analytic_variance,
-    classify_case,
     simulate_paths,
 )
 from .presets import PRESET_NAMES, Preset, get_preset, load_config
@@ -118,11 +117,10 @@ __all__ = [
     "ConvergenceError", "BranchError",
     # jumps
     "JumpMeasure", "NoJumps", "CompoundPoisson", "ParetoJump",
-    "UniformJump", "ConstantJump", "LevyDensity",
-    "pareto_drag_closed_form", "pareto_curvature_closed_form",
+    "UniformJump", "ConstantJump", "LevyDensity", "CaseTag",
+    "classify_case", "AdmissibleSet", "admissible_set",
     # market
-    "MarketCoefficients", "CaseTag", "classify_case", "AdmissibleSet",
-    "admissible_set", "SimConfig", "PathBundle", "simulate_paths",
+    "MarketCoefficients", "SimConfig", "PathBundle", "simulate_paths",
     "analytic_mean", "analytic_variance",
     # strategy
     "OptimalFraction", "growth_rate", "growth_slope", "optimal_fraction",

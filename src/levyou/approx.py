@@ -10,8 +10,11 @@ q = d(t) - lam*s (see :mod:`levyou.strategy`):
   mean jump size mu_F, which turns the stationarity condition into a
   quadratic (or into an explicit ratio when there is no Brownian part).
 
-Both clamp to the fraction interval and report a flag plus the raw
-(unclamped) value.  ``merton_error_bound`` and ``jump_mean_error_bound``
+Both are clamped like the exact fraction: boundary-first, where the drift
+gap leaves the rule's own stationarity map evaluated at the interval ends
+(:func:`levyou.strategy._clamp`), so an extreme price gives exactly
+pi_min or pi_max.  Both report the clamp flag plus the raw (unclamped)
+value.  ``merton_error_bound`` and ``jump_mean_error_bound``
 give rigorous uniform-in-price bounds on the distance to the exact
 fraction, with case-dependent constants; the first needs a finite third
 absolute jump moment and reports an infinite bound otherwise.
@@ -25,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import BranchError, CaseError, DegenerateError
-from .market import CaseTag, classify_case
+from .jumps import CaseTag, classify_case
 from .strategy import _clamp, drift_gap, fraction_table
 
 
@@ -37,11 +40,26 @@ class ApproxFraction(NamedTuple):
     unclamped: float
 
 
-def _finalize(raw, pi_min, pi_max):
-    raw = np.asarray(raw, dtype=np.float64)
-    val = np.clip(raw, pi_min, pi_max)
-    clamped = (raw < pi_min) | (raw > pi_max) | ~np.isfinite(raw)
-    val = np.where(np.isfinite(raw), val, np.nan)
+def _clamped_grid(market, t, s_grid, pi_min, pi_max, stationarity,
+                  raw_fraction):
+    """Fractions of an approximation rule for an array of prices.
+
+    ``stationarity(market, t, pi)`` is the rule's increasing map G and
+    ``raw_fraction(market, t, q)`` its inverse at the drift gaps q.  The
+    clamp decision is made boundary-first on G, so a pole or an overflow
+    of the inverse (prices deep in a clamped region) never reaches the
+    result.
+
+    Returns (values, clamped, raw) arrays.
+    """
+    market.validate_interval(pi_min, pi_max)
+    q = drift_gap(market, t, s_grid)
+    g_hi = stationarity(market, t, pi_max)
+    g_lo = stationarity(market, t, pi_min)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        raw = raw_fraction(market, t, q)
+    val, clamped = _clamp(q, g_lo, g_hi, pi_min, pi_max)
+    val[~clamped] = raw[~clamped]
     return val, clamped, raw
 
 
@@ -55,18 +73,28 @@ def merton_denominator(market, t):
     return sg * sg + psi * psi * market.jump_second_moment
 
 
-def merton_fraction_grid(market, t, s_grid, pi_min, pi_max):
-    """Risk-ratio fractions for an array of prices.
+def _merton_stationarity(market, t, pi):
+    """Stationarity map of the risk-ratio rule: merton_denominator * pi."""
+    return merton_denominator(market, t) * pi
 
-    Returns (values, clamped, raw) arrays.
-    """
-    market.validate_interval(pi_min, pi_max)
+
+def _merton_raw(market, t, q):
+    """Unclamped risk-ratio fractions for an array of drift gaps."""
     denom = merton_denominator(market, t)
     if denom <= 0.0:
         raise DegenerateError(
             "risk-ratio approximation needs sigma^2 + psi^2 * m2 > 0"
         )
-    return _finalize(drift_gap(market, t, s_grid) / denom, pi_min, pi_max)
+    return q / denom
+
+
+def merton_fraction_grid(market, t, s_grid, pi_min, pi_max):
+    """Risk-ratio fractions for an array of prices.
+
+    Returns (values, clamped, raw) arrays.
+    """
+    return _clamped_grid(market, t, s_grid, pi_min, pi_max,
+                         _merton_stationarity, _merton_raw)
 
 
 def merton_fraction(market, t, s, pi_min, pi_max):
@@ -153,21 +181,10 @@ def _jump_mean_raw(market, t, q):
 def jump_mean_fraction_grid(market, t, s_grid, pi_min, pi_max):
     """Jump-mean fractions for an array of prices.
 
-    The clamp decision is made boundary-first on the approximated
-    stationarity slope, so the pole of the pure-jump ratio (prices deep in
-    the full-position region) never contaminates the result.
-
     Returns (values, clamped, raw) arrays.
     """
-    market.validate_interval(pi_min, pi_max)
-    q = drift_gap(market, t, s_grid)
-    g_hi = _jump_mean_stationarity(market, t, pi_max)
-    g_lo = _jump_mean_stationarity(market, t, pi_min)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        raw = _jump_mean_raw(market, t, q)
-    val, clamped = _clamp(q, g_lo, g_hi, pi_min, pi_max)
-    val[~clamped] = raw[~clamped]
-    return val, clamped, raw
+    return _clamped_grid(market, t, s_grid, pi_min, pi_max,
+                         _jump_mean_stationarity, _jump_mean_raw)
 
 
 def jump_mean_fraction(market, t, s, pi_min, pi_max):
@@ -300,22 +317,22 @@ def jump_mean_error_bound(market, pi_min, pi_max):
 # -- kernel tables -------------------------------------------------------
 
 
+def _rule_table(market, times, pi_min, pi_max, ns, grid, stationarity):
+    """Dense table of an approximation rule: its fractions ``grid`` on the
+    bracket of its stationarity map ``stationarity(market, t, pi)``."""
+    market.validate_interval(pi_min, pi_max)
+    return fraction_table(
+        market, times, lambda tv, s: grid(market, tv, s, pi_min, pi_max)[0],
+        partial(stationarity, market), pi_min, pi_max, ns)
+
+
 def merton_fraction_table(market, times, pi_min, pi_max, ns=257):
     """Dense table of the risk-ratio strategy for the simulation kernels.
 
     Its stationarity map is G(t, pi) = merton_denominator(t) * pi.
     """
-    market.validate_interval(pi_min, pi_max)
-
-    def solver(tv, grid):
-        val, _, _ = merton_fraction_grid(market, tv, grid, pi_min, pi_max)
-        return val
-
-    def stationarity(tv, pi):
-        return merton_denominator(market, tv) * pi
-
-    return fraction_table(market, times, solver, stationarity, pi_min,
-                          pi_max, ns)
+    return _rule_table(market, times, pi_min, pi_max, ns,
+                       merton_fraction_grid, _merton_stationarity)
 
 
 def jump_mean_fraction_table(market, times, pi_min, pi_max, ns=257):
@@ -323,12 +340,5 @@ def jump_mean_fraction_table(market, times, pi_min, pi_max, ns=257):
 
     Its stationarity map is G(t, pi) = sigma(t)^2 * pi + jump_mean_drag.
     """
-    market.validate_interval(pi_min, pi_max)
-
-    def solver(tv, grid):
-        val, _, _ = jump_mean_fraction_grid(market, tv, grid, pi_min, pi_max)
-        return val
-
-    return fraction_table(market, times, solver,
-                          partial(_jump_mean_stationarity, market), pi_min,
-                          pi_max, ns)
+    return _rule_table(market, times, pi_min, pi_max, ns,
+                       jump_mean_fraction_grid, _jump_mean_stationarity)

@@ -1,4 +1,5 @@
-"""Jump measures and the integral transforms the optimizer needs.
+"""Jump measures, their admissible fractions and the integral transforms
+the optimizer needs.
 
 A jump measure nu is represented through its Lévy density (mass
 ``rate = nu(R)`` may be infinite).  Four integral transforms of nu appear
@@ -11,7 +12,10 @@ x = pi * psi * y:
 ``tilted_second_moment``T(pi) = ∫ y^2 / (1 + x) nu(dy)
 
 They are related by I = pi psi^2 T and C = dI/dpi, and all require the
-fraction to be admissible (1 + x > 0 on the support of nu).
+fraction to be admissible (1 + x > 0 on the support of nu).  One rule,
+:func:`admissible_set`, decides that for every route from the sign
+pattern of the support and the impact scale; a negative impact scale is a
+:class:`DomainError` for any measure with jumps.
 
 The ``*_integral`` methods compute each transform by adaptive quadrature
 on the density; for densities with a non-integrable singularity at the
@@ -23,9 +27,9 @@ The optimizer calls ``drag``, ``curvature`` and ``log_penalty``, which
 take a scalar or an ndarray of fractions.  The simulated jump laws give
 them closed forms:
 
-* Pareto sizes: drag and curvature through the Gauss hypergeometric
-  function (``pareto_drag_closed_form``, ``pareto_curvature_closed_form``),
-  the log penalty from the drag by parts;
+* Pareto sizes: ``ParetoJump.drag`` and ``ParetoJump.curvature`` through
+  the Gauss hypergeometric function, the log penalty from the drag by
+  parts;
 * uniform sizes: elementary antiderivatives in u = pi psi y, with a Taylor
   series near u = 0;
 * constant sizes: point evaluation.
@@ -33,15 +37,18 @@ them closed forms:
 Constant sizes have no other route: their ``*_integral`` methods are the
 closed forms.  Other measures (``CompoundPoisson`` with a custom density,
 ``LevyDensity``) fall back to the base class, whose one per-fraction loop
-runs the quadrature at each fraction of an array of any shape.  That loop
-returns zeros for a zero rate, and an empty support makes every moment
-zero, so the zero measure ``NoJumps`` overrides neither.  The Pareto and
-uniform closed forms share no code with the quadrature route, so each is
-a cross-check of the other.
+runs the quadrature at each fraction of an array of any shape.  Every
+route returns zeros for a zero rate, and an empty support makes every
+moment zero, so the zero measure ``NoJumps`` overrides neither.  The
+Pareto and uniform closed forms share no code with the quadrature route,
+so each is a cross-check of the other.  The tilted second moment comes
+from the drag, as I/(pi psi^2), or is the second moment at pi psi^2 = 0.
 """
 
+import enum
 import functools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
@@ -144,6 +151,83 @@ def _quad(fn, lo, hi, epsabs=QUAD_EPSABS):
     return res[0]
 
 
+class CaseTag(enum.Enum):
+    """Sign pattern of the jump support, which fixes the admissible set."""
+
+    TWO_SIDED = "A"      # m < 0 < M
+    POSITIVE = "B"       # 0 <= m <= M, M != 0
+    NEGATIVE = "C"       # m <= M <= 0, m != 0
+    CONTINUOUS = "D"     # no jumps
+
+
+def classify_case(measure):
+    """Classify a jump measure by the sign pattern of its support."""
+    if measure.rate == 0.0:
+        return CaseTag.CONTINUOUS
+    m, big = measure.support()
+    if m < 0.0 < big:
+        return CaseTag.TWO_SIDED
+    if m >= 0.0:
+        return CaseTag.POSITIVE
+    return CaseTag.NEGATIVE
+
+
+@dataclass(frozen=True)
+class AdmissibleSet:
+    """Open (or half-open) interval of fractions keeping 1 + pi psi y > 0."""
+
+    lo: float
+    hi: float
+    lo_open: bool
+    hi_open: bool
+    case: CaseTag
+
+    def contains_interval(self, pi_min, pi_max):
+        lo_ok = pi_min > self.lo if self.lo_open else pi_min >= self.lo
+        hi_ok = pi_max < self.hi if self.hi_open else pi_max <= self.hi
+        return lo_ok and hi_ok
+
+    def boundary_distance(self, pi_min, pi_max):
+        """Distance from [pi_min, pi_max] to the finite open endpoints
+        (infinity when there is none)."""
+        d = math.inf
+        if self.lo_open and math.isfinite(self.lo):
+            d = min(d, pi_min - self.lo)
+        if self.hi_open and math.isfinite(self.hi):
+            d = min(d, self.hi - pi_max)
+        return d
+
+
+def admissible_set(measure, psi_max):
+    """Admissible fractions for a measure under the worst-case impact scale."""
+    case = classify_case(measure)
+    if case is CaseTag.CONTINUOUS or psi_max == 0.0:
+        return AdmissibleSet(-math.inf, math.inf, True, True,
+                             CaseTag.CONTINUOUS if psi_max == 0.0 else case)
+    if psi_max < 0.0:
+        raise DomainError(f"impact scale must be >= 0, got {psi_max}")
+    m, big = measure.support()
+    if case is CaseTag.TWO_SIDED:
+        # an unbounded jump tail pins that side to a closed endpoint at 0:
+        # only the flat position survives arbitrarily large adverse jumps
+        lo, lo_open = (
+            (-1.0 / (big * psi_max), True) if math.isfinite(big)
+            else (0.0, False)
+        )
+        hi, hi_open = (
+            (-1.0 / (m * psi_max), True) if math.isfinite(m)
+            else (0.0, False)
+        )
+        return AdmissibleSet(lo, hi, lo_open, hi_open, case)
+    if case is CaseTag.POSITIVE:
+        if math.isinf(big):
+            return AdmissibleSet(0.0, math.inf, False, True, case)
+        return AdmissibleSet(-1.0 / (big * psi_max), math.inf, True, True, case)
+    if math.isinf(m):
+        return AdmissibleSet(-math.inf, 0.0, True, False, case)
+    return AdmissibleSet(-math.inf, -1.0 / (m * psi_max), True, True, case)
+
+
 class JumpMeasure:
     """Base class: a Lévy measure given through its density.
 
@@ -228,18 +312,12 @@ class JumpMeasure:
     # -- admissibility ----------------------------------------------------
 
     def admissible(self, pi, psi=1.0):
-        """True when 1 + pi*psi*y > 0 on the whole support, for every
-        fraction in ``pi`` (scalar or ndarray)."""
-        if self.rate == 0.0:
-            return True
-        x = np.asarray(pi, dtype=np.float64) * psi
-        bad = np.zeros(x.shape, dtype=bool)
-        for edge in self.support():
-            if math.isinf(edge):
-                bad |= x * math.copysign(1.0, edge) < 0.0
-            elif edge != 0.0:
-                bad |= 1.0 + x * edge <= 0.0
-        return not bool(np.any(bad))
+        """True when every fraction in ``pi`` (scalar or ndarray) lies in
+        :func:`admissible_set` of this measure at impact scale ``psi``; a
+        NaN fraction lies in none."""
+        pi = np.asarray(pi, dtype=np.float64)
+        return admissible_set(self, psi).contains_interval(
+            pi.min(initial=math.inf), pi.max(initial=-math.inf))
 
     def _require_admissible(self, pi, psi):
         if not self.admissible(pi, psi):
@@ -289,19 +367,6 @@ class JumpMeasure:
             return psi * psi * y * y / (d * d)
 
         taylor = (psi * psi, -2.0 * pi * psi**3, 24.0 * pi * pi * psi**4)
-        return self._integrate(g, taylor, x)
-
-    def tilted_second_moment(self, pi, psi=1.0):
-        """∫ y^2/(1 + pi psi y) nu(dy) by quadrature."""
-        self._require_admissible(pi, psi)
-        if self.rate == 0.0:
-            return 0.0
-        x = pi * psi
-
-        def g(y):
-            return y * y / (1.0 + x * y)
-
-        taylor = (1.0, -x, 2.0 * x * x)
         return self._integrate(g, taylor, x)
 
     def _integrate(self, g, taylor, x):
@@ -369,16 +434,20 @@ class JumpMeasure:
 
     # -- fast routes used by the optimizer --------------------------------
 
+    def _transform(self, pi, psi, formula):
+        """``formula(pi)`` once the fractions of a scalar or ndarray ``pi``
+        pass the admissibility rule, in the shape of ``pi`` (a float for a
+        scalar); zeros for the zero measure.  Every transform route goes
+        through here."""
+        pi = np.asarray(pi, dtype=np.float64)
+        self._require_admissible(pi, psi)
+        out = np.zeros_like(pi) if self.rate == 0.0 else formula(pi)
+        return float(out) if pi.ndim == 0 else out
+
     def _per_fraction(self, integral, pi, psi):
-        """``integral`` at every fraction of a scalar or ndarray ``pi``, in
-        the shape of ``pi``; zeros for the zero measure."""
-        pi_arr = np.asarray(pi, dtype=np.float64)
-        if self.rate == 0.0:
-            return 0.0 if pi_arr.ndim == 0 else np.zeros_like(pi_arr)
-        if pi_arr.ndim == 0:
-            return integral(float(pi_arr), psi)
-        return np.array([integral(p, psi)
-                         for p in pi_arr.flat]).reshape(pi_arr.shape)
+        """The scalar quadrature ``integral`` at every fraction of ``pi``."""
+        return self._transform(pi, psi, lambda p: np.array(
+            [integral(float(x), psi) for x in p.flat]).reshape(p.shape))
 
     def drag(self, pi, psi=1.0):
         """Drag transform of a scalar or ndarray ``pi``; subclasses may
@@ -393,6 +462,21 @@ class JumpMeasure:
         """Log penalty transform; subclasses may override with a closed
         form."""
         return self._per_fraction(self.log_penalty_integral, pi, psi)
+
+    def tilted_second_moment(self, pi, psi=1.0):
+        """∫ y^2/(1 + pi psi y) nu(dy) of a scalar or ndarray ``pi``: the
+        drag over pi psi^2, and the second moment where pi psi^2 = 0."""
+
+        def formula(p):
+            scale = p * psi * psi
+            zero = scale == 0.0
+            out = np.divide(self.drag(p, psi), scale,
+                            out=np.zeros_like(scale), where=~zero)
+            if np.any(zero):
+                out[zero] = self.moment(2)
+            return out
+
+        return self._transform(pi, psi, formula)
 
 
 class NoJumps(JumpMeasure):
@@ -491,20 +575,54 @@ class ParetoJump(CompoundPoisson):
     def abs_moment(self, k):
         return self.moment(k)
 
+    def _hypergeometric(self, pi, psi, at_zero, positive):
+        """``positive(w)`` at each w = pi*psi*z0 > 0 and ``at_zero`` at
+        w = 0."""
+
+        def formula(p):
+            w = p * psi * self.scale
+            pos = w > 0.0
+            out = np.full_like(w, at_zero)
+            if np.any(pos):
+                out[pos] = positive(w[pos])
+            return out
+
+        return self._transform(pi, psi, formula)
+
     def drag(self, pi, psi=1.0):
-        return pareto_drag_closed_form(pi, self, psi)
+        """Drag through the hypergeometric closed form.
+
+        With w = pi * psi * z0 the drag equals
+        psi * eta * mu_F * 2F1(1, alpha - 1; alpha; -1/w) for pi > 0 (mu_F
+        is the mean jump size), and 0 at w = 0.  It is evaluated as
+        w * hyp2f1_reciprocal(1, alpha - 1, alpha, w), which stays in range
+        at any positive w, subnormal included.
+        """
+        a = self.alpha
+        return self._hypergeometric(
+            pi, psi, 0.0, lambda w: psi * self.rate * self.mean_size
+            * w * hyp2f1_reciprocal(1.0, a - 1.0, a, w))
 
     def curvature(self, pi, psi=1.0):
-        return pareto_curvature_closed_form(pi, self, psi)
+        """d(drag)/d(pi) through the hypergeometric closed form.
+
+        Equals eta * 2F1(2, alpha; alpha + 1; -1/w) / pi^2 with
+        w = pi*psi*z0, evaluated as
+        eta * (psi*z0)^2 * hyp2f1_reciprocal(2, alpha, alpha + 1, w) so that
+        no 1/pi^2 can overflow or underflow; psi^2 * nu(y^2) at w = 0.
+        """
+        a = self.alpha
+        at_zero = psi * psi * self.moment(2) if psi > 0.0 else 0.0
+        return self._hypergeometric(
+            pi, psi, at_zero, lambda w: self.rate * (psi * self.scale) ** 2
+            * hyp2f1_reciprocal(2.0, a, a + 1.0, w))
 
     def log_penalty(self, pi, psi=1.0):
         """Closed form by parts against the tail mass eta*(z0/y)**alpha:
         P(pi) = eta*log1p_minus(pi*psi*z0) - pi*drag(pi)/alpha."""
-        drag = self.drag(pi, psi)
-        pi_arr = np.asarray(pi, dtype=np.float64)
-        out = (self.rate * log1p_minus(pi_arr * psi * self.scale)
-               - pi_arr * drag / self.alpha)
-        return float(out) if pi_arr.ndim == 0 else out
+        return self._transform(pi, psi, lambda p: (
+            self.rate * log1p_minus(p * psi * self.scale)
+            - p * self.drag(p, psi) / self.alpha))
 
 
 class UniformJump(CompoundPoisson):
@@ -547,12 +665,15 @@ class UniformJump(CompoundPoisson):
         with x = pi*psi, where u^3 G(u) is an antiderivative of the
         transform's integrand in u = x*y; the y^3 G(x y) form stays exact
         at x = 0."""
-        self._require_admissible(pi, psi)
-        x = np.asarray(pi, dtype=np.float64) * psi
-        gap = (self.hi**3 * kernel(x * self.hi)
-               - self.lo**3 * kernel(x * self.lo))
-        out = self.rate * psi ** (2 - k) * x**k * gap / (self.hi - self.lo)
-        return float(out) if x.ndim == 0 else out
+
+        def formula(p):
+            x = p * psi
+            gap = (self.hi**3 * kernel(x * self.hi)
+                   - self.lo**3 * kernel(x * self.lo))
+            return (self.rate * psi ** (2 - k) * x**k * gap
+                    / (self.hi - self.lo))
+
+        return self._transform(pi, psi, formula)
 
     def drag(self, pi, psi=1.0):
         return self._closed_form(_g_drag, 1, pi, psi)
@@ -601,36 +722,23 @@ class ConstantJump(JumpMeasure):
         return self.rate * abs(self.size) ** k
 
     def drag(self, pi, psi=1.0):
-        self._require_admissible(pi, psi)
-        pi_arr = np.asarray(pi, dtype=np.float64)
         y = self.size
-        out = self.rate * pi_arr * psi * psi * y * y / (1.0 + pi_arr * psi * y)
-        return float(out) if pi_arr.ndim == 0 else out
+        return self._transform(pi, psi, lambda p: (
+            self.rate * p * psi * psi * y * y / (1.0 + p * psi * y)))
 
     def curvature(self, pi, psi=1.0):
-        self._require_admissible(pi, psi)
-        pi_arr = np.asarray(pi, dtype=np.float64)
         y = self.size
-        out = (
-            self.rate * psi * psi * y * y / (1.0 + pi_arr * psi * y) ** 2
-        )
-        return float(out) if pi_arr.ndim == 0 else out
+        return self._transform(pi, psi, lambda p: (
+            self.rate * psi * psi * y * y / (1.0 + p * psi * y) ** 2))
 
     def log_penalty(self, pi, psi=1.0):
-        self._require_admissible(pi, psi)
-        pi_arr = np.asarray(pi, dtype=np.float64)
-        out = self.rate * log1p_minus(pi_arr * psi * self.size)
-        return float(out) if pi_arr.ndim == 0 else out
+        return self._transform(pi, psi, lambda p: (
+            self.rate * log1p_minus(p * psi * self.size)))
 
     # point evaluation is exact, so the closed forms are the integrals
     drag_integral = drag
     curvature_integral = curvature
     log_penalty_integral = log_penalty
-
-    def tilted_second_moment(self, pi, psi=1.0):
-        self._require_admissible(pi, psi)
-        y = self.size
-        return self.rate * y * y / (1.0 + pi * psi * y)
 
 
 class LevyDensity(JumpMeasure):
@@ -681,59 +789,3 @@ class LevyDensity(JumpMeasure):
             return math.inf
         return super().abs_moment(k)
 
-
-def _pareto_fractions(pi, measure, psi, what):
-    """Validated fractions as a 1-d array, plus whether ``pi`` was scalar."""
-    if not isinstance(measure, ParetoJump):
-        raise CaseError(f"closed-form {what} is specific to Pareto jump sizes")
-    if psi < 0.0:
-        raise DomainError(f"impact scale must be >= 0, got {psi}")
-    pi_arr = np.asarray(pi, dtype=np.float64)
-    if np.any(pi_arr < 0.0):
-        raise AdmissibilityError(
-            "negative fractions are not admissible for unbounded positive jumps"
-        )
-    return np.atleast_1d(pi_arr), pi_arr.ndim == 0
-
-
-def pareto_drag_closed_form(pi, measure, psi=1.0):
-    """Drag transform of a Pareto measure via the hypergeometric closed form.
-
-    For sizes Pareto(alpha, z0) at rate eta the drag equals
-    psi * eta * mu_F * 2F1(1, alpha - 1; alpha; -1/w) with w = pi * psi * z0
-    for pi > 0 (mu_F is the mean jump size), and 0 at pi = 0; negative
-    fractions are inadmissible for this measure.  It is evaluated as
-    w * hyp2f1_reciprocal(1, alpha - 1, alpha, w), which stays in range at
-    any positive w, subnormal included.
-
-    ``pi`` may be a scalar or ndarray.
-    """
-    pi_arr, scalar = _pareto_fractions(pi, measure, psi, "drag")
-    a = measure.alpha
-    w = pi_arr * psi * measure.scale
-    pos = w > 0.0
-    out = np.zeros_like(pi_arr)
-    if np.any(pos):
-        out[pos] = (psi * measure.rate * measure.mean_size
-                    * w[pos] * hyp2f1_reciprocal(1.0, a - 1.0, a, w[pos]))
-    return float(out[0]) if scalar else out
-
-
-def pareto_curvature_closed_form(pi, measure, psi=1.0):
-    """d(drag)/d(pi) for a Pareto measure, via the hypergeometric form.
-
-    Equals eta * 2F1(2, alpha; alpha + 1; -1/w) / pi^2 with w = pi*psi*z0,
-    evaluated as eta * (psi*z0)^2 * hyp2f1_reciprocal(2, alpha, alpha + 1, w)
-    so that no 1/pi^2 can overflow or underflow; psi^2 * nu(y^2) at pi = 0.
-    """
-    pi_arr, scalar = _pareto_fractions(pi, measure, psi, "curvature")
-    a = measure.alpha
-    w = pi_arr * psi * measure.scale
-    pos = w > 0.0
-    out = np.zeros_like(pi_arr)
-    if psi > 0.0:
-        out[~pos] = psi * psi * measure.moment(2)
-    if np.any(pos):
-        out[pos] = (measure.rate * (psi * measure.scale) ** 2
-                    * hyp2f1_reciprocal(2.0, a, a + 1.0, w[pos]))
-    return float(out[0]) if scalar else out

@@ -15,7 +15,6 @@ Everything downstream (first-order condition, approximations, simulation)
 consistently uses the effective mean drift ``foc_drift``.
 """
 
-import enum
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -26,84 +25,9 @@ import numpy as np
 from . import _csv, _rng
 from ._backend import get_kernels
 from .errors import AdmissibilityError, CaseError, ConfigError, DomainError
-from .jumps import JumpMeasure, _quad
-
-
-class CaseTag(enum.Enum):
-    """Sign pattern of the jump support, which fixes the admissible set."""
-
-    TWO_SIDED = "A"      # m < 0 < M
-    POSITIVE = "B"       # 0 <= m <= M, M != 0
-    NEGATIVE = "C"       # m <= M <= 0, m != 0
-    CONTINUOUS = "D"     # no jumps
-
-
-def classify_case(measure):
-    """Classify a jump measure by the sign pattern of its support."""
-    if measure.rate == 0.0:
-        return CaseTag.CONTINUOUS
-    m, big = measure.support()
-    if m < 0.0 < big:
-        return CaseTag.TWO_SIDED
-    if m >= 0.0:
-        return CaseTag.POSITIVE
-    return CaseTag.NEGATIVE
-
-
-@dataclass(frozen=True)
-class AdmissibleSet:
-    """Open (or half-open) interval of fractions keeping 1 + pi psi y > 0."""
-
-    lo: float
-    hi: float
-    lo_open: bool
-    hi_open: bool
-    case: CaseTag
-
-    def contains_interval(self, pi_min, pi_max):
-        lo_ok = pi_min > self.lo if self.lo_open else pi_min >= self.lo
-        hi_ok = pi_max < self.hi if self.hi_open else pi_max <= self.hi
-        return lo_ok and hi_ok
-
-    def boundary_distance(self, pi_min, pi_max):
-        """Distance from [pi_min, pi_max] to the finite open endpoints
-        (infinity when there is none)."""
-        d = math.inf
-        if self.lo_open and math.isfinite(self.lo):
-            d = min(d, pi_min - self.lo)
-        if self.hi_open and math.isfinite(self.hi):
-            d = min(d, self.hi - pi_max)
-        return d
-
-
-def admissible_set(measure, psi_max):
-    """Admissible fractions for a measure under the worst-case impact scale."""
-    case = classify_case(measure)
-    if case is CaseTag.CONTINUOUS or psi_max == 0.0:
-        return AdmissibleSet(-math.inf, math.inf, True, True,
-                             CaseTag.CONTINUOUS if psi_max == 0.0 else case)
-    if psi_max < 0.0:
-        raise DomainError(f"impact scale must be >= 0, got {psi_max}")
-    m, big = measure.support()
-    if case is CaseTag.TWO_SIDED:
-        # an unbounded jump tail pins that side to a closed endpoint at 0:
-        # only the flat position survives arbitrarily large adverse jumps
-        lo, lo_open = (
-            (-1.0 / (big * psi_max), True) if math.isfinite(big)
-            else (0.0, False)
-        )
-        hi, hi_open = (
-            (-1.0 / (m * psi_max), True) if math.isfinite(m)
-            else (0.0, False)
-        )
-        return AdmissibleSet(lo, hi, lo_open, hi_open, case)
-    if case is CaseTag.POSITIVE:
-        if math.isinf(big):
-            return AdmissibleSet(0.0, math.inf, False, True, case)
-        return AdmissibleSet(-1.0 / (big * psi_max), math.inf, True, True, case)
-    if math.isinf(m):
-        return AdmissibleSet(-math.inf, 0.0, True, False, case)
-    return AdmissibleSet(-math.inf, -1.0 / (m * psi_max), True, True, case)
+# The admissibility rule lives in jumps; its names stay importable here.
+from .jumps import (AdmissibleSet, CaseTag, JumpMeasure,  # noqa: F401
+                    _quad, admissible_set, classify_case)
 
 
 def _as_range(value, rng, name):
@@ -329,6 +253,15 @@ class SimConfig:
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.n_paths <= 0 or self.n_steps <= 0:
             raise ConfigError("n_paths and n_steps must be positive")
+        # the path keys take the seed modulo 2**64 and the path ids as int64
+        seed, offset = int(self.seed), int(self.path_offset)
+        if not 0 <= seed < 2**64:
+            raise ConfigError(f"seed must be in [0, 2**64), got {seed}")
+        if not 0 <= offset <= 2**63 - int(self.n_paths):
+            raise ConfigError(
+                "path ids must lie in [0, 2**63): got path_offset "
+                f"{self.path_offset} with {self.n_paths} paths"
+            )
 
     def path_keys(self):
         """Counter-based keys of the run's paths, ids ``path_offset`` on."""

@@ -67,12 +67,14 @@ class OptimalFraction(NamedTuple):
 def drift_gap(market, t, s):
     """The drift gaps q = d(t) - lam*s of an array of prices.
 
-    A NaN gap (a NaN price) raises :class:`DomainError`: no fraction
-    solves the stationarity condition there.
+    A NaN or infinite gap (a NaN or infinite price) raises
+    :class:`DomainError`: no fraction solves the stationarity condition
+    there.
     """
     q = market.foc_drift(t) - market.lam * np.asarray(s, dtype=np.float64)
-    if np.isnan(q).any():
-        raise DomainError("the drift gap d(t) - lam*s is NaN; check the price")
+    if not np.isfinite(q).all():
+        raise DomainError(
+            "the drift gap d(t) - lam*s is NaN or infinite; check the price")
     return q
 
 

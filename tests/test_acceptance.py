@@ -86,11 +86,9 @@ def test_calibration_moments():
 
 def test_closed_form_drag_matches_quadrature():
     budget = _Budget(1.0)
-    from levyou.jumps import pareto_drag_closed_form
-
     measure = presets.get_preset("benth2012").market.measure
     for pi in (0.01, 0.1, 1.0, 10.0, 100.0):
-        closed = pareto_drag_closed_form(pi, measure, psi=1.0)
+        closed = measure.drag(pi, 1.0)
         quad = measure.drag_integral(pi, 1.0)
         assert closed == pytest.approx(quad, rel=1e-6), f"pi={pi}"
     budget.check()

@@ -584,3 +584,30 @@ def test_nan_price_is_rejected_by_the_approximations(grid, name):
     grid(p.market, 0.0, [1.0, 2.0], p.pi_min, p.pi_max)
     with pytest.raises(DomainError, match="NaN"):
         grid(p.market, 0.0, [1.0, math.nan], p.pi_min, p.pi_max)
+
+
+RULES = [sg.optimal_fraction_grid, ax.merton_fraction_grid,
+         ax.jump_mean_fraction_grid]
+
+
+@pytest.mark.parametrize("rule", RULES, ids=["exact", "merton", "jump-mean"])
+@pytest.mark.parametrize("name", presets.PRESET_NAMES)
+def test_infinite_price_is_rejected_by_every_rule(rule, name):
+    # the exact rule clamped, the risk-ratio rule returned NaN marked
+    # clamped, and the jump-mean rule raised BranchError on
+    # uniform-two-sided
+    p = presets.get_preset(name)
+    for s in (math.inf, -math.inf):
+        with pytest.raises(DomainError, match="infinite"):
+            rule(p.market, 0.0, [1.0, s], p.pi_min, p.pi_max)
+
+
+@pytest.mark.parametrize("rule", RULES, ids=["exact", "merton", "jump-mean"])
+@pytest.mark.parametrize("name", presets.PRESET_NAMES)
+def test_every_rule_clamps_the_largest_finite_prices(rule, name):
+    # the risk-ratio rule returned NaN marked clamped on gaussian
+    p = presets.get_preset(name)
+    pi, clamped = rule(p.market, 0.0, np.array([-1e308, 1e308]), p.pi_min,
+                       p.pi_max)[:2]
+    assert np.array_equal(pi, [p.pi_max, p.pi_min])
+    assert clamped.all()

@@ -22,8 +22,6 @@ from levyou.jumps import (
     ParetoJump,
     UniformJump,
     log1p_minus,
-    pareto_curvature_closed_form,
-    pareto_drag_closed_form,
 )
 
 ALPHA = 2.5406
@@ -109,7 +107,7 @@ class TestParetoTransforms:
     @pytest.mark.parametrize("pi", sorted(DRAG))
     def test_closed_form_drag(self, pareto, pi):
         np.testing.assert_allclose(
-            pareto_drag_closed_form(pi, pareto), self.DRAG[pi], rtol=1e-12
+            pareto.drag(pi), self.DRAG[pi], rtol=1e-12
         )
 
     def test_log_penalty(self, pareto):
@@ -128,14 +126,14 @@ class TestParetoTransforms:
 
     def test_curvature_closed_form(self, pareto):
         np.testing.assert_allclose(
-            pareto_curvature_closed_form(1.0, pareto),
+            pareto.curvature(1.0),
             0.020739871946331504,
             rtol=1e-12,
         )
 
     def test_curvature_closed_form_at_zero(self, pareto):
         np.testing.assert_allclose(
-            pareto_curvature_closed_form(0.0, pareto),
+            pareto.curvature(0.0),
             pareto.moment(2),
             rtol=1e-14,
         )
@@ -147,6 +145,20 @@ class TestParetoTransforms:
             rtol=1e-10,
         )
 
+    # mpmath references (60 digits; quadrature and the 2F1 form agree to
+    # 1e-52).  The quadrature route was 2.2e-7 relative off at 5e-13.
+    TILTED = {
+        5e-13: 0.097067354068828789,
+        1e-6: 0.097012426725505647,
+        1e-3: 0.094807129769271752,
+    }
+
+    @pytest.mark.parametrize("pi", sorted(TILTED))
+    def test_tilted_second_moment_at_small_fractions(self, pareto, pi):
+        np.testing.assert_allclose(
+            pareto.tilted_second_moment(pi), self.TILTED[pi], rtol=1e-13
+        )
+
     def test_scaled_impact_drag(self, pareto):
         np.testing.assert_allclose(
             pareto.drag_integral(0.7, psi=1.3),
@@ -154,7 +166,7 @@ class TestParetoTransforms:
             rtol=1e-10,
         )
         np.testing.assert_allclose(
-            pareto_drag_closed_form(0.7, pareto, psi=1.3),
+            pareto.drag(0.7, psi=1.3),
             0.047425182789399889,
             rtol=1e-12,
         )
@@ -232,14 +244,14 @@ class TestParetoTransforms:
 
     def test_drag_vanishes_at_zero(self, pareto):
         assert pareto.drag_integral(0.0) == 0.0
-        assert pareto_drag_closed_form(0.0, pareto) == 0.0
+        assert pareto.drag(0.0) == 0.0
 
     def test_negative_fraction_is_inadmissible(self, pareto):
         assert not pareto.admissible(-0.1)
         with pytest.raises(AdmissibilityError):
             pareto.drag_integral(-0.1)
         with pytest.raises(AdmissibilityError):
-            pareto_drag_closed_form(-0.1, pareto)
+            pareto.drag(-0.1)
         with pytest.raises(AdmissibilityError):
             pareto.log_penalty(-0.1)
         with pytest.raises(AdmissibilityError):
@@ -247,13 +259,52 @@ class TestParetoTransforms:
 
     def test_closed_form_vector(self, pareto):
         pis = np.array([0.0, 0.01, 0.1, 1.0, 10.0, 100.0])
-        vec = pareto_drag_closed_form(pis, pareto)
-        scl = np.array([pareto_drag_closed_form(p, pareto) for p in pis])
+        vec = pareto.drag(pis)
+        scl = np.array([pareto.drag(p) for p in pis])
         np.testing.assert_array_equal(vec, scl)
 
-    def test_closed_form_requires_pareto(self, uniform):
-        with pytest.raises(CaseError):
-            pareto_drag_closed_form(0.5, uniform)
+
+ROUTES = ("drag", "curvature", "log_penalty", "drag_integral",
+          "curvature_integral", "log_penalty_integral",
+          "tilted_second_moment")
+
+
+@pytest.mark.parametrize("measure", [
+    ParetoJump(alpha=ALPHA, scale=SCALE, rate=RATE),
+    UniformJump(lo=-0.5, hi=1.0, rate=1.0),
+    ConstantJump(size=-0.6, rate=2.0),
+    NoJumps(),
+    CompoundPoisson(0.5, lambda y: 0.75 * (1.0 - y * y), (-1.0, 1.0)),
+], ids=["pareto", "uniform", "constant", "no-jumps", "compound-poisson"])
+def test_every_route_gives_one_admissibility_verdict(measure):
+    # At psi = 0 every fraction is admissible (the Pareto closed forms
+    # rejected pi < 0), and a negative impact scale is a DomainError for
+    # every measure with jumps (the quadrature, uniform and constant routes
+    # returned values).
+    for route in ROUTES:
+        fn = getattr(measure, route)
+        at_zero = measure.moment(2) if route == "tilted_second_moment" else 0.0
+        assert fn(-0.1, 0.0) == at_zero
+        if measure.rate == 0.0:
+            assert fn(0.1, -0.5) == 0.0
+        else:
+            with pytest.raises(DomainError):
+                fn(0.1, -0.5)
+
+
+@pytest.mark.parametrize("measure", [
+    ParetoJump(alpha=ALPHA, scale=SCALE, rate=0.0),
+    UniformJump(lo=-0.5, hi=1.0, rate=0.0),
+    ConstantJump(size=-0.6, rate=0.0),
+], ids=["pareto", "uniform", "constant"])
+def test_zero_rate_transforms_vanish_at_every_fraction(measure):
+    # A zero rate admits every fraction; the closed forms evaluated their
+    # kernels beyond the support bound there and returned NaN.
+    for route in ROUTES:
+        for pi in (-5.0, 5.0):
+            assert getattr(measure, route)(pi) == 0.0
+    for route in ROUTES[:3]:
+        assert not np.any(getattr(measure, route)(np.array([-5.0, 5.0])))
 
 
 class TestUniformTransforms:

@@ -392,6 +392,21 @@ class TestSimulationInputs:
         with pytest.raises(ConfigError, match=name):
             mk.SimConfig(**settings)
 
+    @pytest.mark.parametrize("settings", [
+        {"seed": -1}, {"seed": 2**64}, {"path_offset": -1},
+        {"path_offset": 2**63}, {"path_offset": 2**63 - 3},
+        {"path_offset": np.int64(2**63 - 1)},
+    ])
+    def test_out_of_range_seed_or_path_ids_rejected(self, settings):
+        # the keys take the seed modulo 2**64 and the path ids as int64, so
+        # these ran another seed's paths or overflowed
+        with pytest.raises(ConfigError):
+            mk.SimConfig(4, 4, **{"seed": 1, **settings})
+
+    def test_largest_seed_and_path_ids_run(self):
+        config = mk.SimConfig(4, 4, 2**64 - 1, path_offset=2**63 - 4)
+        assert len(set(config.path_keys().tolist())) == 4
+
     def test_numpy_integer_config_runs_the_same_paths(self):
         m = calibrated_market()
         plain = mk.SimConfig(5, 6, 77, path_offset=3)
