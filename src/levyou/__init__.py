@@ -10,7 +10,8 @@ more general Lévy) jumps:
 * :mod:`levyou.market` — model coefficients, exact simulation and
   analytic moments;
 * :mod:`levyou.strategy` — the exact optimal fraction (first-order
-  condition inverted by a safeguarded root finder) and growth tables;
+  condition inverted by Chandrupatla's bracketing root finder) and
+  growth tables;
 * :mod:`levyou.approx` — two closed-form approximations with uniform
   error bounds;
 * :mod:`levyou.valuation` — Monte Carlo reward estimates, strategy

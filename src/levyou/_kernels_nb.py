@@ -3,7 +3,10 @@
 These mirror the vectorized numpy kernels in ``_kernels_np`` operation by
 operation: both consume the counter-based stream defined in ``_rng`` with
 identical slot assignments, so a given (seed, path id) produces the same
-path on either backend (up to last-ulp libm differences).
+path on either backend (up to last-ulp libm differences).  Numba cannot
+call ``scipy.special.ndtri``, the numpy kernels' normal quantile, so
+:func:`_normal_ppf` evaluates Wichura's PPND16 instead; the two agree to
+about 1e-15.
 
 The simulation scheme freezes the coefficient functions at the left node of
 every step and is otherwise exact in distribution: between consecutive event
@@ -27,12 +30,6 @@ from ._rng import (
     MAX_JUMPS_PER_STEP,
     MIX1,
     MIX2,
-    PPF_A,
-    PPF_B,
-    PPF_C,
-    PPF_D,
-    PPF_E,
-    PPF_F,
     SIZE_CONSTANT,
     SIZE_PARETO,
     SIZE_UNIFORM,
@@ -40,14 +37,14 @@ from ._rng import (
     SLOT_SIZE,
     SLOT_SPACE,
     SLOT_TIME,
+    _INV53,
+    _U11,
+    _U27,
+    _U30,
+    _U31,
 )
 
-_U30 = np.uint64(30)
-_U27 = np.uint64(27)
-_U31 = np.uint64(31)
-_U11 = np.uint64(11)
 _USPACE = np.uint64(SLOT_SPACE)
-_INV53 = 2.0**-53
 
 # What the walk accumulates: node prices, the trapezoid integral of a
 # tabulated reward, or log-wealth under a tabulated fraction.
@@ -69,6 +66,71 @@ def _uniform(key, step, slot):
     ctr = np.uint64(step) * _USPACE + np.uint64(slot)
     w = _mix64(key ^ _mix64(ctr * GOLDEN + MIX2))
     return (np.float64(w >> _U11) + 0.5) * _INV53
+
+
+# Rational minimax coefficients for the standard normal quantile function
+# (Wichura's PPND16 scheme: central region plus two tail regions, each a
+# degree-7 over degree-7 rational in a shifted variable).
+PPF_A = np.array((
+    3.3871328727963666080e0,
+    1.3314166789178437745e2,
+    1.9715909503065514427e3,
+    1.3731693765509461125e4,
+    4.5921953931549871457e4,
+    6.7265770927008700853e4,
+    3.3430575583588128105e4,
+    2.5090809287301226727e3,
+))
+PPF_B = np.array((
+    1.0,
+    4.2313330701600911252e1,
+    6.8718700749205790830e2,
+    5.3941960214247511077e3,
+    2.1213794301586595867e4,
+    3.9307895800092710610e4,
+    2.8729085735721942674e4,
+    5.2264952788528545610e3,
+))
+PPF_C = np.array((
+    1.42343711074968357734e0,
+    4.63033784615654529590e0,
+    5.76949722146069140550e0,
+    3.64784832476320460504e0,
+    1.27045825245236838258e0,
+    2.41780725177450611770e-1,
+    2.27238449892691845833e-2,
+    7.74545014278341407640e-4,
+))
+PPF_D = np.array((
+    1.0,
+    2.05319162663775882187e0,
+    1.67638483018380384940e0,
+    6.89767334985100004550e-1,
+    1.48103976427480074590e-1,
+    1.51986665636164571966e-2,
+    5.47593808499534494600e-4,
+    1.05075007164441684324e-9,
+))
+PPF_E = np.array((
+    6.65790464350110377720e0,
+    5.46378491116411436990e0,
+    1.78482653991729133580e0,
+    2.96560571828504891230e-1,
+    2.65321895265761230930e-2,
+    1.24266094738807843860e-3,
+    2.71155556874348757815e-5,
+    2.01033439929228813265e-7,
+))
+PPF_F = np.array((
+    1.0,
+    5.99832206555887937690e-1,
+    1.36929880922735805310e-1,
+    1.48753612908506148525e-2,
+    7.86869131145613259100e-4,
+    1.84631831751005468180e-5,
+    1.42151175831644588870e-7,
+    2.04426310338993978564e-15,
+))
 
 
 @njit(cache=True)

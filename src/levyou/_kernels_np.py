@@ -1,11 +1,12 @@
 """Vectorized numpy kernels, twins of the numba scalar kernels.
 
 Same stream, same slot layout and the same arithmetic per element as the
-scalar backend.  Each variate is addressed by (path key, step, slot), so
-nothing random depends on the prices, and the price recursion reads no
-table.  The walk therefore runs over blocks of
-``max(1, BLOCK_PATH_STEPS // n_paths)`` steps, and does each block in
-these parts:
+scalar backend, except the normal quantile: ``scipy.special.ndtri`` here,
+Wichura's PPND16 in the numba kernels (about 1e-15 apart).  Each variate
+is addressed by (path key, step, slot), so nothing random depends on the
+prices, and the price recursion reads no table.  The walk therefore runs
+over blocks of ``max(1, BLOCK_PATH_STEPS // n_paths)`` steps, and does
+each block in these parts:
 
 1. :func:`_skeleton` draws the block's random skeleton with a few array
    calls across paths *and* steps: the jump counts, each path's jump times
@@ -35,6 +36,7 @@ mode picks what it accumulates along the path.
 from typing import NamedTuple
 
 import numpy as np
+from scipy.special import ndtri
 
 from . import _rng
 
@@ -132,7 +134,7 @@ def _skeleton(keys, ks, times, bc_step, sig_step, lam, cdf, kind, p0, p1):
     ])
     ed, drift, std = _decay_drift_std(lam, bc_step[ks][at],
                                       sig_step[ks][at], delta)
-    noise = std * _rng.normal_ppf(u)
+    noise = std * ndtri(u)
 
     # The walk takes jump rank j of a step on all its paths at once; the
     # jumps are ordered by (rank, step, path), so each (step, rank) group

@@ -20,6 +20,10 @@ slot            variate
 
 The scalar twins of these functions (used inside the numba kernels) live in
 ``_kernels_nb`` and follow the exact same arithmetic, operation by operation.
+A Gaussian slot's uniform becomes a standard normal through the quantile
+function: ``scipy.special.ndtri`` in the numpy kernels, Wichura's PPND16
+(``_kernels_nb._normal_ppf``) in the numba kernels, which cannot call
+``ndtri``.  The two agree to about 1e-15.
 """
 
 import sys
@@ -44,70 +48,6 @@ _U27 = np.uint64(27)
 _U31 = np.uint64(31)
 _U11 = np.uint64(11)
 _INV53 = 2.0**-53
-
-# Rational minimax coefficients for the standard normal quantile function
-# (Wichura's PPND16 scheme: central region plus two tail regions, each a
-# degree-7 over degree-7 rational in a shifted variable).
-PPF_A = np.array((
-    3.3871328727963666080e0,
-    1.3314166789178437745e2,
-    1.9715909503065514427e3,
-    1.3731693765509461125e4,
-    4.5921953931549871457e4,
-    6.7265770927008700853e4,
-    3.3430575583588128105e4,
-    2.5090809287301226727e3,
-))
-PPF_B = np.array((
-    1.0,
-    4.2313330701600911252e1,
-    6.8718700749205790830e2,
-    5.3941960214247511077e3,
-    2.1213794301586595867e4,
-    3.9307895800092710610e4,
-    2.8729085735721942674e4,
-    5.2264952788528545610e3,
-))
-PPF_C = np.array((
-    1.42343711074968357734e0,
-    4.63033784615654529590e0,
-    5.76949722146069140550e0,
-    3.64784832476320460504e0,
-    1.27045825245236838258e0,
-    2.41780725177450611770e-1,
-    2.27238449892691845833e-2,
-    7.74545014278341407640e-4,
-))
-PPF_D = np.array((
-    1.0,
-    2.05319162663775882187e0,
-    1.67638483018380384940e0,
-    6.89767334985100004550e-1,
-    1.48103976427480074590e-1,
-    1.51986665636164571966e-2,
-    5.47593808499534494600e-4,
-    1.05075007164441684324e-9,
-))
-PPF_E = np.array((
-    6.65790464350110377720e0,
-    5.46378491116411436990e0,
-    1.78482653991729133580e0,
-    2.96560571828504891230e-1,
-    2.65321895265761230930e-2,
-    1.24266094738807843860e-3,
-    2.71155556874348757815e-5,
-    2.01033439929228813265e-7,
-))
-PPF_F = np.array((
-    1.0,
-    5.99832206555887937690e-1,
-    1.36929880922735805310e-1,
-    1.48753612908506148525e-2,
-    7.86869131145613259100e-4,
-    1.84631831751005468180e-5,
-    1.42151175831644588870e-7,
-    2.04426310338993978564e-15,
-))
 
 # Jump size sampler codes shared with the kernels.
 SIZE_NONE = 0
@@ -161,53 +101,6 @@ def uniforms(keys, step, slot):
     """Uniform variates on the open interval (0, 1)."""
     w = raw_words(keys, step, slot)
     return ((w >> _U11).astype(np.float64) + 0.5) * _INV53
-
-
-def _horner(coeffs, x):
-    acc = x * coeffs[-1]
-    acc += coeffs[-2]
-    for c in coeffs[-3::-1]:
-        acc *= x
-        acc += c
-    return acc
-
-
-def normal_ppf(p):
-    """Standard normal quantile, accurate to ~1e-15 relative on (0, 1)."""
-    p = np.asarray(p, dtype=np.float64)
-    scalar = p.ndim == 0
-    p = np.atleast_1d(p)
-    q = p - 0.5
-    out = np.empty_like(p)
-
-    central = np.abs(q) <= 0.425
-    if np.any(central):
-        qc = q[central]
-        r = 0.180625 - qc * qc
-        out[central] = qc * _horner(PPF_A, r) / _horner(PPF_B, r)
-
-    tails = ~central
-    if np.any(tails):
-        qt = q[tails]
-        r = np.where(qt < 0.0, p[tails], 1.0 - p[tails])
-        r = np.sqrt(-np.log(r))
-        near = r <= 5.0
-        val = np.empty_like(r)
-        if np.any(near):
-            rn = r[near] - 1.6
-            val[near] = _horner(PPF_C, rn) / _horner(PPF_D, rn)
-        far = ~near
-        if np.any(far):
-            rf = r[far] - 5.0
-            val[far] = _horner(PPF_E, rf) / _horner(PPF_F, rf)
-        out[tails] = np.where(qt < 0.0, -val, val)
-
-    return out[0] if scalar else out
-
-
-def normals(keys, step, slot):
-    """Standard normal variates for (key, step, slot)."""
-    return normal_ppf(uniforms(keys, step, slot))
 
 
 def poisson_cdf_table(mu, cap=MAX_JUMPS_PER_STEP):

@@ -320,11 +320,21 @@ class JumpMeasure:
             pi.min(initial=math.inf), pi.max(initial=-math.inf))
 
     def _require_admissible(self, pi, psi):
-        if not self.admissible(pi, psi):
-            raise AdmissibilityError(
-                f"fraction {pi} with impact {psi} leaves 1 + pi*psi*y > 0 "
-                f"on support {self.support()}"
-            )
+        """Raise :class:`AdmissibilityError` naming the fraction of ``pi``
+        furthest outside :func:`admissible_set` and the set itself."""
+        if self.admissible(pi, psi):
+            return
+        pi = np.asarray(pi, dtype=np.float64)
+        adm = admissible_set(self, psi)
+        # 0 is always admissible, so (lo, 0) fails only where lo does.
+        lo = pi.min()
+        bad = pi.max() if adm.contains_interval(lo, 0.0) else lo
+        raise AdmissibilityError(
+            f"fraction {bad} with impact {psi} breaks 1 + pi*psi*y > 0 on "
+            f"support {self.support()}; the admissible fractions are "
+            f"{'(' if adm.lo_open else '['}{adm.lo}, "
+            f"{adm.hi}{')' if adm.hi_open else ']'}"
+        )
 
     # -- structure integrals ----------------------------------------------
 
@@ -568,6 +578,8 @@ class ParetoJump(CompoundPoisson):
         return a * z0**a / y ** (a + 1.0)
 
     def moment(self, k):
+        if self.rate == 0.0:
+            return 0.0
         if k >= self.alpha:
             return math.inf
         return self.rate * self.alpha * self.scale**k / (self.alpha - k)

@@ -17,18 +17,19 @@ where G is strictly increasing.  The optimal fraction on an interval
 [pi_min, pi_max] is therefore the monotone inverse of G clamped to the
 interval; all price dependence enters through the scalar q, which makes
 whole-grid solves cheap and the clamping thresholds in price explicit.
+The interior inverse is found by Chandrupatla's bracketing root finder
+(``scipy.optimize.elementwise.find_root``), one bracket per price.
 """
 
 from functools import partial
 from typing import NamedTuple
 
 import numpy as np
+from scipy.optimize.elementwise import find_root
 
 from . import _csv
 from .errors import ConfigError, ConvergenceError, DomainError
 
-BISECT_ITERS = 80
-NEWTON_ITERS = 3
 RESIDUAL_SLACK = 1e-7
 
 
@@ -84,11 +85,9 @@ def _solve_q(market, t, q, pi_min, pi_max):
 
     Returns (pi, clamped, iterations, residual) arrays.  ``residual`` is the
     remaining slope q - G(pi); it is zero at clamped points by convention.
+    Each interior point is bracketed by [pi_min, pi_max] and solved at
+    ``find_root``'s default tolerances.
     """
-    sg = market.sigma_at(t)
-    psi = market.psi_at(t)
-    sg2 = sg * sg
-    meas = market.measure
     G = partial(_stationarity, market, t)
     g_hi = float(G(pi_max))
     g_lo = float(G(pi_min))
@@ -98,31 +97,17 @@ def _solve_q(market, t, q, pi_min, pi_max):
     resid = np.zeros_like(q)
     if np.any(interior):
         qi = q[interior]
-        lo = np.full(qi.shape, float(pi_min))
-        hi = np.full(qi.shape, float(pi_max))
-        width0 = float(pi_max - pi_min)
-        target = max(1e-14, 1e-12 * max(1.0, width0))
-        for iters in range(1, BISECT_ITERS + 1):
-            mid = 0.5 * (lo + hi)
-            up = G(mid) < qi
-            lo = np.where(up, mid, lo)
-            hi = np.where(up, hi, mid)
-            if float(np.max(hi - lo)) < target:
-                break
-        root = 0.5 * (lo + hi)
-        # Newton polish with the exact slope of G
-        for _ in range(NEWTON_ITERS):
-            slope = sg2 + meas.curvature(root, psi)
-            step = (qi - G(root)) / np.maximum(slope, 1e-300)
-            root = np.clip(root + step, lo, hi)
-        r = qi - G(root)
-        pi[interior] = root
+        res = find_root(lambda p, qv: G(p) - qv,
+                        (float(pi_min), float(pi_max)), args=(qi,))
+        r = -res.f_x
+        pi[interior] = res.x
         resid[interior] = r
-        scale = np.maximum(1.0, np.abs(qi))
-        if float(np.max(np.abs(r) / scale)) > RESIDUAL_SLACK:
+        iters = int(res.nit.max())
+        worst = float(np.max(np.abs(r) / np.maximum(1.0, np.abs(qi))))
+        if not (res.success.all() and worst <= RESIDUAL_SLACK):
             raise ConvergenceError(
-                "optimal-fraction solve did not reach the residual target; "
-                f"worst relative residual {float(np.max(np.abs(r) / scale))}"
+                "optimal-fraction solve did not converge to the residual "
+                f"target; worst relative residual {worst}"
             )
     return pi, clamped, iters, resid
 

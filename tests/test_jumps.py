@@ -23,6 +23,7 @@ from levyou.jumps import (
     UniformJump,
     log1p_minus,
 )
+from levyou.market import MarketCoefficients
 
 ALPHA = 2.5406
 SCALE = 0.3648
@@ -305,6 +306,37 @@ def test_zero_rate_transforms_vanish_at_every_fraction(measure):
             assert getattr(measure, route)(pi) == 0.0
     for route in ROUTES[:3]:
         assert not np.any(getattr(measure, route)(np.array([-5.0, 5.0])))
+
+
+def test_zero_rate_pareto_has_zero_moments():
+    # The zero measure has every moment 0; the closed form returned inf for
+    # k >= alpha whatever the rate, so a zero-rate market was refused.
+    measure = ParetoJump(alpha=1.5, scale=0.3, rate=0.0)
+    for k in (1, 1.5, 2, 3):
+        assert measure.moment(k) == 0.0
+        assert measure.abs_moment(k) == 0.0
+    market = MarketCoefficients(lam=0.1, b=0.0, sigma=0.1, psi=1.0,
+                                measure=measure)
+    assert market.measure is measure
+
+
+def test_inadmissible_fraction_message_names_one_fraction_and_the_set():
+    # The message says the condition fails, and names the fraction furthest
+    # outside the admissible set and the set, also for a 257-fraction grid.
+    m = UniformJump(lo=-0.5, hi=1.0, rate=1.0)
+    pattern = (r"fraction 5\.0 with impact 1\.0 breaks 1 \+ pi\*psi\*y > 0 "
+               r".*admissible fractions are \(-1\.0, 2\.0\)$")
+    with pytest.raises(AdmissibilityError, match=pattern):
+        m.drag(5.0)
+    with pytest.raises(AdmissibilityError, match=pattern) as info:
+        m.drag(np.linspace(0.0, 5.0, 257))
+    assert "4.98" not in str(info.value)
+    with pytest.raises(AdmissibilityError, match=r"fraction -3\.0 "):
+        m.drag(np.array([-3.0, 0.5]))
+    with pytest.raises(AdmissibilityError, match=r"fraction 4\.0 "):
+        m.drag(np.array([3.0, 4.0]))
+    with pytest.raises(AdmissibilityError, match=r"are \[0\.0, inf\)$"):
+        ParetoJump(alpha=ALPHA, scale=SCALE, rate=RATE).drag(-0.1)
 
 
 class TestUniformTransforms:

@@ -1,0 +1,49 @@
+"""The numeric diff of two trees' output groups (benchmarks/output_diff.py):
+how it classes one group's leaves."""
+
+import importlib.util
+import os
+
+import numpy as np
+import pytest
+
+_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "benchmarks",
+                     "output_diff.py")
+
+
+@pytest.fixture(scope="module")
+def output_diff():
+    spec = importlib.util.spec_from_file_location("output_diff", _PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bit_identical_leaves_are_the_same(output_diff):
+    a = np.array([1.0, np.nan, np.inf])
+    assert output_diff.compare([a, "x = 1.5"], [a.copy(), "x = 1.5"]) \
+        == ("same", 0.0, 0.0)
+
+
+def test_moved_numbers_report_their_largest_difference(output_diff):
+    a = np.array([1.0, np.nan, 0.0])
+    status, d, r = output_diff.compare(
+        [a, "x = 1.5 at 2"],
+        [a + [0.0, 0.0, 1e-15], "x = 1.5000000000000002 at 2"])
+    assert status == "changed"
+    assert d == 1e-15
+    assert r == 1.0
+    # equal numbers with other bits (a signed zero) change nothing numeric
+    assert output_diff.compare([np.array([0.0])], [np.array([-0.0])]) \
+        == ("changed", 0.0, 0.0)
+    # a NaN facing a number is an infinite difference
+    assert output_diff.compare([np.array([np.nan])], [np.array([1.0])]) \
+        == ("changed", np.inf, np.inf)
+
+
+def test_changed_text_or_shape_is_flagged(output_diff):
+    assert output_diff.compare(["x = 1"], ["y = 1"])[0] == "flagged"
+    assert output_diff.compare(["x = 1"], ["x = 1, 2"])[0] == "flagged"
+    a = np.zeros(3)
+    assert output_diff.compare([a], [a[:2]])[0] == "flagged"
+    assert output_diff.compare([a], [a, a])[0] == "flagged"

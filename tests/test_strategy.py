@@ -3,7 +3,8 @@ clamping thresholds, envelope gradients, surfaces and kernel tables.
 
 Frozen roots and growth values were computed with mpmath (30 digits):
 quadrature of the jump integrals plus findroot on the stationarity
-condition — independent of the QUADPACK + bisection route used here.
+condition — independent of the closed-form transforms and the
+Chandrupatla root finder used here.
 """
 
 import math
@@ -154,6 +155,21 @@ class TestOptimalFraction:
             sg.optimal_fraction_grid(m, 0.0, [0.1, math.nan, 0.3], lo, hi)
         with pytest.raises(DomainError, match="NaN"):
             sg.best_growth(m, 0.0, math.nan, lo, hi)
+
+    @pytest.mark.parametrize("name", presets.PRESET_NAMES)
+    def test_solve_reports_iterations_and_residual(self, name):
+        preset = presets.get_preset(name)
+        m, lo, hi = preset.market, preset.pi_min, preset.pi_max
+        s_full, s_flat = sg.clamp_thresholds(m, 0.0, lo, hi)
+        opt = sg.optimal_fraction(m, 0.0, 0.5 * (s_full + s_flat), lo, hi)
+        assert not opt.clamped
+        assert opt.iterations > 0
+        assert abs(opt.residual) < 1e-12
+        for s in (s_full - 1.0, s_flat + 1.0):
+            opt = sg.optimal_fraction(m, 0.0, s, lo, hi)
+            assert opt.clamped
+            assert opt.iterations == 0
+            assert opt.residual == 0.0
 
     def test_no_risk_is_bang_bang(self):
         m = mk.MarketCoefficients(lam=0.5, b=0.2, sigma=0.0, psi=0.0,
