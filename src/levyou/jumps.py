@@ -51,6 +51,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 from scipy.integrate import quad
 
 from . import _rng
@@ -103,11 +104,9 @@ def _series_or_direct(u, series, direct):
     """Kernel G(u): its Taylor series for small |u|, else ``direct(u)``."""
     u = np.asarray(u, dtype=np.float64)
     small = np.abs(u) < _SERIES_CUTOFF
-    powers = np.empty((len(series), u.size))
-    powers[0] = 1.0
-    powers[1:] = np.where(small, u, 0.0).ravel()
-    np.multiply.accumulate(powers[1:], axis=0, out=powers[1:])
-    near = (series @ powers).reshape(u.shape)
+    # Horner's rule in elementwise ufuncs: one fraction's value does not
+    # depend on the array it sits in, as a BLAS-summed product's would.
+    near = polyval(np.where(small, u, 0.0), series)
     return np.where(small, near, direct(np.where(small, 1.0, u)))
 
 

@@ -86,7 +86,10 @@ def _solve_q(market, t, q, pi_min, pi_max):
     Returns (pi, clamped, iterations, residual) arrays.  ``residual`` is the
     remaining slope q - G(pi); it is zero at clamped points by convention.
     Each interior point is bracketed by [pi_min, pi_max] and solved at
-    ``find_root``'s default tolerances.
+    ``find_root``'s default tolerances.  A point whose bracket ``find_root``
+    rejects (G - q has one sign at both ends) lies within rounding of a
+    clamp threshold: it takes that end's fraction and counts as clamped,
+    once q - G there passes the residual check.
     """
     G = partial(_stationarity, market, t)
     g_hi = float(G(pi_max))
@@ -99,12 +102,16 @@ def _solve_q(market, t, q, pi_min, pi_max):
         qi = q[interior]
         res = find_root(lambda p, qv: G(p) - qv,
                         (float(pi_min), float(pi_max)), args=(qi,))
-        r = -res.f_x
-        pi[interior] = res.x
-        resid[interior] = r
+        f_lo, f_hi = res.f_bracket
+        edge = res.status == -1
+        at_lo = edge & (f_lo > 0.0)
+        r = -np.where(at_lo, f_lo, np.where(edge, f_hi, res.f_x))
+        pi[interior] = np.where(at_lo, pi_min, np.where(edge, pi_max, res.x))
+        clamped[interior] = edge
+        resid[interior] = np.where(edge, 0.0, r)
         iters = int(res.nit.max())
         worst = float(np.max(np.abs(r) / np.maximum(1.0, np.abs(qi))))
-        if not (res.success.all() and worst <= RESIDUAL_SLACK):
+        if not ((res.success | edge).all() and worst <= RESIDUAL_SLACK):
             raise ConvergenceError(
                 "optimal-fraction solve did not converge to the residual "
                 f"target; worst relative residual {worst}"

@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 
+from levyou import jumps
 from levyou.errors import AdmissibilityError, CaseError, DomainError
 from levyou.jumps import (
     CompoundPoisson,
@@ -415,6 +416,18 @@ class TestUniformTransforms:
                 fn(pis, 0.7), [fn(float(p), 0.7) for p in pis],
                 rtol=1e-15, atol=0.0,
             )
+
+    @pytest.mark.parametrize("kernel", [jumps._g_drag, jumps._g_curvature,
+                                        jumps._g_log_penalty])
+    @pytest.mark.parametrize("u", [0.179, -0.31, 0.4999, 1e-9])
+    def test_kernel_value_does_not_depend_on_its_array(self, kernel, u):
+        # The series branch (|u| < 0.5) once summed by a BLAS product, so
+        # one fraction's value moved with the length of its array.
+        one = kernel(np.array([u]))[0]
+        for n in range(1, 65):
+            np.testing.assert_array_equal(kernel(np.full(n, u)), one)
+        mixed = kernel(np.array([0.7, -0.2, u, 0.01, u, 3.0]))
+        assert mixed[2] == mixed[4] == one
 
     def test_inadmissible_fractions_rejected(self, uniform):
         assert uniform.admissible(np.array([-0.99, 0.0, 1.99]))

@@ -15,7 +15,12 @@ import pytest
 from levyou import market as mk
 from levyou import presets
 from levyou import strategy as sg
-from levyou.errors import AdmissibilityError, ConfigError, DomainError
+from levyou.errors import (
+    AdmissibilityError,
+    ConfigError,
+    ConvergenceError,
+    DomainError,
+)
 from levyou.jumps import NoJumps, ParetoJump, UniformJump
 
 LAM = 0.3333 / 24
@@ -358,6 +363,48 @@ class TestFractionTable:
             sg.exact_fraction_table(pareto_market(), [0.0], 0.0, 0.2, ns=ns)
         with pytest.raises(ConfigError, match="at least 2 prices"):
             sg.growth_table(pareto_market(), [0.0], 0.0, 0.2, ns=ns)
+
+    def test_bracket_end_of_a_uniform_market_builds(self):
+        # At the bracket end s2 the drift gap lies within an ulp of
+        # G(pi_min); the clamp and the root finder must agree there.
+        m = mk.MarketCoefficients(lam=1.24, b=-0.223, sigma=0.38, psi=0.919,
+                                  measure=UniformJump(-0.5, 1.0, 2.0))
+        for ns in (17, 33, 257, 1025):
+            tab = sg.exact_fraction_table(m, [0.0, 1.0], -0.5, 0.5, ns=ns)
+            assert tab.values[0, 0] == 0.5
+            assert tab.values[0, -1] == -0.5
+            assert np.all(np.diff(tab.values[0]) <= 0.0)
+            growth = sg.growth_table(m, [0.0, 1.0], -0.5, 0.5, ns=ns)
+            assert np.isfinite(growth.values).all()
+
+    @pytest.mark.parametrize("shift, end", [(1e-13, 0), (-1e-13, 1)])
+    def test_rejected_bracket_takes_that_ends_fraction(self, monkeypatch,
+                                                       shift, end):
+        # G evaluated inside an array rounds the other way from the scalar
+        # G the clamp uses: q just inside the scalar threshold has G - q of
+        # one sign at both ends of find_root's bracket.
+        def stationarity(market, t, pi):
+            pi = np.asarray(pi, dtype=np.float64)
+            return pi + (shift if pi.ndim else 0.0)
+
+        monkeypatch.setattr(sg, "_stationarity", stationarity)
+        lo, hi = -0.5, 0.5
+        q = np.array([(lo, hi)[end] + 0.5 * shift, 0.1, 2.0])
+        pi, clamped, _, resid = sg._solve_q(None, 0.0, q, lo, hi)
+        assert pi[0] == (lo, hi)[end]
+        assert pi[1] == pytest.approx(0.1, abs=1e-12)
+        assert pi[2] == hi
+        np.testing.assert_array_equal(clamped, [True, False, True])
+        assert resid[0] == resid[2] == 0.0
+
+    def test_rejected_bracket_far_from_the_end_still_raises(self,
+                                                            monkeypatch):
+        monkeypatch.setattr(
+            sg, "_stationarity",
+            lambda market, t, pi: np.asarray(pi) + (0.3 if np.ndim(pi)
+                                                    else 0.0))
+        with pytest.raises(ConvergenceError):
+            sg._solve_q(None, 0.0, np.array([-0.4]), -0.5, 0.5)
 
     def test_constant_table(self):
         tab = sg.constant_fraction_table([0.0, 1.0, 2.0], 0.13)
