@@ -9,10 +9,16 @@ over blocks of ``max(1, BLOCK_PATH_STEPS // n_paths)`` steps, and does
 each block in these parts:
 
 1. :func:`_skeleton` draws the block's random skeleton with a few array
-   calls across paths *and* steps: the jump counts, each path's jump times
+   calls across paths *and* steps: the jump counts (one Poisson inversion
+   for the block when its CDF rows are equal), each path's jump times
    (sorted) and sizes, the interval before each jump and before each step's
    right node, and for every interval its decay factor, drift and Gaussian
-   noise term.
+   noise term.  The decay and drift are computed once per step for the
+   node intervals that no jump cut (they span the whole step) and one by
+   one only for the others.  A block whose volatility is zero on every
+   step has no noise: it draws no Gaussian uniforms and no quantiles, and
+   the price loop adds no noise term.  Skipping a draw shifts no other
+   variate, and ``x + 0.0`` is ``x``, so no output moves.
 2. The price loop steps through the block running only the price
    recursion.  Jump rank ``j`` of a step runs on the compacted rows of the
    paths with more than ``j`` jumps in it (``s * decay + drift + noise``,
@@ -52,11 +58,14 @@ class _Skeleton(NamedTuple):
     """The random part of a block of steps, as the walk consumes it.
 
     ``ed``, ``drift``, ``noise`` and ``delta`` are (steps, paths) arrays
-    for the last quiet interval of each step.  The ``j_`` arrays hold one
-    entry per jump, ordered by (rank, step, path): the block step and the
-    path, the quiet interval up to the jump and its terms, and the jump
-    size.  ``groups[r]`` holds one slice of them per jump rank of block
-    step ``r``, in rank order; ``ranks[j]`` is the slice of rank ``j``.
+    for the last quiet interval of each step; ``ed`` and ``drift`` hold one
+    per-step value wherever no jump cut that interval.  The ``j_`` arrays
+    hold one entry per jump, ordered by (rank, step, path): the block step
+    and the path, the quiet interval up to the jump and its terms, and the
+    jump size.  ``noise`` and ``j_noise`` are None when the volatility is
+    zero on every step of the block.  ``groups[r]`` holds one slice of them
+    per jump rank of block step ``r``, in rank order; ``ranks[j]`` is the
+    slice of rank ``j``.
     """
 
     ed: np.ndarray
@@ -122,19 +131,35 @@ def _skeleton(keys, ks, times, bc_step, sig_step, lam, cdf, kind, p0, p1):
     last = np.repeat(t_left, n)
     last[pair] = tj[first + c - 1]
 
-    # Decay, drift and noise of every quiet interval: first those ending at
-    # a jump, then those ending at a step's right node.
-    delta = np.concatenate(
-        [tj - prev, (times[ks + 1][:, None] - last.reshape(cnt.shape)).ravel()]
-    )
-    at = np.concatenate([row, np.repeat(np.arange(ks.shape[0]), n)])
-    u = np.concatenate([
-        _rng.uniforms(key, step, _rng.SLOT_GAUSS + rank),
-        _rng.uniforms(keys, ks[:, None], _rng.SLOT_GAUSS + cnt).ravel(),
-    ])
-    ed, drift, std = _decay_drift_std(lam, bc_step[ks][at],
-                                      sig_step[ks][at], delta)
-    noise = std * ndtri(u)
+    # Decay, drift and noise of every quiet interval.  A node interval that
+    # no jump cut spans the whole step, so it takes its step's terms,
+    # computed once on ``dt``; only the jump intervals and the node
+    # intervals after a step's last jump are computed one by one.
+    shape = cnt.shape
+    bc = bc_step[ks]
+    sig = sig_step[ks]
+    delta = times[ks + 1][:, None] - last.reshape(shape)
+    j_delta = tj - prev
+    at = np.concatenate([row, row[first]])
+    part = _decay_drift_std(lam, bc[at], sig[at],
+                            np.concatenate([j_delta, delta.ravel()[pair]]))
+
+    def per_node(i):
+        out = np.repeat(whole[i], n)
+        out[pair] = part[i][n_jumps:]
+        return out.reshape(shape)
+
+    whole = _decay_drift_std(lam, bc, sig, dt)
+    ed, drift = per_node(0), per_node(1)
+    # Without volatility in the block every noise term is zero: draw none.
+    noise = j_noise = None
+    if sig.any():
+        z = ndtri(np.concatenate([
+            _rng.uniforms(key, step, _rng.SLOT_GAUSS + rank),
+            _rng.uniforms(keys, ks[:, None], _rng.SLOT_GAUSS + cnt).ravel(),
+        ]))
+        j_noise = part[2][:n_jumps] * z[:n_jumps]
+        noise = per_node(2) * z[n_jumps:].reshape(shape)
 
     # The walk takes jump rank j of a step on all its paths at once; the
     # jumps are ordered by (rank, step, path), so each (step, rank) group
@@ -150,13 +175,10 @@ def _skeleton(keys, ks, times, bc_step, sig_step, lam, cdf, kind, p0, p1):
             groups[r].append(slice(a, b))
         edges = [0, *(np.flatnonzero(np.diff(rank)) + 1).tolist(), n_jumps]
         ranks = [slice(a, b) for a, b in zip(edges[:-1], edges[1:])]
-    tail = slice(n_jumps, None)
-    shape = cnt.shape
     return _Skeleton(
-        ed[tail].reshape(shape), drift[tail].reshape(shape),
-        noise[tail].reshape(shape), delta[tail].reshape(shape),
-        row, path[order], ed[order], drift[order], noise[order],
-        delta[order], size[order], groups, ranks,
+        ed, drift, noise, delta, row, path[order], part[0][order],
+        part[1][order], None if j_noise is None else j_noise[order],
+        j_delta[order], size[order], groups, ranks,
     )
 
 
@@ -269,14 +291,16 @@ def _walk(mode, keys, s0, times, b_step, sig_step, psi_step, comp_step,
                 s[...] = left
                 for jumps in groups:
                     idx = sk.j_path[jumps]
-                    pre = s[idx] * sk.j_ed[jumps] + sk.j_drift[jumps] \
-                        + sk.j_noise[jumps]
+                    pre = s[idx] * sk.j_ed[jumps] + sk.j_drift[jumps]
+                    if sk.j_noise is not None:
+                        pre += sk.j_noise[jumps]
                     jumped[0, jumps] = pre
                     s[idx] = jumped[1, jumps] = pre + shift[jumps]
                 left = s
             np.multiply(left, sk.ed[r], out=s)
             s += sk.drift[r]
-            s += sk.noise[r]
+            if sk.noise is not None:
+                s += sk.noise[r]
 
         # The table lookups of the whole block, and the terms.
         if mode == PRICE:

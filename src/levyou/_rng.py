@@ -143,8 +143,11 @@ def poisson_counts(u, cdf):
     """Invert uniforms through a Poisson CDF table.
 
     With a 2-D ``cdf``, row ``k`` of ``u`` is inverted through row ``k`` of
-    the table.
+    the table; when every row is the same (a constant rate on a uniform
+    grid), all of ``u`` is inverted through that row in one call.
     """
+    if cdf.ndim == 2 and len(cdf) and (cdf == cdf[0]).all():
+        cdf = cdf[0]
     if cdf.ndim == 1:
         return np.searchsorted(cdf, u, side="left")
     out = np.empty(u.shape, dtype=np.intp)
