@@ -8,9 +8,12 @@ wealth walks that the shared walk replaced.
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from levyou import _kernels_nb, _kernels_np, _rng, presets, strategy
-from levyou.market import SimConfig, build_sim_inputs
+from levyou.jumps import ConstantJump, ParetoJump, UniformJump
+from levyou.market import MarketCoefficients, SimConfig, build_sim_inputs
 
 PRESETS = ("benth2012", "uniform-two-sided", "gaussian")
 
@@ -255,3 +258,108 @@ def test_pinned_uniform_case_has_several_jumps_per_step():
     counts = [_rng.poisson_counts(_rng.uniforms(keys, k, _rng.SLOT_COUNT),
                                   cdf[k]) for k in range(4)]
     assert max(int(c.max()) for c in counts) >= 3
+
+
+# Generated markets for the differential test: steps of DT, so a rate of
+# 30 gives three jumps per step on average.
+DT = 0.1
+MEASURES = {
+    "uniform": lambda rate: UniformJump(-0.5, 0.8, rate),
+    "constant": lambda rate: ConstantJump(0.4, rate),
+    "pareto": lambda rate: ParetoJump(2.5, 0.3, rate),
+}
+
+
+@st.composite
+def walk_cases(draw, lam, shape, rate):
+    """Kernel arguments and two synthetic tables for a generated market
+    with mean reversion ``lam``, volatility ``shape`` and jump ``rate``."""
+    n_steps = draw(st.integers(2, 10))
+    n_paths = draw(st.integers(1, 4))
+    level = draw(st.floats(0.05, 1.0))
+    if shape == "some steps":
+        on = draw(st.lists(st.booleans(), min_size=n_steps,
+                           max_size=n_steps).filter(
+                               lambda m: any(m) and not all(m)))
+        sigma = lambda u: level * on[min(round(u / DT), n_steps - 1)]
+    else:
+        sigma = level if shape == "constant" else 0.0
+    b0, b1 = draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0))
+    kind = draw(st.sampled_from(sorted(MEASURES)))
+    market = MarketCoefficients(
+        lam=lam, b=(lambda u: b0 + b1 * u) if draw(st.booleans()) else b0,
+        sigma=sigma, psi=draw(st.floats(0.1, 1.0)),
+        measure=MEASURES[kind](rate),
+        sigma_range=(0.0, level) if callable(sigma) else None,
+    )
+    seed = draw(st.integers(0, 2**32 - 1))
+    sim = build_sim_inputs(market, 0.0, n_steps * DT,
+                           SimConfig(n_paths, n_steps, seed))
+    rng = np.random.default_rng(seed)
+    s1 = rng.uniform(-1.0, 1.0, n_steps + 1)
+    s2 = s1 + rng.uniform(0.5, 2.0, n_steps + 1)
+    reward = strategy.PriceTable(rng.normal(size=(n_steps + 1, 9)), s1, s2,
+                                 -0.05, 0.02)
+    # fractions that keep 1 + pi * psi * y positive for every size
+    lo = 0.0 if kind == "pareto" else -0.5
+    fraction = strategy.PriceTable(rng.uniform(lo, 0.5, (n_steps + 1, 9)),
+                                   s1, s2, 0.0, 0.0)
+    args = (_rng.derive_keys(seed, np.arange(n_paths)),
+            rng.uniform(-1.0, 3.0, n_paths), *sim.kernel_args)
+    return args, reward, fraction
+
+
+@pytest.mark.parametrize("rate", [0.0, 3.0, 30.0])
+@pytest.mark.parametrize("shape", ["zero", "constant", "some steps"])
+@pytest.mark.parametrize("lam", [0.0, 1e-9, 0.3, 2.0])
+@settings(max_examples=3, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_scalar_kernels_match_numpy_on_generated_markets(lam, shape, rate,
+                                                         data):
+    # The presets reach the walk's branches only all-or-nothing: sigma is
+    # zero on every step or on none, and every step has the same rate.
+    args, reward, fraction = data.draw(walk_cases(lam, shape, rate))
+    with np.errstate(over="ignore"):  # the uint64 hash wraps on purpose
+        scalar = run_all(_kernels_nb, args, reward, fraction)
+    vector = run_all(_kernels_np, args, reward, fraction)
+    for key, want in vector.items():
+        assert np.isfinite(want).all()
+        np.testing.assert_allclose(scalar[key], want, rtol=1e-14, atol=1e-14,
+                                   err_msg=key)
+
+
+def _raise(*_):
+    raise AssertionError("a normal quantile was drawn")
+
+
+def test_walk_draws_no_normals_without_volatility(monkeypatch):
+    # benth2012 has sigma = 0: every noise term would be 0 * ndtri(u).
+    args, gt, ft = kernel_inputs("benth2012", 64, 24, 3)
+    assert not args[4].any()
+    want = run_all(_kernels_np, args, gt, ft)
+    monkeypatch.setattr(_kernels_np, "ndtri", _raise)
+    got = run_all(_kernels_np, args, gt, ft)
+    for key in want:
+        np.testing.assert_array_equal(got[key], want[key])
+
+
+def test_walk_draws_normals_where_volatility_is_on_some_steps(monkeypatch):
+    market = MarketCoefficients(
+        lam=0.3, b=0.1, sigma=lambda u: 0.2 if u >= 1.0 else 0.0, psi=0.5,
+        measure=UniformJump(-0.5, 0.8, 3.0), sigma_range=(0.0, 0.2))
+    sim = build_sim_inputs(market, 0.0, 2.0, SimConfig(8, 8, 5))
+    assert not sim.sig_step.all() and sim.sig_step.any()
+    args = (_rng.derive_keys(5, np.arange(8)), np.ones(8), *sim.kernel_args)
+    calls = []
+    ndtri = _kernels_np.ndtri
+    monkeypatch.setattr(_kernels_np, "ndtri",
+                        lambda u: calls.append(u.size) or ndtri(u))
+    nodes = _kernels_np.price_paths(*args)
+    assert calls
+    monkeypatch.setattr(_kernels_np, "ndtri", _raise)
+    with pytest.raises(AssertionError, match="normal quantile"):
+        _kernels_np.price_paths(*args)
+    with np.errstate(over="ignore"):  # the uint64 hash wraps on purpose
+        scalar = _kernels_nb.price_paths(*args)
+    np.testing.assert_allclose(scalar, nodes, rtol=1e-14, atol=1e-14)

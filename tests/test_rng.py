@@ -120,6 +120,23 @@ class TestPoisson:
         ref = scipy.stats.poisson.ppf(u, mu).astype(np.int64)
         assert np.array_equal(ours, ref)
 
+    @pytest.mark.parametrize("mus", [[0.155] * 6, [0.155, 0.155, 2.0,
+                                                    0.01, 7.3, 0.155]])
+    def test_table_of_rows_matches_per_row_inversion(self, mus):
+        # Equal rows are inverted in one call; each row must still give
+        # what inverting it alone gives.
+        rows = [_rng.poisson_cdf_table(mu) for mu in mus]
+        cdf = np.full((len(rows), max(map(len, rows)) + 1), 2.0)
+        for k, row in enumerate(rows):
+            cdf[k, :len(row)] = row
+        keys = _rng.derive_keys(23, np.arange(3000))
+        u = _rng.uniforms(keys, np.arange(len(rows))[:, None], 0)
+        got = _rng.poisson_counts(u, cdf)
+        want = [np.searchsorted(row, u[k], side="left")
+                for k, row in enumerate(cdf)]
+        assert np.array_equal(got, want)
+        assert got.max() >= 1
+
     def test_zero_rate(self):
         cdf = _rng.poisson_cdf_table(0.0)
         u = np.array([1e-9, 0.5, 1 - 1e-12])
