@@ -51,7 +51,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.polynomial import polyval
 from scipy.integrate import quad
 
 from . import _rng
@@ -104,9 +103,14 @@ def _series_or_direct(u, series, direct):
     """Kernel G(u): its Taylor series for small |u|, else ``direct(u)``."""
     u = np.asarray(u, dtype=np.float64)
     small = np.abs(u) < _SERIES_CUTOFF
-    # Horner's rule in elementwise ufuncs: one fraction's value does not
+    # Horner's rule in place, in elementwise ufuncs (the bits of numpy's
+    # polyval without its temporaries): one fraction's value does not
     # depend on the array it sits in, as a BLAS-summed product's would.
-    near = polyval(np.where(small, u, 0.0), series)
+    x = np.where(small, u, 0.0)
+    near = np.full(x.shape, series[-1])
+    for c in series[-2::-1].tolist():
+        near *= x
+        near += c
     return np.where(small, near, direct(np.where(small, 1.0, u)))
 
 
@@ -679,8 +683,9 @@ class UniformJump(CompoundPoisson):
 
         def formula(p):
             x = p * psi
-            gap = (self.hi**3 * kernel(x * self.hi)
-                   - self.lo**3 * kernel(x * self.lo))
+            # both ends in one kernel call; the kernel is elementwise
+            g_hi, g_lo = kernel(np.multiply.outer((self.hi, self.lo), x))
+            gap = self.hi**3 * g_hi - self.lo**3 * g_lo
             return (self.rate * psi ** (2 - k) * x**k * gap
                     / (self.hi - self.lo))
 
