@@ -18,7 +18,7 @@ each block in these parts:
    one only for the others.  A block whose volatility is zero on every
    step has no noise: it draws no Gaussian uniforms and no quantiles, and
    the price loop adds no noise term.  Skipping a draw shifts no other
-   variate, and ``x + 0.0`` is ``x``, so no output moves.
+   variate, and the skipped noise terms are zeros, so no output moves.
 2. The price loop steps through the block running only the price
    recursion.  Jump rank ``j`` of a step runs on the compacted rows of the
    paths with more than ``j`` jumps in it (``s * decay + drift + noise``,
@@ -143,13 +143,13 @@ def _skeleton(keys, ks, times, bc_step, sig_step, lam, cdf, kind, p0, p1):
     at = np.concatenate([row, row[first]])
     part = _decay_drift_std(lam, bc[at], sig[at],
                             np.concatenate([j_delta, delta.ravel()[pair]]))
+    whole = _decay_drift_std(lam, bc, sig, dt)
 
     def per_node(i):
         out = np.repeat(whole[i], n)
         out[pair] = part[i][n_jumps:]
         return out.reshape(shape)
 
-    whole = _decay_drift_std(lam, bc, sig, dt)
     ed, drift = per_node(0), per_node(1)
     # Without volatility in the block every noise term is zero: draw none.
     noise = j_noise = None
