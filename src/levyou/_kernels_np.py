@@ -13,12 +13,15 @@ each block in these parts:
    for the block when its CDF rows are equal), each path's jump times
    (sorted) and sizes, the interval before each jump and before each step's
    right node, and for every interval its decay factor, drift and Gaussian
-   noise term.  The decay and drift are computed once per step for the
-   node intervals that no jump cut (they span the whole step) and one by
-   one only for the others.  A block whose volatility is zero on every
-   step has no noise: it draws no Gaussian uniforms and no quantiles, and
-   the price loop adds no noise term.  Skipping a draw shifts no other
-   variate, and the skipped noise terms are zeros, so no output moves.
+   noise term.  It is kept compact: the decay, drift and length of the
+   node intervals that no jump cut (they span the whole step) are held
+   once per step, and only the jump intervals and the node intervals after
+   a step's last jump one by one.  The walk expands them to dense (steps,
+   paths) rows for the block and frees those with it.  A block whose
+   volatility is zero on every step has no noise: it draws no Gaussian
+   uniforms and no quantiles, and the price loop adds no noise term.
+   Skipping a draw shifts no other variate, and the skipped noise terms are
+   zeros, so no output moves.
 2. The price loop steps through the block running only the price
    recursion.  Jump rank ``j`` of a step runs on the compacted rows of the
    paths with more than ``j`` jumps in it (``s * decay + drift + noise``,
@@ -37,6 +40,15 @@ A small call draws its whole skeleton at once; a large one keeps its memory
 bounded by the block.  No output depends on the block length or on which
 other paths share the batch.  One walk serves the three entry points; its
 mode picks what it accumulates along the path.
+
+The skeleton depends only on the keys, the time grid and the market's
+drift, volatility, rate, Poisson tables and size sampler, not on the start
+prices, the jump impact or the tables.  The walk keeps the skeleton blocks
+of its last call, under the bytes of those inputs, when the call has at
+most ``MEMO_PATH_STEPS`` path-steps; a next call on equal inputs (another
+start price of a value grid, another strategy of a comparison) walks them
+instead of drawing again, and gives the outputs a fresh draw would.  A
+call on other inputs drops them before it draws.
 """
 
 from typing import NamedTuple
@@ -52,26 +64,42 @@ PRICE, VALUE, WEALTH = 0, 1, 2
 
 # Path-steps whose skeleton is drawn at once; bounds the walk's memory.
 BLOCK_PATH_STEPS = 1 << 14
+# Path-steps of the largest call whose skeleton is kept for the next call.
+MEMO_PATH_STEPS = 1 << 19
+
+# (tag, blocks): the skeleton blocks of the last call that was within
+# MEMO_PATH_STEPS, under the bytes of every input they were drawn from.
+# Rebound whole, never mutated, so a reader never pairs one call's tag with
+# another call's blocks.
+_memo = None
 
 
 class _Skeleton(NamedTuple):
-    """The random part of a block of steps, as the walk consumes it.
+    """The random part of a block of steps, kept compact.
 
-    ``ed``, ``drift``, ``noise`` and ``delta`` are (steps, paths) arrays
-    for the last quiet interval of each step; ``ed`` and ``drift`` hold one
-    per-step value wherever no jump cut that interval.  The ``j_`` arrays
-    hold one entry per jump, ordered by (rank, step, path): the block step
-    and the path, the quiet interval up to the jump and its terms, and the
-    jump size.  ``noise`` and ``j_noise`` are None when the volatility is
-    zero on every step of the block.  ``groups[r]`` holds one slice of them
-    per jump rank of block step ``r``, in rank order; ``ranks[j]`` is the
-    slice of rank ``j``.
+    ``ed``, ``drift`` and ``dt`` hold one value per step: the decay factor,
+    drift and length of a node interval that no jump cut, which spans the
+    whole step.  ``cut`` holds the flat (step, path) index of each node
+    interval that a jump cut, which starts at the step's last jump, and
+    ``cut_ed``, ``cut_drift`` and ``cut_delta`` its terms; :func:`_per_node`
+    expands a step value and its cut values to (steps, paths) rows.
+    ``noise`` is the (steps, paths) Gaussian noise term of every node
+    interval.  The ``j_`` arrays hold one entry per jump, ordered by (rank,
+    step, path): the block step and the path, the quiet interval up to the
+    jump and its terms, and the jump size.  ``noise`` and ``j_noise`` are
+    None when the volatility is zero on every step of the block.
+    ``groups[r]`` holds one slice of them per jump rank of block step
+    ``r``, in rank order; ``ranks[j]`` is the slice of rank ``j``.
     """
 
     ed: np.ndarray
     drift: np.ndarray
+    dt: np.ndarray
+    cut: np.ndarray
+    cut_ed: np.ndarray
+    cut_drift: np.ndarray
+    cut_delta: np.ndarray
     noise: np.ndarray
-    delta: np.ndarray
     j_row: np.ndarray
     j_path: np.ndarray
     j_ed: np.ndarray
@@ -81,6 +109,14 @@ class _Skeleton(NamedTuple):
     j_size: np.ndarray
     groups: list
     ranks: list
+
+
+def _per_node(whole, cut_values, cut, n):
+    """(steps, paths) rows of a node-interval term: each step's value for
+    ``whole``, ``cut_values`` at the flat indices ``cut``."""
+    out = np.repeat(whole, n)
+    out[cut] = cut_values
+    return out.reshape(-1, n)
 
 
 def _decay_drift_std(lam, bc, sig, delta):
@@ -128,29 +164,19 @@ def _skeleton(keys, ks, times, bc_step, sig_step, lam, cdf, kind, p0, p1):
     prev = np.empty_like(tj)
     prev[1:] = tj[:-1]
     prev[first] = t_left[row[first]]
-    last = np.repeat(t_left, n)
-    last[pair] = tj[first + c - 1]
 
     # Decay, drift and noise of every quiet interval.  A node interval that
     # no jump cut spans the whole step, so it takes its step's terms,
     # computed once on ``dt``; only the jump intervals and the node
     # intervals after a step's last jump are computed one by one.
-    shape = cnt.shape
     bc = bc_step[ks]
     sig = sig_step[ks]
-    delta = times[ks + 1][:, None] - last.reshape(shape)
+    cut_delta = times[ks + 1][row[first]] - tj[first + c - 1]
     j_delta = tj - prev
     at = np.concatenate([row, row[first]])
     part = _decay_drift_std(lam, bc[at], sig[at],
-                            np.concatenate([j_delta, delta.ravel()[pair]]))
+                            np.concatenate([j_delta, cut_delta]))
     whole = _decay_drift_std(lam, bc, sig, dt)
-
-    def per_node(i):
-        out = np.repeat(whole[i], n)
-        out[pair] = part[i][n_jumps:]
-        return out.reshape(shape)
-
-    ed, drift = per_node(0), per_node(1)
     # Without volatility in the block every noise term is zero: draw none.
     noise = j_noise = None
     if sig.any():
@@ -159,7 +185,8 @@ def _skeleton(keys, ks, times, bc_step, sig_step, lam, cdf, kind, p0, p1):
             _rng.uniforms(keys, ks[:, None], _rng.SLOT_GAUSS + cnt).ravel(),
         ]))
         j_noise = part[2][:n_jumps] * z[:n_jumps]
-        noise = per_node(2) * z[n_jumps:].reshape(shape)
+        noise = _per_node(whole[2], part[2][n_jumps:], pair, n) \
+            * z[n_jumps:].reshape(cnt.shape)
 
     # The walk takes jump rank j of a step on all its paths at once; the
     # jumps are ordered by (rank, step, path), so each (step, rank) group
@@ -169,16 +196,17 @@ def _skeleton(keys, ks, times, bc_step, sig_step, lam, cdf, kind, p0, p1):
     ranks = []
     if n_jumps:
         row, rank = row[order], rank[order]
-        cut = np.flatnonzero(np.diff(row) | np.diff(rank)) + 1
-        edges = [0, *cut.tolist(), n_jumps]
+        edges = [0, *(np.flatnonzero(np.diff(row) | np.diff(rank)) + 1)
+                 .tolist(), n_jumps]
         for r, a, b in zip(row[edges[:-1]].tolist(), edges[:-1], edges[1:]):
             groups[r].append(slice(a, b))
         edges = [0, *(np.flatnonzero(np.diff(rank)) + 1).tolist(), n_jumps]
         ranks = [slice(a, b) for a, b in zip(edges[:-1], edges[1:])]
     return _Skeleton(
-        ed, drift, noise, delta, row, path[order], part[0][order],
-        part[1][order], None if j_noise is None else j_noise[order],
-        j_delta[order], size[order], groups, ranks,
+        whole[0], whole[1], dt, pair, part[0][n_jumps:], part[1][n_jumps:],
+        cut_delta, noise, row, path[order], part[0][order], part[1][order],
+        None if j_noise is None else j_noise[order], j_delta[order],
+        size[order], groups, ranks,
     )
 
 
@@ -223,7 +251,8 @@ def _value_terms(table, ks, sk, price, jumped, f_left):
         jump_term[ranked] = 0.5 * (flat[on] + f_jump[0, ranked]) \
             * sk.j_delta[ranked]
         flat[on] = f_jump[1, ranked]
-    return jump_term, 0.5 * (f_prev + f) * sk.delta, f[-1]
+    delta = _per_node(sk.dt, sk.cut_delta, sk.cut, n)
+    return jump_term, 0.5 * (f_prev + f) * delta, f[-1]
 
 
 def _wealth_terms(table, ks, sk, price, times, psi_step, sig_step):
@@ -249,7 +278,9 @@ def _walk(mode, keys, s0, times, b_step, sig_step, psi_step, comp_step,
           slope_lo=0.0, slope_hi=0.0):
     """Exact transition walk over the step grid, accumulating per ``mode``.
 
-    After each block's skeleton is drawn, the block runs in three parts:
+    After each block's skeleton is drawn, or taken from the last call's,
+    and its node intervals are expanded to dense rows, the block runs in
+    three parts:
     the price loop records the node prices and every jump's pre- and
     post-jump price; the mode's table lookups then read the whole block at
     once and give each jump and node its term; a last loop adds the terms
@@ -259,11 +290,24 @@ def _walk(mode, keys, s0, times, b_step, sig_step, psi_step, comp_step,
     Returns the (n_paths, n_nodes) node prices for PRICE, else the
     accumulated integral and the final prices.
     """
+    global _memo
     keys = np.asarray(keys, dtype=np.uint64)
     n = keys.shape[0]
     n_steps = times.shape[0] - 1
     bc_step = b_step - comp_step
     block = max(1, BLOCK_PATH_STEPS // max(n, 1))
+    # The skeleton is a function of these inputs alone; the last call's
+    # blocks serve this one if they are all equal bit for bit.
+    tag = None
+    if n * n_steps <= MEMO_PATH_STEPS:
+        tag = (block, cdf.shape, keys.tobytes(), times.tobytes(),
+               bc_step.tobytes(), sig_step.tobytes(), cdf.tobytes(),
+               np.array([lam, p0, p1], dtype=np.float64).tobytes(), kind)
+    memo = _memo
+    blocks = memo[1] if memo is not None and memo[0] == tag else None
+    if blocks is None:
+        _memo = None  # free the old skeleton before drawing a new one
+        drawn = []
     s = s0.astype(np.float64)
     acc = np.zeros(n)
     table = (vals, s1, s2, slope_lo, slope_hi)
@@ -272,10 +316,17 @@ def _walk(mode, keys, s0, times, b_step, sig_step, psi_step, comp_step,
         nodes[:, 0] = s
     elif mode == VALUE:
         f_left = _lookup(*table, 0, s)
-    for k0 in range(0, n_steps, block):
+    for b, k0 in enumerate(range(0, n_steps, block)):
         ks = np.arange(k0, min(k0 + block, n_steps))
-        sk = _skeleton(keys, ks, times, bc_step, sig_step, lam, cdf, kind,
-                       p0, p1)
+        if blocks is None:
+            sk = _skeleton(keys, ks, times, bc_step, sig_step, lam, cdf,
+                           kind, p0, p1)
+            if tag is not None:
+                drawn.append(sk)
+        else:
+            sk = blocks[b]
+        ed = _per_node(sk.ed, sk.cut_ed, sk.cut, n)
+        drift = _per_node(sk.drift, sk.cut_drift, sk.cut, n)
 
         # The price loop: row r of ``price`` is the left node of block step r,
         # row r + 1 its right node; ``jumped`` holds each jump's pre- and
@@ -297,8 +348,8 @@ def _walk(mode, keys, s0, times, b_step, sig_step, psi_step, comp_step,
                     jumped[0, jumps] = pre
                     s[idx] = jumped[1, jumps] = pre + shift[jumps]
                 left = s
-            np.multiply(left, sk.ed[r], out=s)
-            s += sk.drift[r]
+            np.multiply(left, ed[r], out=s)
+            s += drift[r]
             if sk.noise is not None:
                 s += sk.noise[r]
 
@@ -319,9 +370,12 @@ def _walk(mode, keys, s0, times, b_step, sig_step, psi_step, comp_step,
                 acc += node_term[r]
                 if mode == WEALTH:
                     acc -= drag[r]
-        # Free this block's skeleton before the next is drawn: holding two
-        # at once fragments the heap and raised the peak RSS of large runs.
-        del sk
+        # Free this block's dense rows, and its skeleton unless it is kept,
+        # before the next is drawn: holding two at once fragments the heap
+        # and raised the peak RSS of large runs.
+        del sk, ed, drift
+    if blocks is None and tag is not None:
+        _memo = (tag, tuple(drawn))
     if mode == PRICE:
         return nodes
     return acc, s

@@ -67,21 +67,33 @@ def mix64(z):
     return z
 
 
+def _word(x):
+    """``x`` modulo 2**64 as uint64: a Python integer, or an integer array
+    elementwise."""
+    if isinstance(x, np.ndarray):
+        return x.astype(np.uint64)
+    return np.array(int(x) % (1 << 64), dtype=np.uint64)
+
+
 def derive_keys(seed, path_ids):
-    """Per-path hash keys for ``seed`` and integer path identifiers."""
+    """Per-path hash keys for ``seed`` and integer path identifiers.
+
+    ``seed`` may be an array of seeds, which broadcasts against
+    ``path_ids``.
+    """
     pid = np.asarray(path_ids, dtype=np.uint64)
-    base = mix64(np.array(int(seed) % (1 << 64), dtype=np.uint64) ^ GOLDEN)
+    base = mix64(_word(seed) ^ GOLDEN)
     return mix64(base ^ (pid * MIX1))
 
 
 def derive_seed(seed, stream):
     """A child seed for an auxiliary stream (e.g. nested-simulation inner
-    paths of one outer path), independent of batching by construction."""
-    word = mix64(
-        np.array(int(seed) % (1 << 64), dtype=np.uint64)
-        + np.array(int(stream) % (1 << 64), dtype=np.uint64) * GOLDEN
-    )
-    return int(word ^ MIX2)
+    paths of one outer path), independent of batching by construction.
+
+    Given an array of streams, returns the uint64 array of their seeds.
+    """
+    word = mix64(_word(seed) + _word(stream) * GOLDEN) ^ MIX2
+    return word if isinstance(stream, np.ndarray) else int(word)
 
 
 def raw_words(keys, step, slot):
@@ -144,15 +156,20 @@ def poisson_counts(u, cdf):
 
     With a 2-D ``cdf``, row ``k`` of ``u`` is inverted through row ``k`` of
     the table; when every row is the same (a constant rate on a uniform
-    grid), all of ``u`` is inverted through that row in one call.
+    grid), all of ``u`` is inverted through that row in one call.  A
+    uniform at or below the table's first entry is a count of 0, which is
+    what the search would give; only the others are searched.
     """
     if cdf.ndim == 2 and len(cdf) and (cdf == cdf[0]).all():
         cdf = cdf[0]
+    out = np.zeros(u.shape, dtype=np.intp)
     if cdf.ndim == 1:
-        return np.searchsorted(cdf, u, side="left")
-    out = np.empty(u.shape, dtype=np.intp)
+        live = ~(u <= cdf[0])
+        out[live] = np.searchsorted(cdf, u[live], side="left")
+        return out
     for k, row in enumerate(cdf):
-        out[k] = np.searchsorted(row, u[k], side="left")
+        live = ~(u[k] <= row[0])
+        out[k][live] = np.searchsorted(row, u[k][live], side="left")
     return out
 
 

@@ -333,12 +333,14 @@ def tower_check(market, t, s, h, T, pi_min, pi_max, config=None,
             market, t_mid, T, config, times=full_times[n1:]
         )
         tail_args = (*inputs_tail.kernel_args, *gt.rows(n1))
-        ids = np.arange(n_inner)
+        # row i: the inner keys of outer path i, from its child seed
+        streams = np.uint64(config.path_offset) \
+            + np.arange(1, config.n_paths + 1, dtype=np.uint64)
+        children = _rng.derive_seed(config.seed, streams)
+        keys_in = _rng.derive_keys(children[:, None], np.arange(n_inner))
         for i in range(config.n_paths):
-            child = _rng.derive_seed(config.seed, config.path_offset + i + 1)
-            keys_in = _rng.derive_keys(child, ids)
             s_in = np.full(n_inner, s_mid[i])
-            acc_in, _ = kern.value_paths(keys_in, s_in, *tail_args)
+            acc_in, _ = kern.value_paths(keys_in[i], s_in, *tail_args)
             inner[i] = float(np.mean(acc_in))
 
     diff = tails - inner

@@ -358,8 +358,138 @@ def test_walk_draws_normals_where_volatility_is_on_some_steps(monkeypatch):
     nodes = _kernels_np.price_paths(*args)
     assert calls
     monkeypatch.setattr(_kernels_np, "ndtri", _raise)
+    monkeypatch.setattr(_kernels_np, "_memo", None)  # draw again
     with pytest.raises(AssertionError, match="normal quantile"):
         _kernels_np.price_paths(*args)
     with np.errstate(over="ignore"):  # the uint64 hash wraps on purpose
         scalar = _kernels_nb.price_paths(*args)
     np.testing.assert_allclose(scalar, nodes, rtol=1e-14, atol=1e-14)
+
+
+# The skeleton memo: a walk over the same keys, grid and market as the last
+# call reuses that call's random skeleton.
+
+def _drew(monkeypatch, walk):
+    """``walk()``, and whether it drew any uniform."""
+    calls = []
+    uniforms = _rng.uniforms
+    with monkeypatch.context() as m:
+        m.setattr(_rng, "uniforms",
+                  lambda *a: calls.append(1) or uniforms(*a))
+        out = walk()
+    return out, bool(calls)
+
+
+def _fresh(monkeypatch, walk):
+    """``walk()`` on a freshly drawn skeleton."""
+    monkeypatch.setattr(_kernels_np, "_memo", None)
+    return walk()
+
+
+def _bits(out):
+    return np.asarray(out).view(np.int64)
+
+
+def _no_uniforms(*_):
+    raise AssertionError("a uniform was drawn")
+
+
+@pytest.mark.parametrize("budget", [None, 3 * 64])
+@pytest.mark.parametrize("name", ["benth2012", "uniform-two-sided"])
+def test_a_repeated_walk_draws_nothing_and_moves_no_bit(name, budget,
+                                                        monkeypatch):
+    # The second call starts elsewhere and reads other tables; only the
+    # skeleton is shared.  A budget of 3 * 64 gives the call 8 blocks.
+    if budget is not None:
+        monkeypatch.setattr(_kernels_np, "BLOCK_PATH_STEPS", budget)
+    args, gt, ft = kernel_inputs(name, 64, 24, 13)
+    keys, s0, rest = args[0], args[1], args[2:]
+    s1 = s0 + np.linspace(-1.0, 1.0, 64)
+    walks = {
+        "price": (_kernels_np.price_paths, (), ()),
+        "value": (_kernels_np.value_paths, gt,
+                  gt._replace(values=gt.values * 1.5, s1=gt.s1 - 0.2)),
+        "wealth": (_kernels_np.wealth_paths, ft,
+                   strategy.constant_fraction_table(rest[0], 0.1)),
+    }
+    for mode, (walk, first, second) in walks.items():
+        want = _fresh(monkeypatch, lambda: walk(keys, s1, *rest, *second))
+        _fresh(monkeypatch, lambda: walk(keys, s0, *rest, *first))
+        with monkeypatch.context() as m:
+            m.setattr(_rng, "uniforms", _no_uniforms)
+            got = walk(keys, s1, *rest, *second)
+        np.testing.assert_array_equal(_bits(got), _bits(want),
+                                      err_msg=mode)
+
+
+def _moved(args, i):
+    """``args`` with argument ``i`` moved by one ulp in one element, or,
+    for the keys, one key changed and, for the size sampler, another
+    sampler."""
+    args = list(args)
+    a = np.array(args[i])
+    if i == 0:
+        a[3] ^= np.uint64(1)
+    elif i == 9:
+        a = _rng.SIZE_CONSTANT
+    else:
+        at = (-1,) * a.ndim
+        a[at] = np.nextafter(a[at], np.inf)
+        if a.ndim == 0:
+            a = float(a)
+    args[i] = a
+    return tuple(args)
+
+
+# kernel argument positions: keys, s0, times, b_step, sig_step, psi_step,
+# comp_step, lam, cdf, kind, p0, p1
+SKELETON_INPUTS = {"keys": 0, "times": 2, "b_step": 3, "sig_step": 4,
+                   "comp_step": 6, "lam": 7, "cdf": 8, "kind": 9, "p0": 10,
+                   "p1": 11}
+
+
+@pytest.mark.parametrize("name", sorted(SKELETON_INPUTS))
+def test_a_moved_skeleton_input_draws_again(name, monkeypatch):
+    args, _, _ = kernel_inputs("uniform-two-sided", 16, 6, 5)
+    moved = _moved(args, SKELETON_INPUTS[name])
+    want = _fresh(monkeypatch, lambda: _kernels_np.price_paths(*moved))
+    _fresh(monkeypatch, lambda: _kernels_np.price_paths(*args))
+    got, drew = _drew(monkeypatch, lambda: _kernels_np.price_paths(*moved))
+    assert drew, f"{name} moved, but the skeleton was reused"
+    np.testing.assert_array_equal(_bits(got), _bits(want))
+
+
+@pytest.mark.parametrize("name, i", [("s0", 1), ("psi_step", 5)])
+def test_a_moved_price_loop_input_reuses_the_skeleton(name, i, monkeypatch):
+    args, _, _ = kernel_inputs("uniform-two-sided", 16, 6, 5)
+    moved = _moved(args, i)
+    want = _fresh(monkeypatch, lambda: _kernels_np.price_paths(*moved))
+    _fresh(monkeypatch, lambda: _kernels_np.price_paths(*args))
+    got, drew = _drew(monkeypatch, lambda: _kernels_np.price_paths(*moved))
+    assert not drew
+    assert not np.array_equal(got, _kernels_np.price_paths(*args))
+    np.testing.assert_array_equal(_bits(got), _bits(want))
+
+
+def test_a_call_above_the_bound_is_not_kept(monkeypatch):
+    args, _, _ = kernel_inputs("benth2012", 16, 6, 5)
+    small, _, _ = kernel_inputs("benth2012", 4, 6, 5)
+    monkeypatch.setattr(_kernels_np, "MEMO_PATH_STEPS", 16 * 6 - 1)
+    _kernels_np.price_paths(*small)
+    assert _kernels_np._memo is not None
+    _kernels_np.price_paths(*args)  # a miss drops the old entry
+    assert _kernels_np._memo is None
+    _, drew = _drew(monkeypatch, lambda: _kernels_np.price_paths(*args))
+    assert drew
+
+
+def test_mutating_the_callers_keys_gives_no_false_hit(monkeypatch):
+    args, _, _ = kernel_inputs("uniform-two-sided", 16, 6, 5)
+    keys, rest = args[0].copy(), args[1:]
+    moved = keys.copy()
+    moved[5] ^= np.uint64(1 << 40)
+    want = _fresh(monkeypatch, lambda: _kernels_np.price_paths(moved, *rest))
+    _fresh(monkeypatch, lambda: _kernels_np.price_paths(keys, *rest))
+    keys[5] ^= np.uint64(1 << 40)  # the same array, changed in place
+    np.testing.assert_array_equal(
+        _bits(_kernels_np.price_paths(keys, *rest)), _bits(want))

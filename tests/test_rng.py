@@ -43,6 +43,19 @@ class TestWords:
         seeds = {_rng.derive_seed(99, k) for k in range(100)}
         assert len(seeds) == 100
 
+    def test_array_seeds_and_streams_match_the_scalar_rule(self):
+        # streams and seeds across the whole uint64 range, wrap included
+        streams = np.array([0, 1, 77, 2**63, 2**64 - 1], dtype=np.uint64)
+        seeds = _rng.derive_seed(99, streams)
+        assert seeds.dtype == np.uint64
+        assert seeds.tolist() == [_rng.derive_seed(99, int(k))
+                                  for k in streams.tolist()]
+        ids = np.arange(6)
+        keys = _rng.derive_keys(seeds[:, None], ids)
+        assert keys.shape == (5, 6)
+        for row, seed in zip(keys, seeds.tolist()):
+            assert np.array_equal(row, _rng.derive_keys(seed, ids))
+
     def test_scalar_ops_do_not_warn(self):
         keys = _rng.derive_keys(3, np.arange(4))
         with np.errstate(over="raise"):
@@ -136,6 +149,26 @@ class TestPoisson:
                 for k, row in enumerate(cdf)]
         assert np.array_equal(got, want)
         assert got.max() >= 1
+
+    def test_uniforms_at_a_table_entry_invert_like_the_search(self):
+        # Counts of 0 are set without searching; a uniform equal to the
+        # first entry (or any other) must still give the search's count,
+        # with one table and with a table of unequal rows.
+        rows = [_rng.poisson_cdf_table(mu) for mu in (0.155, 2.0)]
+        cdf = np.full((2, max(map(len, rows))), 1.0)
+        for k, row in enumerate(rows):
+            cdf[k, :len(row)] = row
+        for table in (cdf[:1].repeat(2, axis=0), cdf):
+            u = np.stack([
+                [row[0], np.nextafter(row[0], 0.0), np.nextafter(row[0], 1.0),
+                 row[1], 0.5, 1.0 - 2.0**-54]
+                for row in table])
+            want = [np.searchsorted(row, u[k], side="left")
+                    for k, row in enumerate(table)]
+            assert np.array_equal(_rng.poisson_counts(u, table), want)
+            assert np.array_equal(_rng.poisson_counts(u[0], table[0]),
+                                  want[0])
+        assert want[0][0] == 0 and want[0][2] == 1
 
     def test_zero_rate(self):
         cdf = _rng.poisson_cdf_table(0.0)

@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from levyou import market as mk
 from levyou import presets
@@ -21,7 +23,7 @@ from levyou.errors import (
     ConvergenceError,
     DomainError,
 )
-from levyou.jumps import NoJumps, ParetoJump, UniformJump
+from levyou.jumps import ConstantJump, NoJumps, ParetoJump, UniformJump
 
 LAM = 0.3333 / 24
 ETA = 3.7249 / 24
@@ -451,3 +453,73 @@ class TestGrowthTable:
         assert ext == pytest.approx(
             sg.best_growth(m, 0.0, float(s), 0.0, 0.2), abs=1e-15
         )
+
+
+# Generated markets for the table sweep.  Pareto tails keep alpha away from
+# the integers, where the jump transforms' 1/z route is off and a drag
+# takes seconds.
+SWEEP_MEASURES = {
+    "none": st.just(NoJumps()),
+    "pareto": st.builds(
+        ParetoJump,
+        st.floats(2.05, 4.5).filter(lambda a: abs(a - round(a)) > 0.01),
+        st.floats(0.05, 1.0), st.floats(0.05, 3.0)),
+    "uniform": st.tuples(st.floats(-1.0, 0.5), st.floats(0.05, 1.0),
+                         st.floats(0.05, 3.0)).map(
+        lambda a: UniformJump(a[0], a[0] + a[1], a[2])),
+    "constant": st.builds(
+        ConstantJump,
+        st.floats(-1.0, 1.0).filter(lambda y: abs(y) > 0.01),
+        st.floats(0.05, 3.0)),
+}
+
+
+def _coefficient(draw, lo, hi):
+    """A constant in [lo, hi], or a line through [lo, hi] over [0, 1] with
+    its range."""
+    a, b = draw(st.floats(lo, hi)), draw(st.floats(lo, hi))
+    if draw(st.booleans()):
+        return a, None
+    return (lambda u: a + (b - a) * u), (min(a, b), max(a, b))
+
+
+@st.composite
+def table_cases(draw):
+    """(market, pi_min, pi_max, times, ns), the interval inside the
+    market's admissible set and containing 0."""
+    b, _ = _coefficient(draw, -1.0, 1.0)
+    sigma, sigma_range = _coefficient(draw, 0.0, 0.6)
+    psi, psi_range = _coefficient(draw, 0.1, 1.0)
+    market = mk.MarketCoefficients(
+        lam=draw(st.floats(0.0, 3.0)), b=b, sigma=sigma, psi=psi,
+        measure=draw(st.sampled_from(sorted(SWEEP_MEASURES)).flatmap(
+            SWEEP_MEASURES.get)),
+        compensated=draw(st.booleans()), sigma_range=sigma_range,
+        psi_range=psi_range)
+    adm = market.admissible()
+    pi_min = max(adm.lo, -2.0) * draw(st.floats(0.0, 0.95))
+    pi_max = min(adm.hi, 2.0) * draw(st.floats(0.05, 0.95))
+    return market, pi_min, pi_max, (0.0, 0.5, 1.0), 17
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(case=table_cases())
+# the bracket-end case whose G(pi_min) rounded the other way in an array
+@example(case=(mk.MarketCoefficients(lam=1.24, b=-0.223, sigma=0.38,
+                                     psi=0.919,
+                                     measure=UniformJump(-0.5, 1.0, 2.0)),
+               -0.5, 0.5, (0.0, 1.0), 1025))
+def test_tables_of_generated_markets_are_clamped_and_monotone(case):
+    market, pi_min, pi_max, times, ns = case
+    try:
+        fractions = sg.exact_fraction_table(market, times, pi_min, pi_max,
+                                            ns)
+        growth = sg.growth_table(market, times, pi_min, pi_max, ns)
+    except ConfigError:
+        return
+    values = fractions.values
+    assert np.all((pi_min <= values) & (values <= pi_max))
+    # the grid rises in price; the fraction may not
+    assert np.all(np.diff(values, axis=1) <= 0.0)
+    assert np.isfinite(growth.values).all()
