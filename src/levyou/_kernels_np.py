@@ -196,8 +196,8 @@ def _skeleton(keys, ks, times, bc_step, sig_step, lam, cdf, kind, p0, p1):
     ranks = []
     if n_jumps:
         row, rank = row[order], rank[order]
-        edges = [0, *(np.flatnonzero(np.diff(row) | np.diff(rank)) + 1)
-                 .tolist(), n_jumps]
+        cut = np.flatnonzero(np.diff(row) | np.diff(rank)) + 1
+        edges = [0, *cut.tolist(), n_jumps]
         for r, a, b in zip(row[edges[:-1]].tolist(), edges[:-1], edges[1:]):
             groups[r].append(slice(a, b))
         edges = [0, *(np.flatnonzero(np.diff(rank)) + 1).tolist(), n_jumps]

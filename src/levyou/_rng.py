@@ -169,7 +169,7 @@ def poisson_counts(u, cdf):
         return out
     for k, row in enumerate(cdf):
         live = ~(u[k] <= row[0])
-        out[k][live] = np.searchsorted(row, u[k][live], side="left")
+        out[k, live] = np.searchsorted(row, u[k, live], side="left")
     return out
 
 

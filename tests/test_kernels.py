@@ -6,6 +6,9 @@ kernels are pinned to outputs recorded from the separate price, value and
 wealth walks that the shared walk replaced.
 """
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -339,6 +342,7 @@ def test_walk_draws_no_normals_without_volatility(monkeypatch):
     assert not args[4].any()
     want = run_all(_kernels_np, args, gt, ft)
     monkeypatch.setattr(_kernels_np, "ndtri", _raise)
+    monkeypatch.setattr(_kernels_np, "_memo", None)  # draw again
     got = run_all(_kernels_np, args, gt, ft)
     for key in want:
         np.testing.assert_array_equal(got[key], want[key])
@@ -493,3 +497,35 @@ def test_mutating_the_callers_keys_gives_no_false_hit(monkeypatch):
     keys[5] ^= np.uint64(1 << 40)  # the same array, changed in place
     np.testing.assert_array_equal(
         _bits(_kernels_np.price_paths(keys, *rest)), _bits(want))
+
+
+def test_threads_sharing_the_memo_get_their_own_skeletons(monkeypatch):
+    # Threads walk two key sets in turn, so the memo keeps changing hands
+    # between a tag check and a rebind; every walk must still give the
+    # prices of its own keys.
+    args, _, _ = kernel_inputs("uniform-two-sided", 16, 6, 5)
+    other = (_rng.derive_keys(6, np.arange(16)), *args[1:])
+    cases = [args, other]
+    want = [_fresh(monkeypatch, lambda: _kernels_np.price_paths(*a))
+            for a in cases]
+    bad = []
+
+    def work(first):
+        for i in range(40):
+            j = (first + i) % 2
+            if not np.array_equal(_kernels_np.price_paths(*cases[j]),
+                                  want[j]):
+                bad.append(j)
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not bad

@@ -523,3 +523,12 @@ def test_tables_of_generated_markets_are_clamped_and_monotone(case):
     # the grid rises in price; the fraction may not
     assert np.all(np.diff(values, axis=1) <= 0.0)
     assert np.isfinite(growth.values).all()
+    # no fraction of a 41-point grid grows faster at a table price
+    pis = np.linspace(pi_min, pi_max, 41)[:, None]
+    for k, t in enumerate(times):
+        prices = fractions.s1[k] + np.linspace(0.0, 1.0, ns) * (
+            fractions.s2[k] - fractions.s1[k])
+        best = sg.growth_rate(values[k], market, t, prices)
+        rival = sg.growth_rate(pis + 0.0 * prices, market, t, prices)
+        slack = 1e-12 * (1.0 + np.abs(rival).max(axis=0))
+        assert np.all(best >= rival.max(axis=0) - slack)
