@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from xml.sax.saxutils import escape
 
+import numpy as np
+
 __all__ = ["line_chart"]
 
 #: Stroke colours cycled across series.
@@ -33,8 +35,8 @@ def _tick_label(value):
 
 
 def _data_range(values):
-    lo = min(values)
-    hi = max(values)
+    lo = float(np.min(values))
+    hi = float(np.max(values))
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError("chart data must be finite")
     if hi - lo < 1e-300:
@@ -57,7 +59,7 @@ def line_chart(series, title="", xlabel="", ylabel="",
     ----------
     series : sequence of (label, xs, ys)
         Every series needs at least one point; x and y must be finite
-        and of equal length.
+        and of equal length (a NaN or infinity raises ``ValueError``).
     title, xlabel, ylabel : str
         Chart annotations (escaped for XML).
     width, height : int
@@ -65,15 +67,14 @@ def line_chart(series, title="", xlabel="", ylabel="",
     """
     if not series:
         raise ValueError("need at least one series")
-    all_x = []
-    all_y = []
+    arrays = []
     for label, xs, ys in series:
         if len(xs) != len(ys) or not len(xs):
             raise ValueError(f"series {label!r} needs matching nonempty x/y")
-        all_x.extend(float(v) for v in xs)
-        all_y.extend(float(v) for v in ys)
-    x_lo, x_hi = _data_range(all_x)
-    y_lo, y_hi = _data_range(all_y)
+        arrays.append((label, np.asarray(xs, dtype=np.float64),
+                       np.asarray(ys, dtype=np.float64)))
+    x_lo, x_hi = _data_range(np.concatenate([xs for _, xs, _ in arrays]))
+    y_lo, y_hi = _data_range(np.concatenate([ys for _, _, ys in arrays]))
 
     plot_w = width - _MARGIN_LEFT - _MARGIN_RIGHT
     plot_h = height - _MARGIN_TOP - _MARGIN_BOTTOM
@@ -140,12 +141,12 @@ def line_chart(series, title="", xlabel="", ylabel="",
             f'transform="rotate(-90 14 {_fmt(cy)})">{escape(ylabel)}</text>'
         )
 
-    # The data, one polyline per series.
-    for idx, (label, xs, ys) in enumerate(series):
+    # The data, one polyline per series, scaled as whole arrays.
+    for idx, (label, xs, ys) in enumerate(arrays):
         colour = _PALETTE[idx % len(_PALETTE)]
         points = " ".join(
-            f"{_fmt(sx(float(x)))},{_fmt(sy(float(y)))}"
-            for x, y in zip(xs, ys)
+            f"{_fmt(px)},{_fmt(py)}"
+            for px, py in zip(sx(xs).tolist(), sy(ys).tolist())
         )
         out.append(
             f'<polyline points="{points}" fill="none" stroke="{colour}" '

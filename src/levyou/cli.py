@@ -21,6 +21,11 @@ Conventions
   (stdout otherwise).
 * Every command is deterministic given its flags; Monte Carlo commands
   take an explicit ``--seed``.
+* ``solve`` and ``figure`` make one exact solve per command: the drift
+  levels of a figure share the stationarity map, so their drift gaps are
+  solved together (``strategy.optimal_fraction_gaps``).  A level that
+  fails therefore fails before any file is written.
+* ``main`` builds the argument parser on its first call and reuses it.
 * Exit codes: 0 success, 2 configuration/usage error, 3 numerical
   failure.
 * ``LEVYOU_BACKEND`` (or ``--backend``) picks ``numba`` or ``numpy``.
@@ -29,6 +34,7 @@ Conventions
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -145,12 +151,26 @@ def _prices(settings):
     return np.array([settings["s"]])
 
 
-def _fractions(market, t, s_values, pi_min, pi_max):
-    """The exact, risk-ratio and jump-mean fractions at the prices."""
-    args = (market, t, s_values, pi_min, pi_max)
-    return (strategy.optimal_fraction_grid(*args)[0],
-            approx.merton_fraction_grid(*args)[0],
-            approx.jump_mean_fraction_grid(*args)[0])
+def _fractions(levels, t, pi_min, pi_max):
+    """The exact, risk-ratio and jump-mean fractions of each level.
+
+    ``levels`` lists (market, prices) pairs whose markets differ only in
+    the drift b.  The exact stationarity map does not depend on b, so one
+    solve over the concatenated drift gaps serves every level; the two
+    approximations are closed forms, evaluated per level.
+    """
+    market = levels[0][0]
+    market.validate_interval(pi_min, pi_max)
+    gaps = [strategy.drift_gap(m, t, s_values) for m, s_values in levels]
+    exact, _ = strategy.optimal_fraction_gaps(market, t, np.concatenate(gaps),
+                                              pi_min, pi_max)
+    ends = np.cumsum([len(q) for q in gaps])[:-1]
+    columns = []
+    for pi, (m, s_values) in zip(np.split(exact, ends), levels):
+        args = (m, t, s_values, pi_min, pi_max)
+        columns.append((pi, approx.merton_fraction_grid(*args)[0],
+                        approx.jump_mean_fraction_grid(*args)[0]))
+    return columns
 
 
 # -- subcommands -----------------------------------------------------------
@@ -168,7 +188,8 @@ def _cmd_solve(args):
     preset, settings = _resolve(args)
     market, pi_min, pi_max = preset.market, preset.pi_min, preset.pi_max
     s_values = _prices(settings)
-    columns = _fractions(market, settings["t"], s_values, pi_min, pi_max)
+    (columns,) = _fractions([(market, s_values)], settings["t"], pi_min,
+                            pi_max)
     bounds = [_bound_or_nan(fn, market, pi_min, pi_max)
               for fn in (approx.merton_error_bound,
                          approx.jump_mean_error_bound)]
@@ -194,22 +215,24 @@ def _cmd_figure(args):
     os.makedirs(out_dir, exist_ok=True)
 
     t = settings["t"]
-    written = []
+    levels = []
     for frac in fractions:
-        sub = presets.get_preset(
+        market = presets.get_preset(
             args.preset, b_frac=frac,
             pi_min=preset.pi_min, pi_max=preset.pi_max,
-        )
-        market = sub.market
+        ).market
         if market.lam == 0.0:
             raise ConfigError("figure needs a mean-reverting model (lam > 0)")
         s_flat = market.foc_drift(t) / market.lam
-        s_values = np.linspace(0.0, 1.1 * s_flat, n_points)
-        columns = _fractions(market, t, s_values, sub.pi_min, sub.pi_max)
+        levels.append((market, np.linspace(0.0, 1.1 * s_flat, n_points)))
+    solved = _fractions(levels, t, preset.pi_min, preset.pi_max)
 
+    written = []
+    for frac, (market, s_values), columns in zip(fractions, levels, solved):
         stem = os.path.join(out_dir, f"figure_bfrac_{frac:g}")
-        header = {"preset": sub.name, "b_frac": f"{frac:g}", "b": market.b,
-                  "t": t, "pi_min": sub.pi_min, "pi_max": sub.pi_max}
+        header = {"preset": preset.name, "b_frac": f"{frac:g}",
+                  "b": market.b, "t": t, "pi_min": preset.pi_min,
+                  "pi_max": preset.pi_max}
         _csv.write(stem + ".csv", "figure", [header],
                    ("s", "pi_exact", "pi_merton", "pi_jump_mean"),
                    zip(s_values, *columns))
@@ -362,7 +385,10 @@ def _flag(name):
     return {"type": setting.type, "help": setting.help + default}
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built on the first call and kept for the
+    process."""
     parser = argparse.ArgumentParser(
         prog="levyou",
         description="Log-optimal trading fractions for mean-reverting "

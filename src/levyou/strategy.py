@@ -18,9 +18,13 @@ where G is strictly increasing.  The optimal fraction on an interval
 interval; all price dependence enters through the scalar q, which makes
 whole-grid solves cheap and the clamping thresholds in price explicit.
 The interior inverse is found by Chandrupatla's bracketing root finder
-(``scipy.optimize.elementwise.find_root``), one bracket per price.
+(``scipy.optimize.elementwise.find_root``), one bracket per price.  G does
+not depend on the drift b, so markets that differ only in b share it:
+:func:`optimal_fraction_gaps` solves their concatenated drift gaps in one
+call, and each fraction comes out bit-equal to a solve of its own gap.
 """
 
+import math
 from functools import partial
 from typing import NamedTuple
 
@@ -147,12 +151,23 @@ def optimal_fraction(market, t, s, pi_min, pi_max):
     )
 
 
+def optimal_fraction_gaps(market, t, q, pi_min, pi_max):
+    """Optimal fractions for an array of drift gaps ``q`` from
+    :func:`drift_gap`; returns (pi, clamped).
+
+    Only the stationarity map of ``market`` is used, so the gaps may come
+    from markets that differ from it only in the drift b.  The interval is
+    not validated here.
+    """
+    pi, clamped, _, _ = _solve_q(market, t, q, pi_min, pi_max)
+    return pi, clamped
+
+
 def optimal_fraction_grid(market, t, s_grid, pi_min, pi_max):
     """Optimal fractions for an array of prices; returns (pi, clamped)."""
     market.validate_interval(pi_min, pi_max)
-    q = drift_gap(market, t, s_grid)
-    pi, clamped, _, _ = _solve_q(market, t, q, pi_min, pi_max)
-    return pi, clamped
+    return optimal_fraction_gaps(market, t, drift_gap(market, t, s_grid),
+                                 pi_min, pi_max)
 
 
 def inverse_price(market, t, pi):
@@ -293,7 +308,8 @@ def fraction_table(market, times, solver, stationarity, pi_min, pi_max,
     Without mean reversion the strategy ignores the price and the bracket
     is [0, 1]; a degenerate bracket becomes [s1, s1 + 1].  The result has
     zero slopes; a constant market reuses the first row.  A table needs
-    at least 2 prices, or :class:`ConfigError` is raised.
+    at least 2 prices, or :class:`ConfigError` is raised; a bracket that
+    overflows (lam too small for the division) raises :class:`DomainError`.
     """
     if ns < 2:
         raise ConfigError(f"a price table needs at least 2 prices, got {ns}")
@@ -318,6 +334,10 @@ def fraction_table(market, times, solver, stationarity, pi_min, pi_max,
             b = (d - stationarity(tv, pi_min)) / lam
             if not a < b:
                 b = a + 1.0
+            if not math.isfinite(b - a):
+                raise DomainError(
+                    f"the price bracket [{a}, {b}] of the table at t={tv} is "
+                    f"not finite: (d - G)/lam overflows for lam={lam}")
         vals[k] = solver(tv, a + x * (b - a))
         s1[k], s2[k] = a, b
         prev = (vals[k], a, b)

@@ -4,9 +4,10 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from levyou import cli, errors, presets, strategy
+from levyou import approx, cli, errors, presets, strategy
 from levyou.market import PathBundle
 
 FLAT_PRICE = 0.074695526567830715 / (0.3333 / 24.0)
@@ -144,6 +145,36 @@ class TestFigure:
         assert svg.count("<polyline") == 3
         for label in ("exact", "merton", "jump-mean"):
             assert label in svg
+
+    @pytest.mark.parametrize("name", presets.PRESET_NAMES)
+    def test_columns_equal_a_solve_per_level(self, capsys, tmp_path, name):
+        # All levels share one exact solve; each column must still carry
+        # the bits of that level solved on its own.
+        code, _, _ = run_cli(capsys, "figure", "--preset", name, "--points",
+                             "60", "--out", str(tmp_path))
+        assert code == 0
+        base = presets.get_preset(name)
+        lo, hi = base.pi_min, base.pi_max
+        for frac in (1.5, 0.8, 0.5, 0.2):
+            market = presets.get_preset(name, b_frac=frac).market
+            rows = np.array([[float(v) for v in r.split(",")] for r in
+                             data_rows((tmp_path / f"figure_bfrac_{frac:g}"
+                                        ".csv").read_text())])
+            s_values = rows[:, 0]
+            for column, grid in zip(rows[:, 1:].T, (
+                    strategy.optimal_fraction_grid,
+                    approx.merton_fraction_grid,
+                    approx.jump_mean_fraction_grid)):
+                np.testing.assert_array_equal(
+                    column, grid(market, 0.0, s_values, lo, hi)[0])
+
+    def test_a_failing_level_writes_no_file(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "figure", "--fractions", "0.8,nan",
+                                 "--out", str(tmp_path))
+        assert code == errors.EXIT_CONFIG
+        assert "b_frac must be finite" in err
+        assert out == ""
+        assert list(tmp_path.iterdir()) == []
 
     def test_absolute_drift_flag_is_rejected(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "figure", "--b", "0.1",
@@ -283,7 +314,7 @@ class TestExitCodes:
         def explode(*args, **kwargs):
             raise errors.ConvergenceError("fabricated for the test")
 
-        monkeypatch.setattr(strategy, "optimal_fraction_grid", explode)
+        monkeypatch.setattr(strategy, "optimal_fraction_gaps", explode)
         code, _, err = run_cli(capsys, "solve", "--s", "5")
         assert code == errors.EXIT_NUMERICAL
         assert "numerical failure" in err
@@ -301,6 +332,37 @@ class TestExitCodes:
         )
         assert proc.returncode == 0
         assert "benth2012" in proc.stdout
+
+
+class TestParser:
+    def test_main_builds_the_parser_once(self, capsys):
+        cli._build_parser.cache_clear()
+        first = run_cli(capsys, "solve", "--s-grid", "4:6:5")
+        second = run_cli(capsys, "solve", "--s-grid", "4:6:5")
+        assert first[0] == 0
+        assert first == second
+        info = cli._build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+    def test_import_builds_no_parser(self):
+        proc = subprocess.run(
+            [sys.executable, "-c", "import levyou.cli as c; "
+             "print(c._build_parser.cache_info().currsize)"],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0
+        assert proc.stdout == "0\n"
+
+    def test_help_and_unknown_command_keep_their_exit_codes(self, capsys):
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(["--help"])
+            assert exc.value.code == 0
+            assert capsys.readouterr().out.startswith("usage: levyou")
+            with pytest.raises(SystemExit) as exc:
+                cli.main(["frobnicate"])
+            assert exc.value.code == 2
+            assert "invalid choice" in capsys.readouterr().err
 
 
 # Every flag each subcommand takes; the parser must keep exactly these.

@@ -408,10 +408,81 @@ class TestFractionTable:
         with pytest.raises(ConvergenceError):
             sg._solve_q(None, 0.0, np.array([-0.4]), -0.5, 0.5)
 
+    @pytest.mark.parametrize("lam", [1e-310, 5e-324])
+    def test_overflowing_bracket_names_the_mean_reversion(self, lam):
+        # (d - G)/lam overflows for a subnormal lam; the error once blamed
+        # a price the caller never gave.
+        m = mk.MarketCoefficients(lam=lam, b=0.1, sigma=0.3, psi=1.0,
+                                  measure=UniformJump(-0.5, 1.0, 2.0))
+        for build in (sg.exact_fraction_table, sg.growth_table):
+            with pytest.raises(DomainError, match="lam=") as exc:
+                build(m, [0.0, 1.0], -0.4, 0.8, ns=17)
+            assert "bracket" in str(exc.value)
+            assert "check the price" not in str(exc.value)
+
+    def test_tiny_mean_reversion_still_builds(self):
+        m = mk.MarketCoefficients(lam=1e-300, b=0.1, sigma=0.3, psi=1.0,
+                                  measure=UniformJump(-0.5, 1.0, 2.0))
+        tab = sg.exact_fraction_table(m, [0.0, 1.0], -0.4, 0.8, ns=17)
+        assert np.isfinite(tab.s1).all() and np.isfinite(tab.s2).all()
+        assert tab.values[0, 0] == 0.8 and tab.values[0, -1] == -0.4
+        growth = sg.growth_table(m, [0.0, 1.0], -0.4, 0.8, ns=17)
+        assert np.isfinite(growth.values).all()
+
     def test_constant_table(self):
         tab = sg.constant_fraction_table([0.0, 1.0, 2.0], 0.13)
         assert np.all(tab.values == 0.13)
         assert tab.values.shape == (3, 2)
+
+
+def _fraction_pool(preset, rng):
+    """Derandomized fractions of a preset's interval: its ends, the ulps
+    next to them, fractions near 0, and uniform draws."""
+    lo, hi = preset.pi_min, preset.pi_max
+    edges = [lo, hi, np.nextafter(lo, hi), np.nextafter(hi, lo),
+             hi * (1.0 - 1e-12), hi * (1.0 - 1e-6), lo * (1.0 - 1e-12),
+             0.0, 5e-324, 1e-300, 1e-16, 1e-9, 1e-4, -5e-324, -1e-16,
+             -1e-9, -1e-4]
+    pool = np.concatenate([edges, rng.uniform(lo, hi, 40)])
+    return pool[(lo <= pool) & (pool <= hi)]
+
+
+class TestBatchedSolve:
+    """One exact solve serves several drift levels because the stationarity
+    map gives each fraction the same bits whatever array it sits in."""
+
+    @pytest.mark.parametrize("name", presets.PRESET_NAMES)
+    def test_stationarity_of_a_fraction_does_not_depend_on_its_array(
+            self, name):
+        preset = presets.get_preset(name)
+        rng = np.random.default_rng(20180412)
+        pool = _fraction_pool(preset, rng)
+        alone = {p: sg._stationarity(preset.market, 0.0, np.array([p]))[0]
+                 for p in pool}
+        for n in range(1, 65):
+            pis = rng.choice(pool, size=n)
+            got = sg._stationarity(preset.market, 0.0, pis)
+            want = np.array([alone[p] for p in pis])
+            np.testing.assert_array_equal(got, want, err_msg=f"length {n}")
+
+    @pytest.mark.parametrize("name", presets.PRESET_NAMES)
+    def test_gaps_of_several_drift_levels_solve_as_one(self, name):
+        base = presets.get_preset(name)
+        lo, hi = base.pi_min, base.pi_max
+        levels = []
+        for frac in (1.5, 0.8, 0.5, 0.2):
+            market = presets.get_preset(name, b_frac=frac, pi_min=lo,
+                                        pi_max=hi).market
+            s_flat = market.foc_drift(0.0) / market.lam
+            levels.append((market, np.linspace(0.0, 1.1 * s_flat, 50)))
+        q = np.concatenate([sg.drift_gap(m, 0.0, s) for m, s in levels])
+        pi, clamped = sg.optimal_fraction_gaps(base.market, 0.0, q, lo, hi)
+        for k, (market, s_values) in enumerate(levels):
+            want, want_clamped = sg.optimal_fraction_grid(market, 0.0,
+                                                          s_values, lo, hi)
+            np.testing.assert_array_equal(pi[50 * k:50 * (k + 1)], want)
+            np.testing.assert_array_equal(clamped[50 * k:50 * (k + 1)],
+                                          want_clamped)
 
 
 class TestGrowthTable:
