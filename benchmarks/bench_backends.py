@@ -57,9 +57,10 @@ def main():
     cfg = SimConfig(n_paths=args.paths, n_steps=args.steps, seed=args.seed)
     sim = build_sim_inputs(market, 0.0, preset.horizon, cfg)
     growth = strategy.growth_table(market, sim.times, preset.pi_min,
-                                   preset.pi_max)
+                                   preset.pi_max).kernel_args
     fractions = strategy.exact_fraction_table(market, sim.times,
-                                              preset.pi_min, preset.pi_max)
+                                              preset.pi_min,
+                                              preset.pi_max).kernel_args
     walk = (_rng.derive_keys(args.seed, np.arange(args.paths)),
             np.full(args.paths, preset.s0), *sim.kernel_args)
     path_steps = args.paths * args.steps
@@ -101,7 +102,8 @@ def main():
         small_walk = (_rng.derive_keys(args.seed, np.arange(n_paths)),
                       np.full(n_paths, preset.s0), *small.kernel_args,
                       *strategy.growth_table(market, small.times,
-                                             preset.pi_min, preset.pi_max))
+                                             preset.pi_min,
+                                             preset.pi_max).kernel_args)
         line = f"{label:16s}"
         for be in backends:
             kern = get_kernels(be)

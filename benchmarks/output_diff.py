@@ -14,13 +14,16 @@ tree's ``src`` first on the path, and prints one line per group:
   differs, or its arrays change shape or count.
 
 A last line sums up the groups and the largest differences.  The exit
-status is 1 when a group is flagged or found in one tree only, else 0.
+status is 1 when a group is flagged or found in one tree only, or, with
+``--atol X``, when a group's numbers move by more than X absolute (a NaN
+or infinity facing another value moves by inf); else 0.
 
 Usage::
 
-    python3 benchmarks/output_diff.py OLD_TREE NEW_TREE
+    python3 benchmarks/output_diff.py OLD_TREE NEW_TREE [--atol X]
 """
 
+import argparse
 import os
 import pickle
 import subprocess
@@ -111,13 +114,13 @@ def compare(old, new):
     return status, worst_abs, worst_rel
 
 
-def main(argv):
-    if len(argv) != 2:
-        print(__doc__.strip().splitlines()[-1].strip(), file=sys.stderr)
-        return 2
-    old, new = (run_groups(tree) for tree in argv)
+def report(old, new, atol=None):
+    """Print one line per group of ``old`` and ``new`` (label -> leaves)
+    and a summary; return the exit status: 1 when a group is flagged,
+    found in one tree only, or moved by more than ``atol`` absolute."""
     counts = {"same": 0, "changed": 0, "flagged": 0}
     worst_abs = worst_rel = 0.0
+    over = 0
     for label in [*old, *(label for label in new if label not in old)]:
         if label not in old or label not in new:
             status = "flagged"
@@ -131,12 +134,32 @@ def main(argv):
                 line = "same"
             else:
                 line = f"TEXT DIFFERS; numbers {line}"
+            if atol is not None and d > atol:
+                over += 1
+                line += f"  OVER --atol {atol:g}"
         counts[status] += 1
         print(f"{label}: {line}")
-    print(f"-- {counts['same']} same, {counts['changed']} changed in numbers "
-          f"only (largest abs {worst_abs:.3g}, rel {worst_rel:.3g}), "
-          f"{counts['flagged']} flagged")
-    return 1 if counts["flagged"] else 0
+    summary = (f"-- {counts['same']} same, {counts['changed']} changed in "
+               f"numbers only (largest abs {worst_abs:.3g}, rel "
+               f"{worst_rel:.3g}), {counts['flagged']} flagged")
+    if atol is not None:
+        summary += f", {over} over --atol {atol:g}"
+    print(summary)
+    return 1 if counts["flagged"] or over else 0
+
+
+def main(argv):
+    parser = argparse.ArgumentParser(
+        description="Compare the outputs of two levyou trees, group by "
+                    "group.")
+    parser.add_argument("old_tree")
+    parser.add_argument("new_tree")
+    parser.add_argument("--atol", type=float, default=None,
+                        help="also exit 1 when a group's numbers move by "
+                             "more than this, absolute")
+    args = parser.parse_args(argv)
+    old, new = run_groups(args.old_tree), run_groups(args.new_tree)
+    return report(old, new, args.atol)
 
 
 if __name__ == "__main__":

@@ -107,8 +107,10 @@ def kernel_groups(preset):
     gt = strategy.growth_table(market, sim.times, lo, hi, NS)
     ft = strategy.exact_fraction_table(market, sim.times, lo, hi, NS)
     yield "price_paths", kern.price_paths(keys, s0, *sim.kernel_args)
-    yield "value_paths", kern.value_paths(keys, s0, *sim.kernel_args, *gt)
-    yield "wealth_paths", kern.wealth_paths(keys, s0, *sim.kernel_args, *ft)
+    yield "value_paths", kern.value_paths(keys, s0, *sim.kernel_args,
+                                         *gt.kernel_args)
+    yield "wealth_paths", kern.wealth_paths(keys, s0, *sim.kernel_args,
+                                           *ft.kernel_args)
 
 
 def cli_files(argv):

@@ -15,6 +15,13 @@ with the exact integrated drift and an exact-variance Gaussian increment;
 jumps add ``psi * size`` at their drawn times.  Per-step Poisson jump counts
 are inverted from precomputed CDF tables shared by both backends.
 
+The reward and fraction tables come in piece form
+(``strategy.PriceTable.kernel_args``): per row, the lower extension, each
+interval of the bracket and the upper extension as a line
+``value + slope * (s - knot)``.  :func:`_interp_slope` picks a price's piece
+by ``floor((s - s1) * inv_h)``, clamped to the row, with the numpy lookup's
+arithmetic, so the two backends read a table bit for bit alike.
+
 One walk (:func:`_walk`) serves the three entry points; its mode picks what
 it accumulates along the path, and it writes into arrays the entry points
 allocate, so every argument keeps one type across modes.
@@ -197,29 +204,31 @@ def _decay_drift_std(lam, bc, sig, delta):
 
 
 @njit(cache=True)
-def _interp_slope(vals, row, s1, s2, slope_lo, slope_hi, s):
-    """Piecewise-linear table lookup with linear extension outside."""
-    ns = vals.shape[1]
-    x = (s - s1) / (s2 - s1)
-    if x <= 0.0:
-        return vals[row, 0] + slope_lo * (s - s1)
-    if x >= 1.0:
-        return vals[row, ns - 1] + slope_hi * (s - s2)
-    f = x * (ns - 1)
-    j = int(f)
-    fr = f - j
-    return vals[row, j] * (1.0 - fr) + vals[row, j + 1] * fr
+def _interp_slope(value, slope, knot, s1, inv_h, row, s):
+    """Piecewise-linear table lookup with linear extension outside, from
+    the piece form of ``strategy.PriceTable.kernel_args``: the piece index
+    and the line of ``_kernels_np._lookup``, element by element."""
+    f = (s - s1[row]) * inv_h[row]
+    top = value.shape[1] - 2
+    if not f >= -1.0:  # below the bracket, or NaN
+        p = 0
+    elif f >= top:
+        p = top + 1
+    else:
+        p = int(math.floor(f)) + 1
+    return value[row, p] + slope[row, p] * (s - knot[row, p])
 
 
 @njit(cache=True)
 def _walk(mode, nodes, acc, fin, keys, s0, times, b_step, sig_step,
           psi_step, comp_step, lam, cdf, kind, p0, p1,
-          vals, s1, s2, slope_lo, slope_hi):
+          value, slope, knot, s1, inv_h):
     """Exact transition walk over the step grid, accumulating per ``mode``.
 
     PRICE writes the node prices into ``nodes``; VALUE and WEALTH write
     the accumulated integral into ``acc`` and the final prices into
-    ``fin``.  Unused arrays may be empty.
+    ``fin``, reading the table in piece form (``value`` to ``inv_h``).
+    Unused arrays may be empty.
     """
     n = keys.shape[0]
     n_steps = times.shape[0] - 1
@@ -233,9 +242,7 @@ def _walk(mode, nodes, acc, fin, keys, s0, times, b_step, sig_step,
         if mode == PRICE:
             nodes[i, 0] = s
         elif mode == VALUE:
-            f_prev = _interp_slope(
-                vals, 0, s1[0], s2[0], slope_lo, slope_hi, s
-            )
+            f_prev = _interp_slope(value, slope, knot, s1, inv_h, 0, s)
         for k in range(n_steps):
             t_left = times[k]
             dt = times[k + 1] - t_left
@@ -244,9 +251,7 @@ def _walk(mode, nodes, acc, fin, keys, s0, times, b_step, sig_step,
             psi = psi_step[k]
             pi = 0.0
             if mode == WEALTH:
-                pi = _interp_slope(
-                    vals, k, s1[k], s2[k], slope_lo, slope_hi, s
-                )
+                pi = _interp_slope(value, slope, knot, s1, inv_h, k, s)
             s_left = s
             cnt = _poisson_count(_uniform(key, k, 0), cdf[k])
             for j in range(cnt):
@@ -272,15 +277,11 @@ def _walk(mode, nodes, acc, fin, keys, s0, times, b_step, sig_step,
                 g = _normal_ppf(_uniform(key, k, SLOT_GAUSS + j))
                 s = s * ed + drift + std * g
                 if mode == VALUE:
-                    f_pre = _interp_slope(
-                        vals, k, s1[k], s2[k], slope_lo, slope_hi, s
-                    )
+                    f_pre = _interp_slope(value, slope, knot, s1, inv_h, k, s)
                     total += 0.5 * (f_prev + f_pre) * delta
                 s = s + psi * ybuf[j]
                 if mode == VALUE:
-                    f_prev = _interp_slope(
-                        vals, k, s1[k], s2[k], slope_lo, slope_hi, s
-                    )
+                    f_prev = _interp_slope(value, slope, knot, s1, inv_h, k, s)
                 elif mode == WEALTH:
                     total += math.log1p(pi * psi * ybuf[j])
                     sumy += ybuf[j]
@@ -292,9 +293,8 @@ def _walk(mode, nodes, acc, fin, keys, s0, times, b_step, sig_step,
             if mode == PRICE:
                 nodes[i, k + 1] = s
             elif mode == VALUE:
-                f_right = _interp_slope(
-                    vals, k + 1, s1[k + 1], s2[k + 1], slope_lo, slope_hi, s
-                )
+                f_right = _interp_slope(value, slope, knot, s1, inv_h, k + 1,
+                                        s)
                 total += 0.5 * (f_prev + f_right) * delta
                 f_prev = f_right
             else:
@@ -316,34 +316,35 @@ def price_paths(keys, s0, times, b_step, sig_step, psi_step, comp_step,
     none = np.empty(0)
     _walk(PRICE, nodes, none, none, keys, s0, times, b_step, sig_step,
           psi_step, comp_step, lam, cdf, kind, p0, p1,
-          np.empty((0, 0)), none, none, 0.0, 0.0)
+          np.empty((0, 0)), np.empty((0, 0)), np.empty((0, 0)), none, none)
     return nodes
 
 
 @njit(cache=True)
 def value_paths(keys, s0, times, b_step, sig_step, psi_step, comp_step,
                 lam, cdf, kind, p0, p1,
-                tab_vals, tab_s1, tab_s2, slope_lo, slope_hi):
+                tab_value, tab_slope, tab_knot, tab_s1, tab_inv_h):
     """Trapezoid integral of the tabulated running reward along each path.
 
-    The integrand is evaluated from per-node tables (rows of ``tab_vals``
-    over the per-node intervals [tab_s1, tab_s2], linearly extended with
-    the given slopes).  Jump times are quadrature nodes: both one-sided
-    values enter the trapezoid rule.  Returns (integrals, final prices).
+    The integrand is evaluated from a per-node table in the piece form of
+    ``strategy.PriceTable.kernel_args`` (one row per node, linearly
+    extended outside the row's bracket).  Jump times are quadrature nodes:
+    both one-sided values enter the trapezoid rule.  Returns (integrals,
+    final prices).
     """
     n = keys.shape[0]
     integ = np.empty(n)
     fin = np.empty(n)
     _walk(VALUE, np.empty((0, 0)), integ, fin, keys, s0, times, b_step,
           sig_step, psi_step, comp_step, lam, cdf, kind, p0, p1,
-          tab_vals, tab_s1, tab_s2, slope_lo, slope_hi)
+          tab_value, tab_slope, tab_knot, tab_s1, tab_inv_h)
     return integ, fin
 
 
 @njit(cache=True)
 def wealth_paths(keys, s0, times, b_step, sig_step, psi_step, comp_step,
                  lam, cdf, kind, p0, p1,
-                 tab_vals, tab_s1, tab_s2, slope_lo, slope_hi):
+                 tab_value, tab_slope, tab_knot, tab_s1, tab_inv_h):
     """Log-wealth of the tabulated fraction along each path.
 
     The fraction is read from the per-node table at the left node of each
@@ -356,5 +357,5 @@ def wealth_paths(keys, s0, times, b_step, sig_step, psi_step, comp_step,
     fin = np.empty(n)
     _walk(WEALTH, np.empty((0, 0)), logw, fin, keys, s0, times, b_step,
           sig_step, psi_step, comp_step, lam, cdf, kind, p0, p1,
-          tab_vals, tab_s1, tab_s2, slope_lo, slope_hi)
+          tab_value, tab_slope, tab_knot, tab_s1, tab_inv_h)
     return logw, fin

@@ -31,7 +31,12 @@ each block in these parts:
 3. The mode's table lookups then read all of the block's recorded prices
    at once (:func:`_lookup` takes a table row per element), and
    :func:`_value_terms` or :func:`_wealth_terms` turn them into one term
-   per jump and per node.
+   per jump and per node.  The table comes in piece form
+   (``PriceTable.kernel_args``, built once per table by the caller): each
+   row's lower extension, its intervals and its upper extension as
+   ``value + slope * (s - knot)``.  A lookup is one piece index,
+   ``floor((s - s1) * inv_h)`` clamped to the row's pieces, then three
+   gathers and that line, with no branch per element.
 4. A last loop adds the terms to the accumulator in the order of a
    step-by-step walk: each step's jump ranks, then its node.  No sum is
    regrouped, so no bit moves.
@@ -210,26 +215,24 @@ def _skeleton(keys, ks, times, bc_step, sig_step, lam, cdf, kind, p0, p1):
     )
 
 
-def _lookup(vals, s1, s2, slope_lo, slope_hi, row, s):
-    """Piecewise-linear table lookup with linear extension outside.
+def _lookup(value, slope, knot, s1, inv_h, row, s):
+    """Piecewise-linear table lookup with linear extension outside, from
+    the piece form of ``strategy.PriceTable.kernel_args``.
 
     Element ``i`` reads table row ``row[i]`` at price ``s[i]``; ``row``
-    broadcasts against ``s``.
+    broadcasts against ``s``.  Each element takes one piece index and
+    three gathers, with no branch.  The index is clamped with ``fmax`` and
+    ``fmin``, which send a NaN price to the lower extension, whose line
+    gives NaN; an infinite price takes the extension on its side.
     """
-    top = vals.shape[1] - 1
-    d = s - s1[row]
-    x = d / (s2[row] - s1[row])
-    f = x * top
-    j = f.astype(np.int64)
-    np.maximum(j, 0, out=j)
-    np.minimum(j, top - 1, out=j)
-    fr = f - j
-    at = j + row * (top + 1)
-    flat = vals.ravel()
-    mid = flat[at] * (1.0 - fr) + flat[at + 1] * fr
-    lo = vals[row, 0] + slope_lo * d
-    hi = vals[row, top] + slope_hi * (s - s2[row])
-    return np.where(x <= 0.0, lo, np.where(x >= 1.0, hi, mid))
+    width = value.shape[1]
+    f = (s - s1[row]) * inv_h[row]
+    np.floor(f, out=f)
+    np.fmax(f, -1.0, out=f)
+    np.fmin(f, width - 2, out=f)
+    f += row * width + 1
+    at = f.astype(np.intp)
+    return value.take(at) + slope.take(at) * (s - knot.take(at))
 
 
 def _value_terms(table, ks, sk, price, jumped, f_left):
@@ -274,8 +277,7 @@ def _wealth_terms(table, ks, sk, price, times, psi_step, sig_step):
 
 
 def _walk(mode, keys, s0, times, b_step, sig_step, psi_step, comp_step,
-          lam, cdf, kind, p0, p1, vals=None, s1=None, s2=None,
-          slope_lo=0.0, slope_hi=0.0):
+          lam, cdf, kind, p0, p1, *table):
     """Exact transition walk over the step grid, accumulating per ``mode``.
 
     After each block's skeleton is drawn, or taken from the last call's,
@@ -287,6 +289,7 @@ def _walk(mode, keys, s0, times, b_step, sig_step, psi_step, comp_step,
     in the order of a step-by-step walk (each step's jump ranks, then its
     node), so no sum is regrouped.
 
+    ``table`` is the piece form of the mode's table (empty for PRICE).
     Returns the (n_paths, n_nodes) node prices for PRICE, else the
     accumulated integral and the final prices.
     """
@@ -310,7 +313,6 @@ def _walk(mode, keys, s0, times, b_step, sig_step, psi_step, comp_step,
         drawn = []
     s = s0.astype(np.float64)
     acc = np.zeros(n)
-    table = (vals, s1, s2, slope_lo, slope_hi)
     if mode == PRICE:
         nodes = np.empty((n, n_steps + 1))
         nodes[:, 0] = s
@@ -390,16 +392,18 @@ def price_paths(keys, s0, times, b_step, sig_step, psi_step, comp_step,
 
 def value_paths(keys, s0, times, b_step, sig_step, psi_step, comp_step,
                 lam, cdf, kind, p0, p1,
-                tab_vals, tab_s1, tab_s2, slope_lo, slope_hi):
-    """(trapezoid integral of the tabulated reward, final prices)."""
+                tab_value, tab_slope, tab_knot, tab_s1, tab_inv_h):
+    """(trapezoid integral of the tabulated reward, final prices).
+
+    The table comes in the piece form of ``PriceTable.kernel_args``."""
     return _walk(VALUE, keys, s0, times, b_step, sig_step, psi_step,
                  comp_step, lam, cdf, kind, p0, p1,
-                 tab_vals, tab_s1, tab_s2, slope_lo, slope_hi)
+                 tab_value, tab_slope, tab_knot, tab_s1, tab_inv_h)
 
 
 def wealth_paths(keys, s0, times, b_step, sig_step, psi_step, comp_step,
                  lam, cdf, kind, p0, p1,
-                 tab_vals, tab_s1, tab_s2, slope_lo, slope_hi):
+                 tab_value, tab_slope, tab_knot, tab_s1, tab_inv_h):
     """(log-wealth of the tabulated fraction, final prices).
 
     The table arguments are those of :func:`value_paths`; a fraction
@@ -407,4 +411,4 @@ def wealth_paths(keys, s0, times, b_step, sig_step, psi_step, comp_step,
     """
     return _walk(WEALTH, keys, s0, times, b_step, sig_step, psi_step,
                  comp_step, lam, cdf, kind, p0, p1,
-                 tab_vals, tab_s1, tab_s2, slope_lo, slope_hi)
+                 tab_value, tab_slope, tab_knot, tab_s1, tab_inv_h)

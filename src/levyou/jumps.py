@@ -154,6 +154,38 @@ def _quad(fn, lo, hi, epsabs=QUAD_EPSABS):
     return res[0]
 
 
+def _integrate_heavy(fn, m, big, x):
+    """∫ fn over (m, big) for a finite measure without a finite ∫y²ν.
+
+    Such a measure puts its weight far out, beyond |y| = 1, where the
+    transform integrands grow like y²ν up to |y| = 1/|x| and bend to a
+    slower tail after it.  One quadrature over the support cannot resolve
+    that across many decades and calls a small |x| divergent.  So the
+    support is cut at 0, at ±1 and at ±1/|x|; a piece away from 0 is
+    integrated on a log scale, a piece out to infinity in 1/y, and every
+    piece to ``QUAD_EPSREL`` alone, since no absolute scale is known.
+    """
+    c = 1.0 / abs(x) if x != 0.0 else math.inf
+    cuts = {v for v in (-c, -1.0, 0.0, 1.0, c) if m < v < big}
+    edges = [m, *sorted(cuts), big]
+    parts = []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        if lo > 0.0 and math.isinf(hi):
+            part = _quad(lambda u: fn(lo / u) * lo / u / u, 0.0, 1.0, 0.0)
+        elif hi < 0.0 and math.isinf(lo):
+            part = _quad(lambda u: fn(hi / u) * -hi / u / u, 0.0, 1.0, 0.0)
+        elif lo > 0.0:
+            part = _quad(lambda v: fn(math.exp(v)) * math.exp(v),
+                         math.log(lo), math.log(hi), 0.0)
+        elif hi < 0.0:
+            part = _quad(lambda v: fn(-math.exp(v)) * math.exp(v),
+                         math.log(-hi), math.log(-lo), 0.0)
+        else:
+            part = _quad(fn, lo, hi, 0.0)
+        parts.append(part)
+    return math.fsum(parts)
+
+
 class CaseTag(enum.Enum):
     """Sign pattern of the jump support, which fixes the admissible set."""
 
@@ -392,6 +424,8 @@ class JumpMeasure:
         m, big = self.support()
         fn = lambda y: g(y) * self.density(y)
         if not self._singular:
+            if math.isinf(self._second_moment):
+                return _integrate_heavy(fn, m, big, x)
             # Near pi = 0 the transform is about g2 * ∫y²ν, so an absolute
             # tolerance above that scale would stop the quadrature early.
             tol = min(QUAD_EPSABS, QUAD_EPSREL * abs(taylor[0])

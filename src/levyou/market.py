@@ -317,20 +317,19 @@ def build_sim_inputs(market, t, T, config, times=None):
                 "a time grid needs at least 2 strictly increasing nodes "
                 f"from t={t} to T={T}"
             )
-    n_steps = times.shape[0] - 1
     b, sg, ps, comp = market.step_arrays(times)
     rate = market.measure.rate
     if not math.isfinite(rate):
         raise CaseError("path simulation needs a finite-activity measure")
     kind, p0, p1 = market.measure.sampler_code()
-    rows = [
-        _rng.poisson_cdf_table(rate * (times[k + 1] - times[k]))
-        for k in range(n_steps)
-    ]
+    # One table per distinct step mean; each step takes its mean's row.
+    means, step_row = np.unique(rate * np.diff(times), return_inverse=True)
+    rows = [_rng.poisson_cdf_table(mu) for mu in means]
     width = max(len(r) for r in rows)
-    cdf = np.full((n_steps, width + 1), 2.0)
+    cdf = np.full((len(rows), width + 1), 2.0)
     for k, r in enumerate(rows):
         cdf[k, : len(r)] = r
+    cdf = cdf[step_row]
     return SimInputs(times, b, sg, ps, comp, cdf, kind, p0, p1, market.lam)
 
 

@@ -272,8 +272,8 @@ class PriceTable(NamedTuple):
     linear in the price, with slope ``slope_lo`` below s1 and ``slope_hi``
     above s2, which the kernels apply exactly.  Fraction tables are flat
     there (slopes 0.0: pi_max below, pi_min above); the growth table has
-    slopes -lam*pi_max and -lam*pi_min.  The kernels take the five fields
-    in this order.
+    slopes -lam*pi_max and -lam*pi_min.  The kernels take the table as
+    :attr:`kernel_args`.
     """
 
     values: np.ndarray
@@ -287,6 +287,41 @@ class PriceTable(NamedTuple):
         nodes = slice(start, stop)
         return self._replace(values=self.values[nodes], s1=self.s1[nodes],
                              s2=self.s2[nodes])
+
+    @property
+    def kernel_args(self):
+        """The table in piece form, ``(value, slope, knot, s1, inv_h)``, in
+        the order the kernels take it after the simulation inputs.
+
+        Row k of ``value``, ``slope`` and ``knot`` holds the ns + 1 linear
+        pieces of the row, each read as ``value + slope * (s - knot)``: the
+        lower extension (the row's first value and ``slope_lo`` at s1), the
+        ns - 1 intervals of the bracket (left value, slope and node), and
+        the upper extension (the last value and ``slope_hi`` at s2).  The
+        extensions are the exact lines above.  A price s lies in piece
+        ``floor((s - s1) * inv_h) + 1``, clamped to [0, ns], where
+        ``inv_h`` is (ns - 1)/(s2 - s1) rounded up, when needed, so that s2
+        lands in the upper piece.  Each access builds the arrays anew, so a
+        caller builds them once per table.
+        """
+        v = np.asarray(self.values, dtype=np.float64)
+        s1 = np.asarray(self.s1, dtype=np.float64)
+        top = v.shape[1] - 1
+        width = self.s2 - s1
+        inv_h = top / width
+        short = width * inv_h < top
+        inv_h[short] = np.nextafter(inv_h[short], np.inf)
+        grid = np.linspace(0.0, 1.0, top + 1)[:-1]
+        rows = v.shape[0]
+        value = np.concatenate([v[:, :1], v], axis=1)
+        slope = np.concatenate([
+            np.full((rows, 1), self.slope_lo),
+            np.diff(v, axis=1) / (width / top)[:, None],
+            np.full((rows, 1), self.slope_hi)], axis=1)
+        knot = np.concatenate([
+            s1[:, None], s1[:, None] + grid * width[:, None],
+            np.asarray(self.s2, dtype=np.float64)[:, None]], axis=1)
+        return value, slope, knot, s1, inv_h
 
 
 def _stationarity(market, t, pi):

@@ -229,7 +229,7 @@ def wealth_simulate(market, table, t, s, x, T, config=None, backend=None,
         )
     s0 = np.full(config.n_paths, float(s))
     acc, _ = get_kernels(backend).wealth_paths(
-        config.path_keys(), s0, *sim.kernel_args, *table
+        config.path_keys(), s0, *sim.kernel_args, *table.kernel_args
     )
     bad = int(np.count_nonzero(~np.isfinite(acc)))
     return WealthRun(
@@ -314,15 +314,17 @@ def tower_check(market, t, s, h, T, pi_min, pi_max, config=None,
     s0 = np.full(config.n_paths, float(s))
 
     # the head and tail runs take the node slices [:n1+1] and [n1:] of
-    # full_times, so one table serves all three runs
+    # full_times, so one table serves all three runs; each run's piece form
+    # is built once, outside the inner loop
     gt = growth_table(market, full_times, pi_min, pi_max, ns=table_ns)
     inputs_full = build_sim_inputs(market, t, T, config, times=full_times)
-    acc_full, _ = kern.value_paths(keys, s0, *inputs_full.kernel_args, *gt)
+    acc_full, _ = kern.value_paths(keys, s0, *inputs_full.kernel_args,
+                                   *gt.kernel_args)
 
     inputs_head = build_sim_inputs(market, t, t_mid, config,
                                    times=full_times[:n1 + 1])
     acc_head, s_mid = kern.value_paths(
-        keys, s0, *inputs_head.kernel_args, *gt.rows(0, n1 + 1)
+        keys, s0, *inputs_head.kernel_args, *gt.rows(0, n1 + 1).kernel_args
     )
     tails = acc_full - acc_head
 
@@ -332,7 +334,7 @@ def tower_check(market, t, s, h, T, pi_min, pi_max, config=None,
         inputs_tail = build_sim_inputs(
             market, t_mid, T, config, times=full_times[n1:]
         )
-        tail_args = (*inputs_tail.kernel_args, *gt.rows(n1))
+        tail_args = (*inputs_tail.kernel_args, *gt.rows(n1).kernel_args)
         # row i: the inner keys of outer path i, from its child seed
         streams = np.uint64(config.path_offset) \
             + np.arange(1, config.n_paths + 1, dtype=np.uint64)
@@ -357,8 +359,9 @@ def value_grid(market, t_values, s_values, T, pi_min, pi_max, config=None,
                backend=None, table_ns=257):
     """Value estimates over a rectangle of start times and prices.
 
-    Simulation inputs and the growth table are built once per start time
-    and shared across prices (the paths differ only in their start state).
+    Simulation inputs and the growth table's piece form are built once per
+    start time and shared across prices (the paths differ only in their
+    start state).
     """
     config = config or SimConfig()
     t_values = np.asarray(t_values, dtype=np.float64)
@@ -375,10 +378,11 @@ def value_grid(market, t_values, s_values, T, pi_min, pi_max, config=None,
         if tv == T:
             continue
         sim = build_sim_inputs(market, float(tv), T, config)
-        gt = growth_table(market, sim.times, pi_min, pi_max, ns=table_ns)
+        args = (*sim.kernel_args, *growth_table(
+            market, sim.times, pi_min, pi_max, ns=table_ns).kernel_args)
         for j, sv in enumerate(s_values):
             s0 = np.full(config.n_paths, float(sv))
-            acc, _ = kern.value_paths(keys, s0, *sim.kernel_args, *gt)
+            acc, _ = kern.value_paths(keys, s0, *args)
             g_hat[i, j], std_err[i, j] = _mean_se(acc)
     return ValueGrid(
         t_values=t_values, s_values=s_values, g_hat=g_hat, std_err=std_err,

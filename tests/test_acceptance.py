@@ -338,7 +338,7 @@ def test_property_suite():
         keys = SimConfig(n_paths, cfg.n_steps, cfg.seed,
                          path_offset=offset).path_keys()
         acc, _ = kern.value_paths(keys, np.full(n_paths, p.s0),
-                                  *sim.kernel_args, *gt)
+                                  *sim.kernel_args, *gt.kernel_args)
         return acc
 
     whole = path_sums(0, 2000)

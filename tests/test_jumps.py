@@ -556,6 +556,34 @@ class TestPerFractionQuadrature:
         np.testing.assert_allclose(plain.drag(0.1), closed.drag(0.1),
                                    rtol=1e-9)
 
+    @pytest.mark.parametrize("pi", [1e-9, 1e-6, 1e-3, 0.1, 3.0])
+    def test_infinite_second_moment_at_small_fractions(self, pi):
+        # alpha = 1.5 again.  One quadrature over (0.3, inf) called all
+        # three transforms divergent at pi = 1e-6; cut at y = 1/pi they
+        # match the closed forms.
+        plain = CompoundPoisson(
+            1.0, lambda y: 1.5 * 0.3**1.5 / y**2.5, (0.3, math.inf))
+        closed = ParetoJump(alpha=1.5, scale=0.3, rate=1.0)
+        for name in ("drag", "curvature", "log_penalty"):
+            np.testing.assert_allclose(getattr(plain, name)(pi),
+                                       getattr(closed, name)(pi),
+                                       rtol=1e-9, err_msg=name)
+
+    def test_two_sided_infinite_second_moment(self):
+        # A bounded left side and a Pareto right tail: the cuts at 0, 1 and
+        # 1/pi, against the closed form plus the left side's own quadrature.
+        def density(y):
+            if y >= 0.3:
+                return 1.5 * 0.3**1.5 / y**2.5
+            return 2.0 if y <= -0.3 else 0.0
+        mixed = CompoundPoisson(1.0, density, (-0.5, math.inf))
+        left = CompoundPoisson(0.4, lambda y: 5.0, (-0.5, -0.3))
+        right = ParetoJump(alpha=1.5, scale=0.3, rate=1.0)
+        for name in ("drag", "curvature", "log_penalty"):
+            want = getattr(left, name)(1e-6) + getattr(right, name)(1e-6)
+            np.testing.assert_allclose(getattr(mixed, name)(1e-6), want,
+                                       rtol=1e-9, err_msg=name)
+
 
 class TestConstantJump:
     def test_moments_are_rate_scaled_powers(self):

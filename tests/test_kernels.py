@@ -8,6 +8,7 @@ wealth walks that the shared walk replaced.
 
 import sys
 import threading
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -36,8 +37,8 @@ def kernel_inputs(name, n_paths, n_steps, seed):
 
 def run_all(kern, args, gt, ft):
     price = kern.price_paths(*args)
-    acc_v, fin_v = kern.value_paths(*args, *gt)
-    acc_w, fin_w = kern.wealth_paths(*args, *ft)
+    acc_v, fin_v = kern.value_paths(*args, *gt.kernel_args)
+    acc_w, fin_w = kern.wealth_paths(*args, *ft.kernel_args)
     return {"price": price, "value": acc_v, "value_fin": fin_v,
             "wealth": acc_w, "wealth_fin": fin_w}
 
@@ -121,8 +122,8 @@ def test_wealth_walk_reads_the_flat_extension_exactly(kern, side):
     assert end == (p.pi_max if side == "above" else p.pi_min)
     const = strategy.constant_fraction_table(sim.times, end)
     with np.errstate(over="ignore"):  # the uint64 hash wraps on purpose
-        got = kern.wealth_paths(*args, *far)
-        want = kern.wealth_paths(*args, *const)
+        got = kern.wealth_paths(*args, *far.kernel_args)
+        want = kern.wealth_paths(*args, *const.kernel_args)
     for g, w in zip(got, want):
         assert np.array_equal(g, w)
 
@@ -159,8 +160,8 @@ def test_value_walk_reads_the_linear_extension_exactly(kern, side):
         line = gt._replace(values=np.stack([v_end - slope, v_end], axis=1),
                            s1=s_end - 1.0, s2=s_end)
     with np.errstate(over="ignore"):  # the uint64 hash wraps on purpose
-        got = kern.value_paths(*args, *far)
-        want = kern.value_paths(*args, *line)
+        got = kern.value_paths(*args, *far.kernel_args)
+        want = kern.value_paths(*args, *line.kernel_args)
     for g, w in zip(got, want):
         assert np.array_equal(g, w)
     assert np.all(got[0] != 0.0)
@@ -175,7 +176,8 @@ def test_block_lookup_matches_the_scalar_twin():
     n_rows, ns, n = 7, 33, 50
     s1 = rng.uniform(-2.0, 2.0, n_rows)
     s2 = s1 + rng.uniform(0.5, 3.0, n_rows)
-    table = (rng.normal(size=(n_rows, ns)), s1, s2, -0.7, 0.3)
+    table = strategy.PriceTable(rng.normal(size=(n_rows, ns)), s1, s2,
+                                -0.7, 0.3).kernel_args
     row = rng.integers(0, n_rows, size=(6, n))
     lo, hi = s1[row], s2[row]
     width = hi - lo
@@ -191,18 +193,117 @@ def test_block_lookup_matches_the_scalar_twin():
     ])
     got = _kernels_np._lookup(*table, row, prices)
     want = np.array([
-        _kernels_nb._interp_slope(table[0], r, s1[r], s2[r], *table[3:], s)
+        _kernels_nb._interp_slope(*table, r, s)
         for r, s in zip(row.ravel().tolist(), prices.ravel().tolist())
     ]).reshape(prices.shape)
     assert got.shape == prices.shape
     np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
     # one row for all elements, as for the walk's first node
     first = _kernels_np._lookup(*table, 0, prices[2])
-    want = [_kernels_nb._interp_slope(table[0], 0, s1[0], s2[0],
-                                      *table[3:], s)
+    want = [_kernels_nb._interp_slope(*table, 0, s)
             for s in prices[2].tolist()]
     np.testing.assert_array_equal(first.view(np.int64),
                                   np.array(want).view(np.int64))
+
+
+# The piece-form lookup on generated tables.  A table row's interior is
+# read within LOOKUP_ULPS * eps * (M + D * (|s1| + |s2|)) of the exact
+# interpolant through its nodes s1 + j * (s2 - s1) / (ns - 1), where M is
+# the row's largest |value| and D its largest |interval slope|; the lookup
+# it replaced kept the same bound, and both stayed under 0.9 of it on
+# 60 000 sampled prices.
+LOOKUP_ULPS = 2.0
+
+
+@st.composite
+def lookup_tables(draw):
+    """A price table with flat runs, and a seeded generator for prices."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_rows, ns = draw(st.integers(1, 4)), draw(st.integers(2, 257))
+    center = 10.0 ** draw(st.integers(-3, 4))
+    s1 = rng.uniform(-1.0, 1.0, n_rows) * center
+    s2 = s1 + rng.uniform(0.1, 1.0, n_rows) * 10.0 ** draw(st.integers(-3, 3))
+    values = rng.normal(size=(n_rows, ns)) * 10.0 ** draw(st.integers(-3, 3))
+    runs = []
+    for r in range(n_rows):
+        a = int(rng.integers(0, ns - 1))
+        b = int(rng.integers(a + 2, ns + 1))
+        values[r, a:b] = values[r, a] + 0.0  # no negative zero
+        runs.append((a, b))
+    slopes = [draw(st.sampled_from([0.0, -0.7, 2.5])) for _ in range(2)]
+    return strategy.PriceTable(values, s1, s2, *slopes), runs, rng
+
+
+def _both_lookups(table, row, prices):
+    """The numpy lookup, checked against the scalar twin element by
+    element (bit for bit where finite)."""
+    args = table.kernel_args
+    got = _kernels_np._lookup(*args, row, prices)
+    want = np.array([_kernels_nb._interp_slope(*args, r, s) for r, s in
+                     zip(row.tolist(), prices.tolist())])
+    np.testing.assert_array_equal(got, want)
+    finite = np.isfinite(want)
+    np.testing.assert_array_equal(got[finite].view(np.int64),
+                                  want[finite].view(np.int64))
+    return got
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(case=lookup_tables())
+def test_piece_lookup_on_generated_tables(case):
+    table, runs, rng = case
+    v, s1, s2 = table.values, table.s1, table.s2
+    n_rows, ns = v.shape
+    top = ns - 1
+    width = s2 - s1
+    rows = np.arange(n_rows)
+
+    # Inside a flat run the row's value comes back bit for bit.
+    row = np.repeat(rows, 8)
+    a, b = np.array(runs).T
+    at = a[row] + rng.uniform(0.05, 0.95, row.shape) * (b - 1 - a)[row]
+    got = _both_lookups(table, row, s1[row] + at / top * width[row])
+    np.testing.assert_array_equal(got.view(np.int64),
+                                  v[row, a[row]].view(np.int64))
+
+    # On and beyond s1 and s2: the extension lines, exactly.
+    far = width * np.array([[0.0], [1e-9], [0.3], [40.0]])
+    below, above = (s1 - far).ravel(), (s2 + far).ravel()
+    row = np.tile(rows, 4)
+    got = _both_lookups(table, row, below)
+    np.testing.assert_array_equal(
+        got, v[row, 0] + table.slope_lo * (below - s1[row]))
+    got = _both_lookups(table, row, above)
+    np.testing.assert_array_equal(
+        got, v[row, top] + table.slope_hi * (above - s2[row]))
+
+    # Inside the bracket: within the stated bound of the exact interpolant.
+    row = np.repeat(rows, 12)
+    prices = s1[row] + rng.uniform(0.0, 1.0, row.shape) * width[row]
+    prices = np.clip(prices, np.nextafter(s1[row], np.inf),
+                     np.nextafter(s2[row], -np.inf))
+    got = _both_lookups(table, row, prices)
+    slope = np.abs(np.diff(v, axis=1)).max(axis=1) / (width / top)
+    for r, s, g in zip(row.tolist(), prices.tolist(), got.tolist()):
+        lo, hi = Fraction(s1[r]), Fraction(s2[r])
+        x = (Fraction(s) - lo) * top / (hi - lo)
+        j = min(int(x), top - 1)
+        exact = Fraction(v[r, j]) + (Fraction(v[r, j + 1])
+                                     - Fraction(v[r, j])) * (x - j)
+        bound = LOOKUP_ULPS * np.finfo(float).eps * (
+            np.abs(v[r]).max() + slope[r] * (abs(s1[r]) + abs(s2[r])))
+        assert abs(float(Fraction(g) - exact)) <= bound, (r, s)
+
+    # NaN and infinite prices: NaN or the extension's infinity, as the
+    # extension lines give them, and never an index out of range.
+    row = np.repeat(rows, 3)
+    odd = np.tile([np.nan, np.inf, -np.inf], n_rows)
+    with np.errstate(invalid="ignore"):
+        got = _both_lookups(table, row, odd)
+        want = np.where(odd > 0.0,
+                        v[row, top] + table.slope_hi * (odd - s2[row]),
+                        v[row, 0] + table.slope_lo * (odd - s1[row]))
+    np.testing.assert_array_equal(got, want)
 
 
 # Outputs of the separate per-kernel numpy walks for 4 paths (keys from
@@ -411,10 +512,12 @@ def test_a_repeated_walk_draws_nothing_and_moves_no_bit(name, budget,
     s1 = s0 + np.linspace(-1.0, 1.0, 64)
     walks = {
         "price": (_kernels_np.price_paths, (), ()),
-        "value": (_kernels_np.value_paths, gt,
-                  gt._replace(values=gt.values * 1.5, s1=gt.s1 - 0.2)),
-        "wealth": (_kernels_np.wealth_paths, ft,
-                   strategy.constant_fraction_table(rest[0], 0.1)),
+        "value": (_kernels_np.value_paths, gt.kernel_args,
+                  gt._replace(values=gt.values * 1.5,
+                              s1=gt.s1 - 0.2).kernel_args),
+        "wealth": (_kernels_np.wealth_paths, ft.kernel_args,
+                   strategy.constant_fraction_table(rest[0],
+                                                    0.1).kernel_args),
     }
     for mode, (walk, first, second) in walks.items():
         want = _fresh(monkeypatch, lambda: walk(keys, s1, *rest, *second))

@@ -430,6 +430,30 @@ class TestSimulationInputs:
             mk.build_sim_inputs(calibrated_market(), 0.0, 24.0,
                                 mk.SimConfig(4, 4, 1), times=times)
 
+    @pytest.mark.parametrize("times", [
+        None,                                  # the uniform grid
+        [0.0, 1.0, 2.0, 6.0, 7.0, 12.0, 24.0],  # three steps of 1
+        [0.0, 0.5, 3.0, 24.0],                 # no mean repeats
+    ])
+    def test_one_poisson_table_per_step_mean(self, times, monkeypatch):
+        # Each distinct rate * dt gets one table; the rows equal a table
+        # built for every step, padded with 2.0 to the widest.
+        m = calibrated_market()
+        calls = []
+        table = mk._rng.poisson_cdf_table
+        monkeypatch.setattr(mk._rng, "poisson_cdf_table",
+                            lambda mu: calls.append(mu) or table(mu))
+        sim = mk.build_sim_inputs(m, 0.0, 24.0, mk.SimConfig(4, 96, 1),
+                                  times=times)
+        means = m.measure.rate * np.diff(sim.times)
+        assert sorted(calls) == sorted(set(means.tolist()))
+        rows = [table(mu) for mu in means]
+        want = np.full((len(rows), max(map(len, rows)) + 1), 2.0)
+        for k, row in enumerate(rows):
+            want[k, :len(row)] = row
+        np.testing.assert_array_equal(sim.cdf.view(np.int64),
+                                      want.view(np.int64))
+
     def test_grid_endpoints(self):
         pb = mk.simulate_paths(calibrated_market(), 1.0, 5.0, 24.0,
                                mk.SimConfig(2, 10, 1))

@@ -47,3 +47,19 @@ def test_changed_text_or_shape_is_flagged(output_diff):
     a = np.zeros(3)
     assert output_diff.compare([a], [a[:2]])[0] == "flagged"
     assert output_diff.compare([a], [a, a])[0] == "flagged"
+
+
+def test_atol_fails_a_group_that_moves_too_far(output_diff, capsys):
+    old = {"kept": [np.array([1.0])], "moved": [np.array([1.0, 2.0])]}
+    new = {"kept": [np.array([1.0])], "moved": [np.array([1.0, 2.0 + 4e-16])]}
+    assert output_diff.report(old, new) == 0
+    assert output_diff.report(old, new, atol=1e-15) == 0
+    assert output_diff.report(old, new, atol=1e-16) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2].startswith("moved: abs 4.44e-16") \
+        and lines[-2].endswith("OVER --atol 1e-16")
+    assert lines[-1].endswith(", 1 over --atol 1e-16")
+    # a NaN facing a number moves by inf, past any bound
+    nan = {"kept": [np.array([np.nan])]}
+    assert output_diff.report({"kept": [np.array([1.0])]}, nan,
+                              atol=1e300) == 1

@@ -20,7 +20,7 @@ from levyou.errors import ConfigError, DomainError
 from levyou.jumps import ConstantJump, NoJumps, ParetoJump
 from levyou.market import MarketCoefficients, SimConfig, simulate_paths
 from levyou.presets import get_preset
-from levyou.strategy import best_growth, constant_fraction_table
+from levyou.strategy import PriceTable, best_growth, constant_fraction_table
 
 LAM = 0.3333 / 24
 ETA = 3.7249 / 24
@@ -439,6 +439,21 @@ class TestTowerCheck:
         with pytest.raises(ConfigError, match="at least 2 steps"):
             vl.tower_check(gaussian_market(), 0.0, 0.1, 1.0, 2.0, -2.0, 2.0,
                            one_step)
+
+
+    def test_piece_forms_are_built_once_per_table(self, monkeypatch):
+        # The full, head and tail runs read one piece form each; the 40
+        # inner runs share the tail's.
+        built = []
+        pieces = PriceTable.kernel_args.fget
+        monkeypatch.setattr(PriceTable, "kernel_args", property(
+            lambda table: built.append(1) or pieces(table)))
+        tw = vl.tower_check(
+            gaussian_market(), 0.0, 0.1, 1.0, 2.0, -2.0, 2.0,
+            SimConfig(n_paths=40, n_steps=8, seed=3), backend="numpy",
+        )
+        assert tw.n_paths == 40
+        assert 0 < len(built) <= 3
 
 
 class TestValueGrid:
