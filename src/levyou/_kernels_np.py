@@ -226,13 +226,19 @@ def _lookup(value, slope, knot, s1, inv_h, row, s):
     gives NaN; an infinite price takes the extension on its side.
     """
     width = value.shape[1]
-    f = (s - s1[row]) * inv_h[row]
+    f = s - s1[row]
+    f *= inv_h[row]
     np.floor(f, out=f)
     np.fmax(f, -1.0, out=f)
     np.fmin(f, width - 2, out=f)
     f += row * width + 1
     at = f.astype(np.intp)
-    return value.take(at) + slope.take(at) * (s - knot.take(at))
+    # value + slope * (s - knot), in place
+    out = knot.take(at)
+    np.subtract(s, out, out=out)
+    out *= slope.take(at)
+    out += value.take(at)
+    return out
 
 
 def _value_terms(table, ks, sk, price, jumped, f_left):

@@ -161,27 +161,27 @@ def _integrate_heavy(fn, m, big, x):
     transform integrands grow like y²ν up to |y| = 1/|x| and bend to a
     slower tail after it.  One quadrature over the support cannot resolve
     that across many decades and calls a small |x| divergent.  So the
-    support is cut at 0, at ±1 and at ±1/|x|; a piece away from 0 is
-    integrated on a log scale, a piece out to infinity in 1/y, and every
-    piece to ``QUAD_EPSREL`` alone, since no absolute scale is known.
+    support is cut at 0, at ±1 and at ±1/|x|.  A piece with an end at 0
+    is integrated as it is, one out to infinity in 1/|y|, any other on a
+    log scale; every piece to ``QUAD_EPSREL`` alone, since no absolute
+    scale is known.
     """
     c = 1.0 / abs(x) if x != 0.0 else math.inf
     cuts = {v for v in (-c, -1.0, 0.0, 1.0, c) if m < v < big}
     edges = [m, *sorted(cuts), big]
     parts = []
     for lo, hi in zip(edges[:-1], edges[1:]):
-        if lo > 0.0 and math.isinf(hi):
-            part = _quad(lambda u: fn(lo / u) * lo / u / u, 0.0, 1.0, 0.0)
-        elif hi < 0.0 and math.isinf(lo):
-            part = _quad(lambda u: fn(hi / u) * -hi / u / u, 0.0, 1.0, 0.0)
-        elif lo > 0.0:
-            part = _quad(lambda v: fn(math.exp(v)) * math.exp(v),
-                         math.log(lo), math.log(hi), 0.0)
-        elif hi < 0.0:
-            part = _quad(lambda v: fn(-math.exp(v)) * math.exp(v),
-                         math.log(-hi), math.log(-lo), 0.0)
+        if lo < 0.0:  # the piece (-hi, -lo) of fn(-y)
+            f, a, b = (lambda y: fn(-y)), -hi, -lo
         else:
-            part = _quad(fn, lo, hi, 0.0)
+            f, a, b = fn, lo, hi
+        if a == 0.0:
+            part = _quad(f, a, b, 0.0)
+        elif math.isinf(b):
+            part = _quad(lambda u: f(a / u) * a / u / u, 0.0, 1.0, 0.0)
+        else:
+            part = _quad(lambda v: f(math.exp(v)) * math.exp(v),
+                         math.log(a), math.log(b), 0.0)
         parts.append(part)
     return math.fsum(parts)
 

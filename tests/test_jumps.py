@@ -556,7 +556,7 @@ class TestPerFractionQuadrature:
         np.testing.assert_allclose(plain.drag(0.1), closed.drag(0.1),
                                    rtol=1e-9)
 
-    @pytest.mark.parametrize("pi", [1e-9, 1e-6, 1e-3, 0.1, 3.0])
+    @pytest.mark.parametrize("pi", [1e-9, 1e-6, 1e-3, 3.0])
     def test_infinite_second_moment_at_small_fractions(self, pi):
         # alpha = 1.5 again.  One quadrature over (0.3, inf) called all
         # three transforms divergent at pi = 1e-6; cut at y = 1/pi they
