@@ -175,13 +175,17 @@ def _integrate_heavy(fn, m, big, x):
             f, a, b = (lambda y: fn(-y)), -hi, -lo
         else:
             f, a, b = fn, lo, hi
-        if a == 0.0:
-            part = _quad(f, a, b, 0.0)
-        elif math.isinf(b):
-            part = _quad(lambda u: f(a / u) * a / u / u, 0.0, 1.0, 0.0)
-        else:
-            part = _quad(lambda v: f(math.exp(v)) * math.exp(v),
-                         math.log(a), math.log(b), 0.0)
+        try:
+            if a == 0.0:
+                part = _quad(f, a, b, 0.0)
+            elif math.isinf(b):
+                part = _quad(lambda u: f(a / u) * a / u / u, 0.0, 1.0, 0.0)
+            else:
+                part = _quad(lambda v: f(math.exp(v)) * math.exp(v),
+                             math.log(a), math.log(b), 0.0)
+        except QuadratureError as exc:  # name the piece in y, not in u or v
+            raise QuadratureError(f"on the piece ({lo}, {hi}) of the "
+                                  f"support: {exc}") from None
         parts.append(part)
     return math.fsum(parts)
 

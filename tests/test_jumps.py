@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 from levyou import jumps
-from levyou.errors import AdmissibilityError, CaseError, DomainError
+from levyou.errors import (AdmissibilityError, CaseError, DomainError,
+                           QuadratureError)
 from levyou.jumps import (
     CompoundPoisson,
     ConstantJump,
@@ -568,6 +569,14 @@ class TestPerFractionQuadrature:
             np.testing.assert_allclose(getattr(plain, name)(pi),
                                        getattr(closed, name)(pi),
                                        rtol=1e-9, err_msg=name)
+
+    def test_divergent_piece_is_named_in_the_jump_size(self):
+        # At pi = 0 the curvature is ∫y²ν itself, which diverges; the error
+        # names the piece of the support, not the substituted variable's.
+        plain = CompoundPoisson(
+            1.0, lambda y: 1.5 * 0.3**1.5 / y**2.5, (0.3, math.inf))
+        with pytest.raises(QuadratureError, match=r"piece \(1.0, inf\)"):
+            plain.curvature(0.0)
 
     def test_two_sided_infinite_second_moment(self):
         # A bounded left side and a Pareto right tail: the cuts at 0, 1 and
