@@ -1,19 +1,18 @@
 #!/usr/bin/env python3
-"""Benchmark the numba kernels against the pure-numpy fallback.
+"""Time the numpy kernels.
 
 Times the three kernels (price simulation, reward accumulation, wealth
-accumulation) on the benth2012 preset for each backend and reports
-path-steps/s, the speedup and a cross-backend agreement check.  The
+accumulation) on the benth2012 preset and reports path-steps/s.  The
 simulation inputs, the growth table and the fraction table are built once,
-outside the timed region, and JIT compilation is paid in a warm-up call,
-so each row times one kernel call and nothing else.  The ``small call``
-row times one ``value_paths`` call of 100 paths x 48 steps over the second
-half of the horizon, the inner run of the acceptance suite's tower check,
-where the fixed cost of a call dominates; the ``tower call`` row does the
-same for 20 paths x 24 steps, the inner run of the perfbench ``tower``
-workload.  A last row times
+outside the timed region, and each kernel is called once before it is
+timed, so each row times one kernel call and nothing else.  The
+``small call`` row times one ``value_paths`` call of 100 paths x 48 steps
+over the second half of the horizon, the inner run of the acceptance
+suite's tower check, where the fixed cost of a call dominates; the
+``tower call`` row does the same for 20 paths x 24 steps, the inner run of
+the perfbench ``tower`` workload.  A last row times
 ``strategy.growth_table`` itself: one 257-price table (a single time node)
-for benth2012 and uniform-two-sided, which no backend choice affects.
+for benth2012 and uniform-two-sided.
 
 Usage::
 
@@ -26,8 +25,8 @@ import time
 
 import numpy as np
 
+from levyou import _kernels_np as kern
 from levyou import _rng, presets, strategy
-from levyou._backend import available_backends, get_kernels
 from levyou.market import SimConfig, build_sim_inputs
 
 
@@ -65,34 +64,20 @@ def main():
             np.full(args.paths, preset.s0), *sim.kernel_args)
     path_steps = args.paths * args.steps
 
-    backends = available_backends()
-    print(f"backends: {', '.join(backends)}  "
-          f"paths={args.paths} steps={args.steps} repeats={args.repeats}")
+    print(f"numpy kernels  paths={args.paths} steps={args.steps} "
+          f"repeats={args.repeats}")
 
     tasks = {
-        "price paths": lambda kern: kern.price_paths(*walk),
-        "reward estimate": lambda kern: kern.value_paths(*walk, *growth)[0],
-        "wealth paths": lambda kern: kern.wealth_paths(*walk, *fractions)[0],
+        "price paths": lambda: kern.price_paths(*walk),
+        "reward estimate": lambda: kern.value_paths(*walk, *growth),
+        "wealth paths": lambda: kern.wealth_paths(*walk, *fractions),
     }
 
     for label, task in tasks.items():
-        results = {}
-        timings = {}
-        for be in backends:
-            kern = get_kernels(be)
-            results[be] = np.asarray(task(kern))  # warm-up: JIT compile
-            timings[be] = best_of(args.repeats, lambda kern=kern: task(kern))
-        line = f"{label:16s}"
-        for be in backends:
-            rate = path_steps / timings[be]
-            line += (f"  {be}: {timings[be] * 1e3:8.1f} ms "
-                     f"({rate:10.3g} path-steps/s)")
-        if len(backends) == 2:
-            a, b = (results[be] for be in backends)
-            agree = float(np.max(np.abs(a - b) / np.maximum(np.abs(a), 1e-30)))
-            line += (f"  speedup x{timings[backends[1]] / timings[backends[0]]:.1f}"
-                     f"  max rel diff {agree:.2e}")
-        print(line)
+        task()  # warm-up
+        timing = best_of(args.repeats, task)
+        print(f"{label:16s}  {timing * 1e3:8.1f} ms "
+              f"({path_steps / timing:10.3g} path-steps/s)")
 
     half = 0.5 * preset.horizon
     for label, n_paths, n_steps in (("small call", 100, 48),
@@ -104,16 +89,12 @@ def main():
                       *strategy.growth_table(market, small.times,
                                              preset.pi_min,
                                              preset.pi_max).kernel_args)
-        line = f"{label:16s}"
-        for be in backends:
-            kern = get_kernels(be)
-            kern.value_paths(*small_walk)  # warm-up: JIT compile
-            calls = lambda kern=kern: [kern.value_paths(*small_walk)
-                                       for _ in range(SMALL_CALLS)]
-            per_call = best_of(args.repeats, calls) / SMALL_CALLS
-            line += f"  {be}: {per_call * 1e3:8.2f} ms"
-        print(line + f"  (per value_paths call, {n_paths} paths x "
-              f"{n_steps} steps)")
+        kern.value_paths(*small_walk)  # warm-up
+        calls = lambda: [kern.value_paths(*small_walk)
+                         for _ in range(SMALL_CALLS)]
+        per_call = best_of(args.repeats, calls) / SMALL_CALLS
+        print(f"{label:16s}  {per_call * 1e3:8.2f} ms  (per value_paths "
+              f"call, {n_paths} paths x {n_steps} steps)")
 
     line = f"{'growth table':16s}"
     for name in ("benth2012", "uniform-two-sided"):

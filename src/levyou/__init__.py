@@ -20,8 +20,8 @@ more general Lévy) jumps:
 * :mod:`levyou.presets` — named calibrated model configurations;
 * :mod:`levyou.cli` — the ``levyou`` command line tool.
 
-Environment flag: ``LEVYOU_BACKEND`` selects the simulation backend
-(``numba`` or ``numpy``).
+Environment flag: ``LEVYOU_BACKEND`` accepts only ``numpy``, the one kernel
+implementation; any other value warns and is ignored.
 """
 
 from ._backend import available_backends, get_kernels

@@ -1,12 +1,13 @@
-"""Vectorized numpy kernels, twins of the numba scalar kernels.
+"""Vectorized numpy kernels: the one kernel implementation.
 
-Same stream, same slot layout and the same arithmetic per element as the
-scalar backend, except the normal quantile: ``scipy.special.ndtri`` here,
-Wichura's PPND16 in the numba kernels (about 1e-15 apart).  Each variate
-is addressed by (path key, step, slot), so nothing random depends on the
-prices, and the price recursion reads no table.  The walk therefore runs
-over blocks of ``max(1, BLOCK_PATH_STEPS // n_paths)`` steps, and does
-each block in these parts:
+The tests keep a scalar reference walk (``tests/scalar_kernels.py``) with
+the same stream, slot layout and arithmetic per element, except the normal
+quantile: ``scipy.special.ndtri`` here, Wichura's PPND16 there (about
+1e-15 apart).  Each variate is addressed by (path key, step, slot), so
+nothing random depends on the prices, and the price recursion reads no
+table.  The walk therefore runs over blocks of
+``max(1, BLOCK_PATH_STEPS // n_paths)`` steps, and does each block in these
+parts:
 
 1. :func:`_skeleton` draws the block's random skeleton with a few array
    calls across paths *and* steps: the jump counts (one Poisson inversion

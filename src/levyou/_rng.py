@@ -18,12 +18,12 @@ slot            variate
 2048 + i        standard normal for sub-segment ``i`` (i < 2047)
 ==============  =====================================================
 
-The scalar twins of these functions (used inside the numba kernels) live in
-``_kernels_nb`` and follow the exact same arithmetic, operation by operation.
-A Gaussian slot's uniform becomes a standard normal through the quantile
-function: ``scipy.special.ndtri`` in the numpy kernels, Wichura's PPND16
-(``_kernels_nb._normal_ppf``) in the numba kernels, which cannot call
-``ndtri``.  The two agree to about 1e-15.
+The scalar twins of these functions, in the tests' reference walk
+(``tests/scalar_kernels.py``), follow the exact same arithmetic, operation
+by operation.  A Gaussian slot's uniform becomes a standard normal through
+the quantile function: ``scipy.special.ndtri`` in the numpy kernels,
+Wichura's PPND16 (``scalar_kernels._normal_ppf``) in the reference walk.
+The two agree to about 1e-15.
 """
 
 import sys

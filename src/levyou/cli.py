@@ -28,7 +28,8 @@ Conventions
 * ``main`` builds the argument parser on its first call and reuses it.
 * Exit codes: 0 success, 2 configuration/usage error, 3 numerical
   failure.
-* ``LEVYOU_BACKEND`` (or ``--backend``) picks ``numba`` or ``numpy``.
+* ``--backend`` and ``LEVYOU_BACKEND`` accept only ``numpy``, the one
+  kernel implementation.
 """
 
 from __future__ import annotations
@@ -353,8 +354,8 @@ _FLAGS = {
     "preset": {"default": "benth2012",
                "help": "model preset (default %(default)s)"},
     "config": {"help": "INI config file; flags win over its [preset] section"},
-    "backend": {"choices": ("numba", "numpy"),
-                "help": "default: LEVYOU_BACKEND, else numba if importable"},
+    "backend": {"choices": ("numpy",),
+                "help": "kernel implementation (only numpy)"},
     "points": {"type": int, "default": 200,
                "help": "grid points per curve (default %(default)s)"},
     "out": {"help": "output file (default stdout); figure: a directory "

@@ -1,26 +1,26 @@
-"""Numba scalar kernels for path simulation, value quadrature and wealth.
+"""Scalar reference kernels for path simulation, value quadrature and wealth.
 
-These mirror the vectorized numpy kernels in ``_kernels_np`` operation by
-operation: both consume the counter-based stream defined in ``_rng`` with
-identical slot assignments, so a given (seed, path id) produces the same
-path on either backend (up to last-ulp libm differences).  Numba cannot
-call ``scipy.special.ndtri``, the numpy kernels' normal quantile, so
-:func:`_normal_ppf` evaluates Wichura's PPND16 instead; the two agree to
-about 1e-15.
+A plain-Python oracle for the tests: one path and one step at a time, with
+the same arithmetic as the vectorized kernels in ``levyou._kernels_np``,
+operation by operation.  Both consume the counter-based stream defined in
+``levyou._rng`` with identical slot assignments, so a given (seed, path id)
+produces the same path in either (up to last-ulp libm differences).  The
+normal quantile is Wichura's PPND16 (:func:`_normal_ppf`) rather than the
+numpy kernels' ``scipy.special.ndtri``; the two agree to about 1e-15.
 
 The simulation scheme freezes the coefficient functions at the left node of
 every step and is otherwise exact in distribution: between consecutive event
 times (nodes and jump times) the price decays at the mean-reversion rate
 with the exact integrated drift and an exact-variance Gaussian increment;
 jumps add ``psi * size`` at their drawn times.  Per-step Poisson jump counts
-are inverted from precomputed CDF tables shared by both backends.
+are inverted from precomputed CDF tables shared with the numpy kernels.
 
 The reward and fraction tables come in piece form
 (``strategy.PriceTable.kernel_args``): per row, the lower extension, each
 interval of the bracket and the upper extension as a line
 ``value + slope * (s - knot)``.  :func:`_interp_slope` picks a price's piece
 by ``floor((s - s1) * inv_h)``, clamped to the row, with the numpy lookup's
-arithmetic, so the two backends read a table bit for bit alike.
+arithmetic, so the two read a table bit for bit alike.
 
 One walk (:func:`_walk`) serves the three entry points; its mode picks what
 it accumulates along the path, and it writes into arrays the entry points
@@ -31,8 +31,7 @@ import math
 
 import numpy as np
 
-from ._backend import njit
-from ._rng import (
+from levyou._rng import (
     GOLDEN,
     MAX_JUMPS_PER_STEP,
     MIX1,
@@ -58,7 +57,6 @@ _USPACE = np.uint64(SLOT_SPACE)
 PRICE, VALUE, WEALTH = 0, 1, 2
 
 
-@njit(cache=True)
 def _mix64(z):
     z = z ^ (z >> _U30)
     z = z * MIX1
@@ -68,7 +66,6 @@ def _mix64(z):
     return z
 
 
-@njit(cache=True)
 def _uniform(key, step, slot):
     ctr = np.uint64(step) * _USPACE + np.uint64(slot)
     w = _mix64(key ^ _mix64(ctr * GOLDEN + MIX2))
@@ -140,7 +137,6 @@ PPF_F = np.array((
 ))
 
 
-@njit(cache=True)
 def _horner(c, x):
     acc = c[c.shape[0] - 1]
     for i in range(c.shape[0] - 2, -1, -1):
@@ -148,7 +144,6 @@ def _horner(c, x):
     return acc
 
 
-@njit(cache=True)
 def _normal_ppf(p):
     q = p - 0.5
     if abs(q) <= 0.425:
@@ -170,7 +165,6 @@ def _normal_ppf(p):
     return val
 
 
-@njit(cache=True)
 def _poisson_count(u, cdf_row):
     j = 0
     while u > cdf_row[j]:
@@ -178,7 +172,6 @@ def _poisson_count(u, cdf_row):
     return j
 
 
-@njit(cache=True)
 def _size_from_uniform(kind, p0, p1, u):
     if kind == SIZE_PARETO:
         return p0 * u ** (-1.0 / p1)
@@ -189,7 +182,6 @@ def _size_from_uniform(kind, p0, p1, u):
     return 0.0
 
 
-@njit(cache=True)
 def _decay_drift_std(lam, bc, sig, delta):
     """(decay, drift, std) of the exact transition over a quiet interval."""
     if lam > 0.0:
@@ -203,7 +195,6 @@ def _decay_drift_std(lam, bc, sig, delta):
     return ed, drift, sig * math.sqrt(var)
 
 
-@njit(cache=True)
 def _interp_slope(value, slope, knot, s1, inv_h, row, s):
     """Piecewise-linear table lookup with linear extension outside, from
     the piece form of ``strategy.PriceTable.kernel_args``: the piece index
@@ -219,7 +210,6 @@ def _interp_slope(value, slope, knot, s1, inv_h, row, s):
     return value[row, p] + slope[row, p] * (s - knot[row, p])
 
 
-@njit(cache=True)
 def _walk(mode, nodes, acc, fin, keys, s0, times, b_step, sig_step,
           psi_step, comp_step, lam, cdf, kind, p0, p1,
           value, slope, knot, s1, inv_h):
@@ -305,7 +295,6 @@ def _walk(mode, nodes, acc, fin, keys, s0, times, b_step, sig_step,
             fin[i] = s
 
 
-@njit(cache=True)
 def price_paths(keys, s0, times, b_step, sig_step, psi_step, comp_step,
                 lam, cdf, kind, p0, p1):
     """Simulate prices at the grid nodes.
@@ -320,7 +309,6 @@ def price_paths(keys, s0, times, b_step, sig_step, psi_step, comp_step,
     return nodes
 
 
-@njit(cache=True)
 def value_paths(keys, s0, times, b_step, sig_step, psi_step, comp_step,
                 lam, cdf, kind, p0, p1,
                 tab_value, tab_slope, tab_knot, tab_s1, tab_inv_h):
@@ -341,7 +329,6 @@ def value_paths(keys, s0, times, b_step, sig_step, psi_step, comp_step,
     return integ, fin
 
 
-@njit(cache=True)
 def wealth_paths(keys, s0, times, b_step, sig_step, psi_step, comp_step,
                  lam, cdf, kind, p0, p1,
                  tab_value, tab_slope, tab_knot, tab_s1, tab_inv_h):

@@ -325,6 +325,13 @@ class TestExitCodes:
         assert exc.value.code == 2
         capsys.readouterr()
 
+    def test_backend_other_than_numpy_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["simulate", "--backend", "numba", "--paths", "4",
+                      "--steps", "2"])
+        assert exc.value.code == errors.EXIT_CONFIG
+        assert "invalid choice: 'numba'" in capsys.readouterr().err
+
     def test_console_script_runs(self):
         proc = subprocess.run(
             [sys.executable, "-m", "levyou.cli", "describe-preset"],

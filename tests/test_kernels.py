@@ -1,9 +1,10 @@
-"""The transition walk of both kernel backends.
+"""The transition walk: the numpy kernels and their scalar twin.
 
-The scalar kernels in ``_kernels_nb`` are checked on every machine: without
-numba, ``njit`` is the identity and they run as plain Python.  The numpy
-kernels are pinned to outputs recorded from the separate price, value and
-wealth walks that the shared walk replaced.
+The numpy kernels are checked against the plain-Python reference walk in
+``scalar_kernels`` (a test module): the table lookups bit for bit, the
+walks to 1e-14, the gap between ``ndtri`` and PPND16.  They are also
+pinned to outputs recorded from the separate price, value and wealth walks
+that the shared walk replaced.
 """
 
 import sys
@@ -15,7 +16,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from levyou import _kernels_nb, _kernels_np, _rng, presets, strategy
+import scalar_kernels
+from levyou import _kernels_np, _rng, presets, strategy
 from levyou.jumps import ConstantJump, ParetoJump, UniformJump
 from levyou.market import MarketCoefficients, SimConfig, build_sim_inputs
 
@@ -50,7 +52,7 @@ def test_scalar_kernels_match_numpy(name):
     # 3.3e-13 only on gaussian prices near zero.
     args, gt, ft = kernel_inputs(name, 64, 24, 99)
     with np.errstate(over="ignore"):  # the uint64 hash wraps on purpose
-        scalar = run_all(_kernels_nb, args, gt, ft)
+        scalar = run_all(scalar_kernels, args, gt, ft)
     vector = run_all(_kernels_np, args, gt, ft)
     for key, want in vector.items():
         assert scalar[key].shape == want.shape
@@ -69,7 +71,7 @@ def test_scalar_kernels_match_numpy_on_tables_that_vary_in_time(name):
                          s1=t.s1 + 0.02 * k, s2=t.s2 + 0.03 * k)
               for t in (gt, ft))
     with np.errstate(over="ignore"):  # the uint64 hash wraps on purpose
-        scalar = run_all(_kernels_nb, args, gt, ft)
+        scalar = run_all(scalar_kernels, args, gt, ft)
     vector = run_all(_kernels_np, args, gt, ft)
     for key, want in vector.items():
         np.testing.assert_allclose(scalar[key], want, rtol=1e-14, atol=1e-14,
@@ -101,7 +103,7 @@ def test_numpy_kernels_are_batch_split_invariant(name, n_steps, monkeypatch):
                 f"{name} {key} budget {budget}"
 
 
-@pytest.mark.parametrize("kern", [_kernels_np, _kernels_nb],
+@pytest.mark.parametrize("kern", [_kernels_np, scalar_kernels],
                          ids=["numpy", "scalar"])
 @pytest.mark.parametrize("side", ["above", "below"])
 def test_wealth_walk_reads_the_flat_extension_exactly(kern, side):
@@ -128,7 +130,7 @@ def test_wealth_walk_reads_the_flat_extension_exactly(kern, side):
         assert np.array_equal(g, w)
 
 
-@pytest.mark.parametrize("kern", [_kernels_np, _kernels_nb],
+@pytest.mark.parametrize("kern", [_kernels_np, scalar_kernels],
                          ids=["numpy", "scalar"])
 @pytest.mark.parametrize("side", ["above", "below"])
 def test_value_walk_reads_the_linear_extension_exactly(kern, side):
@@ -193,14 +195,14 @@ def test_block_lookup_matches_the_scalar_twin():
     ])
     got = _kernels_np._lookup(*table, row, prices)
     want = np.array([
-        _kernels_nb._interp_slope(*table, r, s)
+        scalar_kernels._interp_slope(*table, r, s)
         for r, s in zip(row.ravel().tolist(), prices.ravel().tolist())
     ]).reshape(prices.shape)
     assert got.shape == prices.shape
     np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
     # one row for all elements, as for the walk's first node
     first = _kernels_np._lookup(*table, 0, prices[2])
-    want = [_kernels_nb._interp_slope(*table, 0, s)
+    want = [scalar_kernels._interp_slope(*table, 0, s)
             for s in prices[2].tolist()]
     np.testing.assert_array_equal(first.view(np.int64),
                                   np.array(want).view(np.int64))
@@ -239,7 +241,7 @@ def _both_lookups(table, row, prices):
     element (bit for bit where finite)."""
     args = table.kernel_args
     got = _kernels_np._lookup(*args, row, prices)
-    want = np.array([_kernels_nb._interp_slope(*args, r, s) for r, s in
+    want = np.array([scalar_kernels._interp_slope(*args, r, s) for r, s in
                      zip(row.tolist(), prices.tolist())])
     np.testing.assert_array_equal(got, want)
     finite = np.isfinite(want)
@@ -425,7 +427,7 @@ def test_scalar_kernels_match_numpy_on_generated_markets(lam, shape, rate,
     # zero on every step or on none, and every step has the same rate.
     args, reward, fraction = data.draw(walk_cases(lam, shape, rate))
     with np.errstate(over="ignore"):  # the uint64 hash wraps on purpose
-        scalar = run_all(_kernels_nb, args, reward, fraction)
+        scalar = run_all(scalar_kernels, args, reward, fraction)
     vector = run_all(_kernels_np, args, reward, fraction)
     for key, want in vector.items():
         assert np.isfinite(want).all()
@@ -467,7 +469,7 @@ def test_walk_draws_normals_where_volatility_is_on_some_steps(monkeypatch):
     with pytest.raises(AssertionError, match="normal quantile"):
         _kernels_np.price_paths(*args)
     with np.errstate(over="ignore"):  # the uint64 hash wraps on purpose
-        scalar = _kernels_nb.price_paths(*args)
+        scalar = scalar_kernels.price_paths(*args)
     np.testing.assert_allclose(scalar, nodes, rtol=1e-14, atol=1e-14)
 
 

@@ -1,5 +1,5 @@
 """Market model: case classification, admissible sets, coefficient
-validation, analytic moments, and the path simulator (both backends).
+validation, analytic moments, and the path simulator.
 
 Frozen reference values were computed with mpmath (40 digits) from the
 closed-form mean/variance integrals; they are independent of the
@@ -8,12 +8,12 @@ quadrature route used by the implementation.
 
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
 
 from levyou import market as mk
-from levyou._backend import HAVE_NUMBA
 from levyou.errors import (
     AdmissibilityError,
     CaseError,
@@ -28,7 +28,7 @@ from levyou.jumps import (
     UniformJump,
 )
 
-BACKENDS = ["numpy"] + (["numba"] if HAVE_NUMBA else [])
+BACKENDS = ["numpy"]
 
 # calibrated example used throughout: hourly mean reversion and jump rate,
 # Pareto jump sizes, no Brownian part
@@ -323,16 +323,6 @@ class TestDeterminism:
         b = mk.simulate_paths(m, 0.0, 5.0, 24.0, cfg, backend=backend)
         assert np.array_equal(a.prices, b.prices)
 
-    @pytest.mark.skipif(not HAVE_NUMBA, reason="numba unavailable")
-    def test_backends_agree(self):
-        meas = UniformJump(-0.5, 1.0, 1.0)
-        m = mk.MarketCoefficients(lam=0.3, b=0.1, sigma=0.3, psi=0.7,
-                                  measure=meas)
-        cfg = mk.SimConfig(256, 48, 9)
-        a = mk.simulate_paths(m, 0.0, 5.0, 12.0, cfg, backend="numpy")
-        b = mk.simulate_paths(m, 0.0, 5.0, 12.0, cfg, backend="numba")
-        assert np.allclose(a.prices, b.prices, rtol=1e-13, atol=1e-13)
-
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_batching_invariance(self, backend):
         m = calibrated_market()
@@ -351,10 +341,24 @@ class TestDeterminism:
         assert np.array_equal(stitched, whole.prices)
 
     def test_env_flag_selects_backend(self, monkeypatch):
-        from levyou import _backend
+        from levyou import _backend, _kernels_np
         monkeypatch.setenv("LEVYOU_BACKEND", "numpy")
-        kern = _backend.get_kernels()
-        assert "np" in kern.__name__
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _backend.get_kernels() is _kernels_np
+        # any other name warns once and is ignored
+        monkeypatch.setenv("LEVYOU_BACKEND", "numba")
+        with pytest.warns(RuntimeWarning, match="numba") as caught:
+            assert _backend.get_kernels() is _kernels_np
+        assert len(caught) == 1
+
+    def test_unknown_backend_name_raises(self):
+        from levyou import _backend
+        with pytest.raises(ConfigError, match="nmupy"):
+            _backend.get_kernels("nmupy")
+        with pytest.raises(ConfigError, match="numba"):
+            mk.simulate_paths(calibrated_market(), 0.0, 5.0, 24.0,
+                              mk.SimConfig(4, 24, 1), backend="numba")
 
 
 class TestSimulationInputs:

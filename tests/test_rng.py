@@ -1,5 +1,6 @@
 """Counter-based RNG: determinism, stream independence, inverse-CDF
-sampling accuracy, and agreement between the two compute backends."""
+sampling accuracy, and agreement between the numpy kernels and the scalar
+reference walk."""
 
 import math
 import sys
@@ -11,7 +12,8 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from levyou import _kernels_nb, _rng
+import scalar_kernels
+from levyou import _rng
 from levyou.errors import ConfigError
 from levyou.jumps import UniformJump
 from levyou.market import MarketCoefficients, SimConfig, build_sim_inputs
@@ -89,9 +91,9 @@ class TestUniforms:
         assert np.all((u > 0.0) & (u < 1.0))
 
 
-# The numba kernels' scalar quantile, on arrays; the numpy kernels call
+# The scalar reference walk's quantile, on arrays; the numpy kernels call
 # ``scipy.special.ndtri``, the reference here.
-_normal_ppf = np.vectorize(_kernels_nb._normal_ppf, otypes=[np.float64])
+_normal_ppf = np.vectorize(scalar_kernels._normal_ppf, otypes=[np.float64])
 
 
 class TestNormalPPF:
@@ -115,7 +117,7 @@ class TestNormalPPF:
         )
 
     def test_median(self):
-        assert _kernels_nb._normal_ppf(0.5) == 0.0
+        assert scalar_kernels._normal_ppf(0.5) == 0.0
 
     def test_normals_moments(self):
         keys = _rng.derive_keys(13, np.arange(200_000))

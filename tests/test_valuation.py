@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from levyou import valuation as vl
-from levyou._backend import HAVE_NUMBA
 from levyou.errors import ConfigError, DomainError
 from levyou.jumps import ConstantJump, NoJumps, ParetoJump
 from levyou.market import MarketCoefficients, SimConfig, simulate_paths
@@ -98,18 +97,6 @@ class TestValueEstimate:
             SimConfig(n_paths=400, n_steps=24, seed=100), backend="numpy",
         )
         assert c.g_hat != a.g_hat
-
-    @pytest.mark.skipif(not HAVE_NUMBA, reason="numba unavailable")
-    def test_backends_agree(self):
-        cfg = SimConfig(n_paths=64, n_steps=24, seed=5)
-        a = vl.estimate_value(
-            pareto_market(), 0.0, 5.0, 24.0, 0.0, 0.2, cfg, backend="numpy"
-        )
-        b = vl.estimate_value(
-            pareto_market(), 0.0, 5.0, 24.0, 0.0, 0.2, cfg, backend="numba"
-        )
-        assert a.g_hat == pytest.approx(b.g_hat, rel=1e-12)
-        assert a.std_err == pytest.approx(b.std_err, rel=1e-12)
 
     def test_price_slope_is_lipschitz(self):
         # common random numbers make the finite-difference slope of the
