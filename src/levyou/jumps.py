@@ -28,8 +28,9 @@ take a scalar or an ndarray of fractions.  The simulated jump laws give
 them closed forms:
 
 * Pareto sizes: ``ParetoJump.drag`` and ``ParetoJump.curvature`` through
-  the Gauss hypergeometric function, the log penalty from the drag by
-  parts;
+  the Euler integrals I_b(w) = ∫₀¹ t^(b-1)/(w+t) dt and
+  J_b(w) = ∫₀¹ t^(b-1)/(w+t)² dt at w = pi psi scale, integer alpha
+  included, the log penalty from the drag by parts;
 * uniform sizes: elementary antiderivatives in u = pi psi y, with a Taylor
   series near u = 0;
 * constant sizes: point evaluation.
@@ -60,7 +61,7 @@ from .errors import (
     DomainError,
     QuadratureError,
 )
-from .hyp2f1 import hyp2f1_reciprocal
+from .hyp2f1 import euler_integral
 
 QUAD_EPSABS = 1e-12
 QUAD_EPSREL = 1e-10
@@ -628,7 +629,7 @@ class ParetoJump(CompoundPoisson):
     def abs_moment(self, k):
         return self.moment(k)
 
-    def _hypergeometric(self, pi, psi, at_zero, positive):
+    def _euler(self, pi, psi, at_zero, positive):
         """``positive(w)`` at each w = pi*psi*z0 > 0 and ``at_zero`` at
         w = 0."""
 
@@ -643,32 +644,29 @@ class ParetoJump(CompoundPoisson):
         return self._transform(pi, psi, formula)
 
     def drag(self, pi, psi=1.0):
-        """Drag through the hypergeometric closed form.
+        """Drag through the Euler integral I_(alpha-1).
 
-        With w = pi * psi * z0 the drag equals
-        psi * eta * mu_F * 2F1(1, alpha - 1; alpha; -1/w) for pi > 0 (mu_F
-        is the mean jump size), and 0 at w = 0.  It is evaluated as
-        w * hyp2f1_reciprocal(1, alpha - 1, alpha, w), which stays in range
-        at any positive w, subnormal included.
+        With w = pi * psi * z0, substituting t = z0/y gives
+        psi * eta * alpha * z0 * w * I_(alpha-1)(w) for pi > 0, and 0 at
+        w = 0.  I_b is evaluated in w itself, so this stays in range at
+        any positive w, subnormal included.
         """
         a = self.alpha
-        return self._hypergeometric(
-            pi, psi, 0.0, lambda w: psi * self.rate * self.mean_size
-            * w * hyp2f1_reciprocal(1.0, a - 1.0, a, w))
+        return self._euler(
+            pi, psi, 0.0, lambda w: psi * self.rate * a * self.scale
+            * w * euler_integral(a - 1.0, w))
 
     def curvature(self, pi, psi=1.0):
-        """d(drag)/d(pi) through the hypergeometric closed form.
+        """d(drag)/d(pi) through the Euler integral J_alpha.
 
-        Equals eta * 2F1(2, alpha; alpha + 1; -1/w) / pi^2 with
-        w = pi*psi*z0, evaluated as
-        eta * (psi*z0)^2 * hyp2f1_reciprocal(2, alpha, alpha + 1, w) so that
-        no 1/pi^2 can overflow or underflow; psi^2 * nu(y^2) at w = 0.
+        Equals eta * (psi*z0)^2 * alpha * J_alpha(w) with w = pi*psi*z0, so
+        that no 1/pi^2 can overflow or underflow; psi^2 * nu(y^2) at w = 0.
         """
         a = self.alpha
         at_zero = psi * psi * self.moment(2) if psi > 0.0 else 0.0
-        return self._hypergeometric(
+        return self._euler(
             pi, psi, at_zero, lambda w: self.rate * (psi * self.scale) ** 2
-            * hyp2f1_reciprocal(2.0, a, a + 1.0, w))
+            * a * euler_integral(a, w, order=1))
 
     def log_penalty(self, pi, psi=1.0):
         """Closed form by parts against the tail mass eta*(z0/y)**alpha:

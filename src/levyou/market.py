@@ -59,9 +59,6 @@ class MarketCoefficients:
         Interpretation of ``b`` (see module docstring).
     sigma_range, psi_range : (float, float), optional
         Bounds over the trading window for time-varying coefficients.
-    b_dot, sigma_dot, psi_dot : callable, optional
-        Time derivatives, used by the analytic time-derivative of the
-        optimal reward; finite differences are used when absent.
     """
 
     lam: float
@@ -72,9 +69,6 @@ class MarketCoefficients:
     compensated: bool = True
     sigma_range: tuple = None
     psi_range: tuple = None
-    b_dot: object = None
-    sigma_dot: object = None
-    psi_dot: object = None
     _j1: float = field(init=False, repr=False, default=0.0)
     _j2: float = field(init=False, repr=False, default=0.0)
 
@@ -118,21 +112,21 @@ class MarketCoefficients:
     def psi_at(self, t):
         return float(self.psi(t)) if callable(self.psi) else float(self.psi)
 
-    def _dot(self, fn, explicit, t, h=1e-6):
-        if explicit is not None:
-            return float(explicit(t))
+    @staticmethod
+    def _dot(fn, t, h=1e-6):
+        """Central difference of a callable coefficient; 0 for a constant."""
         if not callable(fn):
             return 0.0
         return (fn(t + h) - fn(t - h)) / (2.0 * h)
 
     def b_dot_at(self, t):
-        return self._dot(self.b, self.b_dot, t)
+        return self._dot(self.b, t)
 
     def sigma_dot_at(self, t):
-        return self._dot(self.sigma, self.sigma_dot, t)
+        return self._dot(self.sigma, t)
 
     def psi_dot_at(self, t):
-        return self._dot(self.psi, self.psi_dot, t)
+        return self._dot(self.psi, t)
 
     @property
     def is_constant(self):

@@ -267,6 +267,65 @@ class TestParetoTransforms:
         np.testing.assert_array_equal(vec, scl)
 
 
+# mpmath references (60 digits, quadrature over t = z0/y) of drag, curvature
+# and log penalty at psi = 1, for alpha at and within 1e-7 of the integers
+INTEGER_ALPHA = {
+    (2.0, 1e-4): (4.221260973961194e-05, 0.3808187612797409,
+                  -2.213900082991657e-09),
+    (2.0, 1e-8): (8.025930951039156e-09, 0.7612842522466102,
+                  -4.1162375827884206e-17),
+    (2.0, 1e-20): (1.9439986083818464e-20, 1.9026897653738464,
+                   -9.82326514942923e-41),
+    (3.0, 1e-4): (6.194016577195049e-06, 0.06191932736933326,
+                  -3.097368152508949e-10),
+    (3.0, 1e-8): (6.196326012021059e-10, 0.061963255954463156,
+                  -3.098163076695442e-18),
+    (3.0, 1e-20): (6.1963264512e-22, 0.061963264512, -3.0981632256e-42),
+    (2.0000001, 1e-4): (4.2212589602840545e-05, 0.38081860005924967,
+                        -2.2138989706216185e-09),
+    (2.0000001, 1e-8): (8.025923487564741e-09, 0.7612835840929615,
+                        -4.1162336504031366e-17),
+    (2.0000001, 1e-20): (1.9439941245545185e-20, 1.9026854738804886,
+                         -9.823242244294086e-41),
+    (1.9999999, 1e-4): (4.221262987639724e-05, 0.3808189225003308,
+                        -2.2139011953625016e-09),
+    (1.9999999, 1e-8): (8.025938414523163e-09, 0.761284920401069,
+                        -4.1162415151788945e-17),
+    (1.9999999, 1e-20): (1.9440030922231408e-20, 1.9026940568802737,
+                         -9.8232880546365e-41),
+}
+TRANSFORMS = ("drag", "curvature", "log_penalty")
+
+
+@pytest.mark.parametrize("alpha,pi", sorted(INTEGER_ALPHA))
+def test_closed_forms_at_integer_alpha(alpha, pi):
+    measure = ParetoJump(alpha=alpha, scale=SCALE, rate=RATE)
+    got = [getattr(measure, name)(pi) for name in TRANSFORMS]
+    np.testing.assert_allclose(got, INTEGER_ALPHA[alpha, pi], rtol=1e-13)
+
+
+def _integer_alpha_cases():
+    for alpha, pi in sorted(INTEGER_ALPHA):
+        for name in TRANSFORMS:
+            marks = ()
+            if alpha == 2.0000001 and name == "log_penalty":
+                # the quadrature, not the closed form, misses here: it is
+                # 1e-9 to 7e-9 off the mpmath value
+                marks = pytest.mark.xfail(
+                    strict=True,
+                    reason="log_penalty_integral is inaccurate at 2 + 1e-7")
+            yield pytest.param(alpha, pi, name, marks=marks)
+
+
+@pytest.mark.parametrize("alpha,pi,name", _integer_alpha_cases())
+def test_closed_forms_match_quadrature_at_integer_alpha(alpha, pi, name):
+    measure = ParetoJump(alpha=alpha, scale=SCALE, rate=RATE)
+    np.testing.assert_allclose(
+        getattr(measure, name)(pi), getattr(measure, name + "_integral")(pi),
+        rtol=1e-10,
+    )
+
+
 ROUTES = ("drag", "curvature", "log_penalty", "drag_integral",
           "curvature_integral", "log_penalty_integral",
           "tilted_second_moment")

@@ -526,14 +526,11 @@ class TestGrowthTable:
         )
 
 
-# Generated markets for the table sweep.  Pareto tails keep alpha away from
-# the integers, where the jump transforms' 1/z route is off and a drag
-# takes seconds.
+# Generated markets for the table sweep.
 SWEEP_MEASURES = {
     "none": st.just(NoJumps()),
     "pareto": st.builds(
-        ParetoJump,
-        st.floats(2.05, 4.5).filter(lambda a: abs(a - round(a)) > 0.01),
+        ParetoJump, st.floats(2.05, 4.5),
         st.floats(0.05, 1.0), st.floats(0.05, 3.0)),
     "uniform": st.tuples(st.floats(-1.0, 0.5), st.floats(0.05, 1.0),
                          st.floats(0.05, 3.0)).map(
