@@ -17,11 +17,15 @@ fraction to be admissible (1 + x > 0 on the support of nu).  One rule,
 pattern of the support and the impact scale; a negative impact scale is a
 :class:`DomainError` for any measure with jumps.
 
-The ``*_integral`` methods compute each transform by adaptive quadrature
-on the density; for densities with a non-integrable singularity at the
-origin the small-jump region is handled by a second-order Taylor expansion
-with an explicit remainder bound, shrinking the region until the bound is
-negligible.
+The ``*_integral`` methods write each transform as a prefactor times one
+integral of the second-moment density y^2 nu(y) against a bounded kernel
+of x y: 1/(1 + x y) for the drag, 1/(1 + x y)^2 for the curvature and
+q(x y) = log1p_minus(x y)/(x y)^2 for the log penalty.  One integrator,
+:func:`_integrate`, computes that integral and the base-class moments: it
+cuts the support at 0, at +-1 and at +-1/|x| and runs one adaptive
+quadrature per piece, to a relative tolerance of the sum so far.  A
+density with a non-integrable singularity at the origin (``LevyDensity``)
+needs nothing more, since y^2 nu(y) is integrable there.
 
 The optimizer calls ``drag``, ``curvature`` and ``log_penalty``, which
 take a scalar or an ndarray of fractions.  The simulated jump laws give
@@ -41,13 +45,13 @@ closed forms.  Other measures (``CompoundPoisson`` with a custom density,
 runs the quadrature at each fraction of an array of any shape.  Every
 route returns zeros for a zero rate, and an empty support makes every
 moment zero, so the zero measure ``NoJumps`` overrides neither.  The
-Pareto and uniform closed forms share no code with the quadrature route,
-so each is a cross-check of the other.  The tilted second moment comes
-from the drag, as I/(pi psi^2), or is the second moment at pi psi^2 = 0.
+Pareto and uniform closed forms share no code with the quadrature route
+but the Taylor series of log1p(u) - u, so each is a cross-check of the
+other.  The tilted second moment comes from the drag, as I/(pi psi^2),
+or is the second moment at pi psi^2 = 0.
 """
 
 import enum
-import functools
 import math
 from dataclasses import dataclass
 
@@ -67,21 +71,30 @@ QUAD_EPSABS = 1e-12
 QUAD_EPSREL = 1e-10
 QUAD_LIMIT = 200
 
-#: Target accuracy of the small-jump Taylor remainder, relative to the
-#: integral being assembled.
-TAYLOR_EPSREL = 1e-11
-TAYLOR_EPSABS = 1e-13
+#: Below this |u| the log kernels sum their Taylor series, whose truncation
+#: error is under 3e-19 relative; the direct forms cancel to about 2 eps/|u|.
+_LOG_SERIES_CUTOFF = 1e-3
+
+
+def _q_series(u):
+    """(log1p(u) - u)/u^2 by its Taylor series, for |u| < 1e-3."""
+    return -0.5 + u * (1.0 / 3.0 + u * (-0.25 + u * (0.2 + u * (
+        -1.0 / 6.0 + u / 7.0))))
+
+
+def _q(u):
+    """The log-penalty kernel (log1p(u) - u)/u^2 of a float, -1/2 at 0."""
+    if abs(u) < _LOG_SERIES_CUTOFF:
+        return _q_series(u)
+    return (math.log1p(u) - u) / u / u
 
 
 def log1p_minus(x):
     """log(1 + x) - x, accurate for small |x| where the direct form cancels."""
     x = np.asarray(x, dtype=np.float64)
-    small = np.abs(x) < 1e-3
+    small = np.abs(x) < _LOG_SERIES_CUTOFF
     xs = np.where(small, x, 0.0)
-    series = xs * xs * (
-        -0.5
-        + xs * (1.0 / 3.0 + xs * (-0.25 + xs * (0.2 + xs * (-1.0 / 6.0 + xs / 7.0))))
-    )
+    series = xs * xs * _q_series(xs)
     with np.errstate(invalid="ignore", divide="ignore"):
         direct = np.log1p(np.where(small, 0.0, x)) - np.where(small, 0.0, x)
     out = np.where(small, series, direct)
@@ -138,7 +151,9 @@ def _g_log_penalty(u):
 
 
 def _quad(fn, lo, hi, epsabs=QUAD_EPSABS):
-    """scipy.integrate.quad with this package's tolerances and error policy."""
+    """scipy.integrate.quad with this package's tolerances and error policy;
+    the jump integrals pass their own ``epsabs``, the time integrals of
+    ``market`` keep the default."""
     res = quad(
         fn,
         lo,
@@ -155,19 +170,21 @@ def _quad(fn, lo, hi, epsabs=QUAD_EPSABS):
     return res[0]
 
 
-def _integrate_heavy(fn, m, big, x):
-    """∫ fn over (m, big) for a finite measure without a finite ∫y²ν.
+def _integrate(fn, m, big, x):
+    """∫ fn over the support (m, big), for a transform at x = pi psi or a
+    moment at x = 0.
 
-    Such a measure puts its weight far out, beyond |y| = 1, where the
-    transform integrands grow like y²ν up to |y| = 1/|x| and bend to a
-    slower tail after it.  One quadrature over the support cannot resolve
-    that across many decades and calls a small |x| divergent.  So the
-    support is cut at 0, at ±1 and at ±1/|x|.  A piece with an end at 0
-    is integrated as it is, one out to infinity in 1/|y|, any other on a
-    log scale; every piece to ``QUAD_EPSREL`` alone, since no absolute
-    scale is known.
+    A transform integrand follows y^2 nu up to |y| = 1/|x| and bends to a
+    slower tail after it, and a heavy-tailed measure puts its weight far
+    beyond |y| = 1.  One quadrature over the support cannot resolve that
+    across many decades.  So the support is cut at 0, at +-1 and at
+    +-1/|x|.  A piece with an end at 0 is integrated as it is, one out to
+    infinity in 1/|y|, any other on a log scale.  Each piece stops at
+    ``QUAD_EPSREL`` relative to itself or to the sum of the pieces before
+    it, whichever is looser, so a piece far smaller than the total does
+    not chase digits that the sum cannot show.
     """
-    c = 1.0 / abs(x) if x != 0.0 else math.inf
+    c = 1.0 / abs(float(x)) if x != 0.0 else math.inf
     cuts = {v for v in (-c, -1.0, 0.0, 1.0, c) if m < v < big}
     edges = [m, *sorted(cuts), big]
     parts = []
@@ -176,14 +193,15 @@ def _integrate_heavy(fn, m, big, x):
             f, a, b = (lambda y: fn(-y)), -hi, -lo
         else:
             f, a, b = fn, lo, hi
+        tol = QUAD_EPSREL * abs(math.fsum(parts))
         try:
             if a == 0.0:
-                part = _quad(f, a, b, 0.0)
+                part = _quad(f, a, b, tol)
             elif math.isinf(b):
-                part = _quad(lambda u: f(a / u) * a / u / u, 0.0, 1.0, 0.0)
+                part = _quad(lambda u: f(a / u) * a / u / u, 0.0, 1.0, tol)
             else:
                 part = _quad(lambda v: f(math.exp(v)) * math.exp(v),
-                             math.log(a), math.log(b), 0.0)
+                             math.log(a), math.log(b), tol)
         except QuadratureError as exc:  # name the piece in y, not in u or v
             raise QuadratureError(f"on the piece ({lo}, {hi}) of the "
                                   f"support: {exc}") from None
@@ -278,13 +296,10 @@ class JumpMeasure:
     ----------
     rate : float
         Total mass of the measure (``math.inf`` for infinite activity).
-    singular : bool
-        Whether the density is non-integrable at the origin.
     """
 
-    def __init__(self, rate, singular=False):
+    def __init__(self, rate):
         self.rate = float(rate)
-        self._singular = bool(singular)
 
     # -- interface -------------------------------------------------------
 
@@ -308,25 +323,18 @@ class JumpMeasure:
     # -- moments ---------------------------------------------------------
 
     def moment(self, k):
-        """∫ y^k nu(dy); returns math.inf when divergent."""
-        return self._moment_by_quadrature(k, absolute=False)
+        """∫ y^k nu(dy) by :func:`_integrate`.  A divergent moment raises
+        :class:`QuadratureError` naming the piece of the support where the
+        quadrature failed; subclasses that know a moment diverges return
+        math.inf instead."""
+        m, big = self.support()
+        return _integrate(lambda y: y**k * self.density(y), m, big, 0.0)
 
     def abs_moment(self, k):
-        """∫ |y|^k nu(dy); returns math.inf when divergent."""
-        return self._moment_by_quadrature(k, absolute=True)
-
-    def _moment_by_quadrature(self, k, absolute):
+        """∫ |y|^k nu(dy), by quadrature as :meth:`moment`."""
         m, big = self.support()
-        pieces = []
-        if m < 0.0:
-            fn = (lambda y: abs(y) ** k * self.density(y)) if absolute else (
-                lambda y: y**k * self.density(y)
-            )
-            pieces.append(_quad(fn, m, min(big, 0.0)))
-        if big > 0.0:
-            fn = lambda y: y**k * self.density(y)
-            pieces.append(_quad(fn, max(m, 0.0), big))
-        return math.fsum(pieces)
+        return _integrate(lambda y: abs(y) ** k * self.density(y), m, big,
+                          0.0)
 
     @property
     def mean_size(self):
@@ -383,14 +391,8 @@ class JumpMeasure:
         self._require_admissible(pi, psi)
         if pi == 0.0 or psi == 0.0 or self.rate == 0.0:
             return 0.0
-        x = pi * psi
-
-        def g(y):
-            return pi * psi * psi * y * y / (1.0 + x * y)
-
-        taylor = (pi * psi * psi, -(pi * pi) * psi**3,
-                  2.0 * abs(pi) ** 3 * psi**4)
-        return self._integrate(g, taylor, x)
+        return pi * psi * psi * self._against_y2(
+            lambda u: 1.0 / (1.0 + u), pi * psi)
 
     def log_penalty_integral(self, pi, psi=1.0):
         """∫ [log(1 + pi psi y) - pi psi y] nu(dy) by quadrature."""
@@ -398,91 +400,29 @@ class JumpMeasure:
         if pi == 0.0 or psi == 0.0 or self.rate == 0.0:
             return 0.0
         x = pi * psi
-
-        def g(y):
-            return log1p_minus(x * y)
-
-        taylor = (-(x * x) / 2.0, x**3 / 3.0, x**4 / 2.0)
-        return self._integrate(g, taylor, x)
+        return x * (x * self._against_y2(_q, x))
 
     def curvature_integral(self, pi, psi=1.0):
         """∫ psi^2 y^2/(1 + pi psi y)^2 nu(dy) by quadrature."""
         self._require_admissible(pi, psi)
         if psi == 0.0 or self.rate == 0.0:
             return 0.0
-        x = pi * psi
+        return psi * psi * self._against_y2(
+            lambda u: 1.0 / ((1.0 + u) * (1.0 + u)), pi * psi)
 
-        def g(y):
-            d = 1.0 + x * y
-            return psi * psi * y * y / (d * d)
+    def _against_y2(self, kernel, x):
+        """∫ y^2 kernel(x y) nu(dy) by :func:`_integrate`.  The prefactor
+        of each transform stays outside, so that the integrand does not
+        sink into subnormals at tiny x."""
 
-        taylor = (psi * psi, -2.0 * pi * psi**3, 24.0 * pi * pi * psi**4)
-        return self._integrate(g, taylor, x)
+        def fn(y):
+            d = self.density(y)
+            # y*y overflows past 1.3e154, and a vanished density at an
+            # infinite y would give NaN
+            return 0.0 if d == 0.0 else y * (y * d) * kernel(x * y)
 
-    def _integrate(self, g, taylor, x):
-        """Integrate ``g`` against the density over the support.
-
-        ``taylor = (g2, g3, r4)`` gives g(y) = g2 y^2 + g3 y^3 + R(y) with
-        |R(y)| <= r4 y^4 valid while |x y| <= 1/2; it is used on a shrinking
-        neighborhood of the origin when the density is singular there.
-        """
         m, big = self.support()
-        fn = lambda y: g(y) * self.density(y)
-        if not self._singular:
-            if math.isinf(self._second_moment):
-                return _integrate_heavy(fn, m, big, x)
-            # Near pi = 0 the transform is about g2 * ∫y²ν, so an absolute
-            # tolerance above that scale would stop the quadrature early.
-            tol = min(QUAD_EPSABS, QUAD_EPSREL * abs(taylor[0])
-                      * self._second_moment)
-            if m < 0.0 < big:
-                return math.fsum([_quad(fn, m, 0.0, tol),
-                                  _quad(fn, 0.0, big, tol)])
-            return _quad(fn, m, big, tol)
-        return self._integrate_singular(fn, taylor, x, m, big)
-
-    @functools.cached_property
-    def _second_moment(self):
-        """∫y²ν, the scale of the quadrature's absolute tolerance; inf
-        (which leaves ``QUAD_EPSABS`` in force) when it diverges."""
-        try:
-            return self.moment(2)
-        except QuadratureError:
-            return math.inf
-
-    def _integrate_singular(self, fn, taylor, x, m, big):
-        g2, g3, r4 = taylor
-        eps0 = min(1.0, 0.5 / (abs(x) + 1e-300))
-        if math.isfinite(big):
-            eps0 = min(eps0, big / 2.0) if big > 0 else eps0
-        if math.isfinite(m) and m < 0:
-            eps0 = min(eps0, -m / 2.0)
-        eps = eps0
-        for _ in range(60):
-            lo_edge = max(m, -eps)
-            hi_edge = min(big, eps)
-            m2 = m3 = m4 = 0.0
-            if hi_edge > 0.0:
-                m2 += _quad(lambda y: y * y * self.density(y), 0.0, hi_edge)
-                m3 += _quad(lambda y: y**3 * self.density(y), 0.0, hi_edge)
-                m4 += _quad(lambda y: y**4 * self.density(y), 0.0, hi_edge)
-            if lo_edge < 0.0:
-                m2 += _quad(lambda y: y * y * self.density(y), lo_edge, 0.0)
-                m3 += _quad(lambda y: y**3 * self.density(y), lo_edge, 0.0)
-                m4 += _quad(lambda y: abs(y) ** 4 * self.density(y), lo_edge, 0.0)
-            outer = 0.0
-            if hi_edge < big:
-                outer += _quad(fn, hi_edge, big)
-            if lo_edge > m:
-                outer += _quad(fn, m, lo_edge)
-            total = outer + g2 * m2 + g3 * m3
-            bound = r4 * m4
-            if bound <= max(TAYLOR_EPSABS, TAYLOR_EPSREL * abs(total)):
-                return total
-            eps /= 2.0
-        raise QuadratureError(
-            "small-jump Taylor region failed to reach the remainder target"
-        )
+        return _integrate(fn, m, big, x)
 
     # -- fast routes used by the optimizer --------------------------------
 
@@ -616,8 +556,10 @@ class ParetoJump(CompoundPoisson):
                 f"scale={self.scale:.10g}, rate={self.rate:.10g})")
 
     def _pdf(self, y):
+        # in the ratio z0/y, which underflows to 0 where y**(a+1) would
+        # overflow
         a, z0 = self.alpha, self.scale
-        return a * z0**a / y ** (a + 1.0)
+        return a / z0 * (z0 / y) ** (a + 1.0)
 
     def moment(self, k):
         if self.rate == 0.0:
@@ -808,7 +750,7 @@ class LevyDensity(JumpMeasure):
     """
 
     def __init__(self, density, support, small_order):
-        super().__init__(rate=math.inf, singular=True)
+        super().__init__(rate=math.inf)
         if small_order < 0.0:
             raise DomainError(
                 "LevyDensity is for origin-singular densities; use "

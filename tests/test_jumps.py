@@ -1,10 +1,10 @@
 """Tests for jump measures and their integral transforms.
 
 All reference numbers were computed independently with mpmath quadrature /
-closed-form moment algebra at 50-digit precision and frozen here.  The
-package route (scipy adaptive quadrature orchestrated with origin-splitting
-and the small-jump Taylor region) never sees mpmath, so agreement is a real
-cross-check of two routes.
+closed-form moment algebra at 40- to 90-digit precision and frozen here.
+The package route (scipy adaptive quadrature of y^2 nu against a bounded
+kernel, on the support cut at 0, +-1 and +-1/|pi psi|) never sees mpmath,
+so agreement is a real cross-check of two routes.
 """
 
 import math
@@ -87,7 +87,7 @@ class TestParetoMoments:
 
     def test_quadrature_route_agrees_with_closed_form(self, pareto):
         # the generic quadrature path (bypassing the analytic override)
-        got = JumpMeasure._moment_by_quadrature(pareto, 2, absolute=False)
+        got = JumpMeasure.moment(pareto, 2)
         np.testing.assert_allclose(got, 0.62541733078801332 * RATE, rtol=1e-9)
 
 
@@ -223,27 +223,33 @@ class TestParetoTransforms:
         assert vec[0] == 0.0
 
     @pytest.mark.parametrize(
-        "pi", [1e-20, 1e-100, 1e-160, 1e-200, 1e-300, 1e-310]
+        "pi", [1e-4, 1e-8, 1e-20, 1e-100, 1e-160, 1e-200, 1e-300, 1e-310]
     )
     def test_closed_forms_at_tiny_fractions(self, pareto, pi):
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             drag = pareto.drag(pi)
             curvature = pareto.curvature(pi)
             penalty = pareto.log_penalty(pi)
+        # Below 1e-154 the penalty is subnormal or zero, where the float
+        # grid is absolute (4.9e-324 apart).
         np.testing.assert_allclose(
             curvature, pareto.curvature_integral(pi), rtol=1e-10
         )
-        # drag_integral and log_penalty_integral stop at their absolute
-        # tolerance this close to zero (6e-3 relative at 1e-20), so the
-        # leading terms pi*m2 and -pi^2*m2/2 stand in for them: the next
-        # term is about (pi*z0)**(alpha - 2), 2e-11 relative at 1e-20.
-        # Below 1e-154 the penalty is subnormal or zero, where the float
-        # grid is absolute (4.9e-324 apart).
-        m2 = pareto.moment(2)
-        np.testing.assert_allclose(drag, pi * m2, rtol=1e-10)
         np.testing.assert_allclose(
-            penalty, -0.5 * m2 * pi * pi, rtol=1e-10, atol=1e-322
+            drag, pareto.drag_integral(pi), rtol=1e-10
         )
+        np.testing.assert_allclose(
+            penalty, pareto.log_penalty_integral(pi), rtol=1e-10, atol=1e-322
+        )
+        # The leading terms pi*m2 and -pi^2*m2/2: the next term is about
+        # (pi*z0)**(alpha - 2), 2e-11 relative at 1e-20, so they are checked
+        # from there down.
+        if pi <= 1e-20:
+            m2 = pareto.moment(2)
+            np.testing.assert_allclose(drag, pi * m2, rtol=1e-10)
+            np.testing.assert_allclose(
+                penalty, -0.5 * m2 * pi * pi, rtol=1e-10, atol=1e-322
+            )
 
     def test_drag_vanishes_at_zero(self, pareto):
         assert pareto.drag_integral(0.0) == 0.0
@@ -304,26 +310,32 @@ def test_closed_forms_at_integer_alpha(alpha, pi):
     np.testing.assert_allclose(got, INTEGER_ALPHA[alpha, pi], rtol=1e-13)
 
 
-def _integer_alpha_cases():
-    for alpha, pi in sorted(INTEGER_ALPHA):
-        for name in TRANSFORMS:
-            marks = ()
-            if alpha == 2.0000001 and name == "log_penalty":
-                # the quadrature, not the closed form, misses here: it is
-                # 1e-9 to 7e-9 off the mpmath value
-                marks = pytest.mark.xfail(
-                    strict=True,
-                    reason="log_penalty_integral is inaccurate at 2 + 1e-7")
-            yield pytest.param(alpha, pi, name, marks=marks)
-
-
-@pytest.mark.parametrize("alpha,pi,name", _integer_alpha_cases())
+@pytest.mark.parametrize("alpha,pi,name", [
+    (alpha, pi, name) for alpha, pi in sorted(INTEGER_ALPHA)
+    for name in TRANSFORMS])
 def test_closed_forms_match_quadrature_at_integer_alpha(alpha, pi, name):
     measure = ParetoJump(alpha=alpha, scale=SCALE, rate=RATE)
     np.testing.assert_allclose(
         getattr(measure, name)(pi), getattr(measure, name + "_integral")(pi),
         rtol=1e-10,
     )
+
+
+@pytest.mark.parametrize("alpha", [1.5, 2.0, 2.0000001, 1.9999999])
+@pytest.mark.parametrize("pi", [1e-130, 1e-160, 1e-200, 1e-300, 1e-310])
+def test_quadrature_at_tiny_fractions_is_right_or_raises(alpha, pi):
+    # With alpha <= 2 the weight of y^2 nu lies out near y = 1/pi, where
+    # the density has underflowed; a quadrature that cannot see it must
+    # say so, not overflow (the density once raised OverflowError there).
+    measure = ParetoJump(alpha=alpha, scale=SCALE, rate=RATE)
+    for name in TRANSFORMS:
+        try:
+            got = getattr(measure, name + "_integral")(pi)
+        except QuadratureError:
+            continue
+        assert math.isfinite(got), name
+        np.testing.assert_allclose(got, getattr(measure, name)(pi),
+                                   rtol=1e-10, atol=1e-322, err_msg=name)
 
 
 ROUTES = ("drag", "curvature", "log_penalty", "drag_integral",
@@ -409,7 +421,7 @@ class TestUniformTransforms:
         )
 
     def test_moment_quadrature_route(self, uniform):
-        got = JumpMeasure._moment_by_quadrature(uniform, 3, absolute=True)
+        got = JumpMeasure.abs_moment(uniform, 3)
         np.testing.assert_allclose(got, 0.17708333333333333, rtol=1e-9)
 
     DRAG = {0.7: 0.12947097572057776, 1.9: 0.4735351820030322,
@@ -522,9 +534,13 @@ class TestSingularDensity:
         assert singular.abs_moment(1.5) == math.inf
         assert not singular.is_finite_activity
 
-    DRAG = {2.0: 2.324323459840332, 0.3: 0.47382181661502086}
-    CURV = {2.0: 0.886226925452758, 0.3: 1.4331956794320786}
-    LOGPEN = {2.0: -2.5742292345101578, 0.3: -0.073560118900447559}
+    # pi = 1e-4 and 1e-8 from 40-digit mpmath
+    DRAG = {2.0: 2.324323459840332, 0.3: 0.47382181661502086,
+            1e-4: 0.00017723652415030525, 1e-8: 1.7724538420432469e-08}
+    CURV = {2.0: 0.886226925452758, 0.3: 1.4331956794320786,
+            1e-4: 1.7722766453873495, 1e-8: 1.7724538331809779}
+    LOGPEN = {2.0: -2.5742292345101578, 0.3: -0.073560118900447559,
+              1e-4: -8.861973878779295e-09, 1e-8: -8.8622692249866833e-17}
 
     @pytest.mark.parametrize("pi", sorted(DRAG))
     def test_drag(self, singular, pi):
@@ -595,9 +611,9 @@ class TestPerFractionQuadrature:
 
     @pytest.mark.parametrize("pi", [1e-6, 1.07e-3])
     def test_relative_accuracy_at_small_fractions(self, pareto, pi):
-        # benth2012's jump law as a plain density, against the closed forms.
-        # With an absolute tolerance alone the quadratures stopped at
-        # 6.0e-3 (1e-6) and 1.5e-6 (1.07e-3) relative error.
+        # benth2012's jump law as a plain density, against the closed forms;
+        # the penalty is 5e-14 at 1e-6, so any fixed absolute tolerance
+        # would stop the quadrature early.
         plain = CompoundPoisson(
             RATE, lambda y: ALPHA * SCALE**ALPHA / y ** (ALPHA + 1.0),
             (SCALE, math.inf),
@@ -608,8 +624,8 @@ class TestPerFractionQuadrature:
                                    pareto.log_penalty(pi),
                                    rtol=1e-10, atol=0.0)
 
-    def test_infinite_second_moment_keeps_the_absolute_tolerance(self):
-        # alpha = 1.5: the tolerance scale ∫y²ν diverges, the drag does not.
+    def test_infinite_second_moment_drag(self):
+        # alpha = 1.5: ∫y²ν diverges, the drag does not.
         plain = CompoundPoisson(
             1.0, lambda y: 1.5 * 0.3**1.5 / y**2.5, (0.3, math.inf))
         closed = ParetoJump(alpha=1.5, scale=0.3, rate=1.0)
@@ -636,6 +652,10 @@ class TestPerFractionQuadrature:
             1.0, lambda y: 1.5 * 0.3**1.5 / y**2.5, (0.3, math.inf))
         with pytest.raises(QuadratureError, match=r"piece \(1.0, inf\)"):
             plain.curvature(0.0)
+        # So does the quadrature moment: only the measures that know their
+        # moments return inf for a divergent one.
+        with pytest.raises(QuadratureError, match=r"piece \(1.0, inf\)"):
+            plain.moment(2)
 
     def test_two_sided_infinite_second_moment(self):
         # A bounded left side and a Pareto right tail: the cuts at 0, 1 and
