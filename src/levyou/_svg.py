@@ -3,7 +3,9 @@
 The command line tool only needs simple multi-series line plots, so
 rather than pulling in a charting dependency this module writes the
 handful of SVG elements itself: a frame, tick marks, polylines and a
-legend.  Output is deterministic for identical input.
+legend, each through one element writer, :func:`_tag`.  Every chart is
+``_WIDTH`` x ``_HEIGHT`` pixels.  Output is deterministic for identical
+input.
 """
 
 from __future__ import annotations
@@ -19,6 +21,8 @@ __all__ = ["line_chart"]
 _PALETTE = ("#1f6feb", "#d1242f", "#2da44e", "#9a6700", "#8250df",
             "#bf3989")
 
+_WIDTH = 720
+_HEIGHT = 480
 _MARGIN_LEFT = 64.0
 _MARGIN_RIGHT = 16.0
 _MARGIN_TOP = 34.0
@@ -30,8 +34,26 @@ def _fmt(value):
     return f"{value:.2f}".rstrip("0").rstrip(".")
 
 
-def _tick_label(value):
-    return f"{value:.6g}"
+def _tag(name, text=None, **attrs):
+    """One SVG element.  Attributes are written in the order given, ``_``
+    in a name as ``-``, numbers through :func:`_fmt`; a ``None`` value is
+    left out.  ``text`` is escaped and placed between the tags; without it
+    the element closes itself."""
+    head = name
+    for key, value in attrs.items():
+        if value is not None:
+            if not isinstance(value, str):
+                value = _fmt(value)
+            head += f' {key.replace("_", "-")}="{value}"'
+    if text is None:
+        return f"<{head}/>"
+    return f"<{head}>{escape(text)}</{name}>"
+
+
+def _label(text, size, x, y, anchor, transform=None):
+    """A text element in the chart's font."""
+    return _tag("text", text, x=x, y=y, text_anchor=anchor,
+                font_family="sans-serif", font_size=size, transform=transform)
 
 
 def _data_range(values):
@@ -39,11 +61,11 @@ def _data_range(values):
     hi = float(np.max(values))
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError("chart data must be finite")
-    if hi - lo < 1e-300:
-        pad = max(abs(lo), 1.0) * 0.05
-        return lo - pad, hi + pad
-    pad = (hi - lo) * 0.04
-    return lo - pad, hi + pad
+    pad = max(abs(lo), 1.0) * 0.05 if hi - lo < 1e-300 else (hi - lo) * 0.04
+    lo, hi = lo - pad, hi + pad
+    if not math.isfinite(hi - lo):  # also catches an infinite padded end
+        raise ValueError("chart data span overflows a float")
+    return lo, hi
 
 
 def _ticks(lo, hi, count=5):
@@ -51,19 +73,17 @@ def _ticks(lo, hi, count=5):
     return [lo + i * step for i in range(count)]
 
 
-def line_chart(series, title="", xlabel="", ylabel="",
-               width=720, height=480):
+def line_chart(series, title, xlabel, ylabel):
     """Render labelled (x, y) series as an SVG document string.
 
     Parameters
     ----------
     series : sequence of (label, xs, ys)
         Every series needs at least one point; x and y must be finite
-        and of equal length (a NaN or infinity raises ``ValueError``).
+        and of equal length, and their padded ranges must span a finite
+        float (otherwise ``ValueError``).
     title, xlabel, ylabel : str
         Chart annotations (escaped for XML).
-    width, height : int
-        Pixel size of the document.
     """
     if not series:
         raise ValueError("need at least one series")
@@ -76,98 +96,57 @@ def line_chart(series, title="", xlabel="", ylabel="",
     x_lo, x_hi = _data_range(np.concatenate([xs for _, xs, _ in arrays]))
     y_lo, y_hi = _data_range(np.concatenate([ys for _, _, ys in arrays]))
 
-    plot_w = width - _MARGIN_LEFT - _MARGIN_RIGHT
-    plot_h = height - _MARGIN_TOP - _MARGIN_BOTTOM
+    left, top = _MARGIN_LEFT, _MARGIN_TOP
+    plot_w = _WIDTH - left - _MARGIN_RIGHT
+    plot_h = _HEIGHT - top - _MARGIN_BOTTOM
+    right, bottom = left + plot_w, top + plot_h
 
     def sx(x):
-        return _MARGIN_LEFT + (x - x_lo) / (x_hi - x_lo) * plot_w
+        return left + (x - x_lo) / (x_hi - x_lo) * plot_w
 
     def sy(y):
-        return _MARGIN_TOP + (y_hi - y) / (y_hi - y_lo) * plot_h
+        return top + (y_hi - y) / (y_hi - y_lo) * plot_h
 
-    out = []
-    out.append(f'<svg xmlns="http://www.w3.org/2000/svg" '
-               f'width="{width}" height="{height}" '
-               f'viewBox="0 0 {width} {height}">')
-    out.append(f'<rect width="{width}" height="{height}" fill="white"/>')
-    out.append(
-        f'<rect x="{_fmt(_MARGIN_LEFT)}" y="{_fmt(_MARGIN_TOP)}" '
-        f'width="{_fmt(plot_w)}" height="{_fmt(plot_h)}" '
-        f'fill="none" stroke="#444" stroke-width="1"/>'
-    )
-    if title:
-        out.append(
-            f'<text x="{_fmt(width / 2)}" y="20" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="14">{escape(title)}</text>'
-        )
-
-    # Tick marks, grid lines and numeric labels.
+    cy = top + plot_h / 2
+    out = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
+        f'height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">',
+        _tag("rect", width=_WIDTH, height=_HEIGHT, fill="white"),
+        _tag("rect", x=left, y=top, width=plot_w, height=plot_h, fill="none",
+             stroke="#444", stroke_width=1),
+        _label(title, 14, _WIDTH / 2, 20, "middle"),
+    ]
+    # Grid lines with their numeric tick labels.
     for xv in _ticks(x_lo, x_hi):
         px = sx(xv)
-        out.append(
-            f'<line x1="{_fmt(px)}" y1="{_fmt(_MARGIN_TOP)}" '
-            f'x2="{_fmt(px)}" y2="{_fmt(_MARGIN_TOP + plot_h)}" '
-            f'stroke="#ddd" stroke-width="1"/>'
-        )
-        out.append(
-            f'<text x="{_fmt(px)}" y="{_fmt(_MARGIN_TOP + plot_h + 16)}" '
-            f'text-anchor="middle" font-family="sans-serif" '
-            f'font-size="11">{escape(_tick_label(xv))}</text>'
-        )
+        out.append(_tag("line", x1=px, y1=top, x2=px, y2=bottom,
+                        stroke="#ddd", stroke_width=1))
+        out.append(_label(f"{xv:.6g}", 11, px, bottom + 16, "middle"))
     for yv in _ticks(y_lo, y_hi):
         py = sy(yv)
-        out.append(
-            f'<line x1="{_fmt(_MARGIN_LEFT)}" y1="{_fmt(py)}" '
-            f'x2="{_fmt(_MARGIN_LEFT + plot_w)}" y2="{_fmt(py)}" '
-            f'stroke="#ddd" stroke-width="1"/>'
-        )
-        out.append(
-            f'<text x="{_fmt(_MARGIN_LEFT - 6)}" y="{_fmt(py + 4)}" '
-            f'text-anchor="end" font-family="sans-serif" '
-            f'font-size="11">{escape(_tick_label(yv))}</text>'
-        )
-    if xlabel:
-        out.append(
-            f'<text x="{_fmt(_MARGIN_LEFT + plot_w / 2)}" '
-            f'y="{_fmt(height - 10)}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="12">'
-            f'{escape(xlabel)}</text>'
-        )
-    if ylabel:
-        cy = _MARGIN_TOP + plot_h / 2
-        out.append(
-            f'<text x="14" y="{_fmt(cy)}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="12" '
-            f'transform="rotate(-90 14 {_fmt(cy)})">{escape(ylabel)}</text>'
-        )
+        out.append(_tag("line", x1=left, y1=py, x2=right, y2=py,
+                        stroke="#ddd", stroke_width=1))
+        out.append(_label(f"{yv:.6g}", 11, left - 6, py + 4, "end"))
+    out.append(_label(xlabel, 12, left + plot_w / 2, _HEIGHT - 10, "middle"))
+    out.append(_label(ylabel, 12, 14, cy, "middle",
+                      transform=f"rotate(-90 14 {_fmt(cy)})"))
 
-    # The data, one polyline per series, scaled as whole arrays.
-    for idx, (label, xs, ys) in enumerate(arrays):
-        colour = _PALETTE[idx % len(_PALETTE)]
+    # The data, one polyline per series, scaled as whole arrays; then the
+    # legend, top-right inside the frame.
+    for idx, (_, xs, ys) in enumerate(arrays):
         points = " ".join(
             f"{_fmt(px)},{_fmt(py)}"
             for px, py in zip(sx(xs).tolist(), sy(ys).tolist())
         )
-        out.append(
-            f'<polyline points="{points}" fill="none" stroke="{colour}" '
-            f'stroke-width="1.6"/>'
-        )
-
-    # Legend, top-right inside the frame.
-    lx = _MARGIN_LEFT + plot_w - 160
-    ly = _MARGIN_TOP + 12
+        out.append(_tag("polyline", points=points, fill="none",
+                        stroke=_PALETTE[idx % len(_PALETTE)],
+                        stroke_width=1.6))
+    lx = right - 160
     for idx, (label, _, _) in enumerate(series):
         colour = _PALETTE[idx % len(_PALETTE)]
-        yy = ly + idx * 16
-        out.append(
-            f'<line x1="{_fmt(lx)}" y1="{_fmt(yy - 4)}" '
-            f'x2="{_fmt(lx + 22)}" y2="{_fmt(yy - 4)}" '
-            f'stroke="{colour}" stroke-width="2"/>'
-        )
-        out.append(
-            f'<text x="{_fmt(lx + 28)}" y="{_fmt(yy)}" '
-            f'font-family="sans-serif" font-size="11">'
-            f'{escape(str(label))}</text>'
-        )
+        yy = top + 12 + idx * 16
+        out.append(_tag("line", x1=lx, y1=yy - 4, x2=lx + 22, y2=yy - 4,
+                        stroke=colour, stroke_width=2))
+        out.append(_label(str(label), 11, lx + 28, yy, None))
     out.append("</svg>")
     return "\n".join(out) + "\n"

@@ -24,7 +24,8 @@ import numpy as np
 
 from . import _csv, _rng
 from ._backend import get_kernels
-from .errors import AdmissibilityError, CaseError, ConfigError, DomainError
+from .errors import (AdmissibilityError, CaseError, ConfigError, DomainError,
+                     QuadratureError)
 # The admissibility rule lives in jumps; its names stay importable here.
 from .jumps import (AdmissibleSet, CaseTag, JumpMeasure,  # noqa: F401
                     _quad, admissible_set, classify_case)
@@ -41,6 +42,19 @@ def _as_range(value, rng, name):
         return (float(rng[0]), float(rng[1]))
     v = float(value)
     return (v, v)
+
+
+def _finite_moment(moment, k, order):
+    """``moment(k)``, or a :class:`ConfigError` when it is infinite or its
+    quadrature diverges (the quadrature error is kept as the cause)."""
+    message = f"the jump measure must have a finite {order} moment"
+    try:
+        value = moment(k)
+    except QuadratureError as exc:
+        raise ConfigError(message) from exc
+    if not math.isfinite(value):
+        raise ConfigError(message)
+    return value
 
 
 @dataclass
@@ -84,20 +98,11 @@ class MarketCoefficients:
             raise ConfigError("sigma must be >= 0")
         if self.psi_range[0] < 0.0:
             raise ConfigError("psi must be >= 0")
-        j2 = self.measure.moment(2)
-        if not math.isfinite(j2):
-            raise ConfigError(
-                "the jump measure must have a finite second moment"
-            )
-        self._j2 = j2
+        self._j2 = _finite_moment(self.measure.moment, 2, "second")
         if self.measure.rate > 0.0:
-            j1 = self.measure.moment(1) if self.compensated else \
-                self.measure.abs_moment(1)
-            if not math.isfinite(j1):
-                raise ConfigError(
-                    "the jump measure must have a finite first moment"
-                )
-            self._j1 = self.measure.moment(1)
+            if not self.compensated:
+                _finite_moment(self.measure.abs_moment, 1, "first")
+            self._j1 = _finite_moment(self.measure.moment, 1, "first")
         else:
             self._j1 = 0.0
 

@@ -19,6 +19,7 @@ from levyou.errors import (
     CaseError,
     ConfigError,
     DomainError,
+    QuadratureError,
 )
 from levyou.jumps import (
     CompoundPoisson,
@@ -146,6 +147,25 @@ class TestMarketValidation:
         with pytest.raises(ConfigError):
             mk.MarketCoefficients(lam=0.1, b=0.0, sigma=0.0, psi=1.0,
                                   measure=heavy)
+
+    @pytest.mark.parametrize("density, support, compensated, order", [
+        # Pareto alpha = 1.5 as a plain density: infinite second moment
+        (lambda y: 1.5 * 0.3**1.5 / y**2.5, (0.3, math.inf), True, "second"),
+        (lambda y: 0.5 * 0.3**0.5 / y**1.5, (0.3, math.inf), False, "second"),
+        # y**-2.5 near the origin: finite second, divergent first moment
+        (lambda y: 0.5 * y**-2.5, (0.0, 1.0), False, "first"),
+    ], ids=["pareto-1.5", "pareto-0.5-raw", "origin-singular-raw"])
+    def test_divergent_custom_moment_is_a_config_error(
+            self, density, support, compensated, order):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(ConfigError, match=f"finite {order} moment") \
+                    as info:
+                mk.MarketCoefficients(
+                    lam=0.1, b=0.0, sigma=0.0, psi=1.0,
+                    measure=CompoundPoisson(1.0, density, support),
+                    compensated=compensated)
+        assert isinstance(info.value.__cause__, QuadratureError)
 
     def test_time_varying_needs_ranges(self):
         with pytest.raises(ConfigError):
