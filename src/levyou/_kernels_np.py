@@ -60,7 +60,6 @@ call on other inputs drops them before it draws.
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import ndtri
 
 from . import _rng
 
@@ -78,6 +77,15 @@ MEMO_PATH_STEPS = 1 << 19
 # Rebound whole, never mutated, so a reader never pairs one call's tag with
 # another call's blocks.
 _memo = None
+
+
+def ndtri(u):
+    """The standard normal quantile of ``u``: ``scipy.special.ndtri``,
+    imported on the first call, so a walk that draws no normal (zero
+    volatility on every step) never loads scipy."""
+    from scipy.special import ndtri
+
+    return ndtri(u)
 
 
 class _Skeleton(NamedTuple):
@@ -267,7 +275,8 @@ def _value_terms(table, ks, sk, price, jumped, f_left):
 
 def _wealth_terms(table, ks, sk, price, times, psi_step, sig_step):
     """Log-wealth terms of a block's jumps and nodes: the jumps' log1p,
-    then per node the price move net of jumps and the variance drag."""
+    then per node the price move net of jumps and the variance drag.  The
+    drag is None when the volatility is zero on every step of the block."""
     n = price.shape[1]
     pi = _lookup(*table, ks[:, None], price[:-1])
     at = sk.j_row * n + sk.j_path
@@ -278,9 +287,11 @@ def _wealth_terms(table, ks, sk, price, times, psi_step, sig_step):
         flat[at[ranked]] += sk.j_size[ranked]
     psi = psi_step[ks][:, None]
     sig = sig_step[ks][:, None]
-    dt = (times[ks + 1] - times[ks])[:, None]
-    return (jump_term, pi * (price[1:] - price[:-1] - psi * sumy),
-            0.5 * pi * pi * sig * sig * dt)
+    drag = None
+    if sig.any():
+        dt = (times[ks + 1] - times[ks])[:, None]
+        drag = 0.5 * pi * pi * sig * sig * dt
+    return jump_term, pi * (price[1:] - price[:-1] - psi * sumy), drag
 
 
 def _walk(mode, keys, s0, times, b_step, sig_step, psi_step, comp_step,
@@ -377,7 +388,7 @@ def _walk(mode, keys, s0, times, b_step, sig_step, psi_step, comp_step,
                 for jumps in groups:
                     acc[sk.j_path[jumps]] += jump_term[jumps]
                 acc += node_term[r]
-                if mode == WEALTH:
+                if mode == WEALTH and drag is not None:
                     acc -= drag[r]
         # Free this block's dense rows, and its skeleton unless it is kept,
         # before the next is drawn: holding two at once fragments the heap

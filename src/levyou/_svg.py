@@ -11,7 +11,7 @@ input.
 from __future__ import annotations
 
 import math
-from xml.sax.saxutils import escape
+from html import escape
 
 import numpy as np
 
@@ -47,7 +47,7 @@ def _tag(name, text=None, **attrs):
             head += f' {key.replace("_", "-")}="{value}"'
     if text is None:
         return f"<{head}/>"
-    return f"<{head}>{escape(text)}</{name}>"
+    return f"<{head}>{escape(text, quote=False)}</{name}>"
 
 
 def _label(text, size, x, y, anchor, transform=None):

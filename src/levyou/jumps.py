@@ -56,7 +56,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import _rng
 from .errors import (
@@ -153,7 +152,10 @@ def _g_log_penalty(u):
 def _quad(fn, lo, hi, epsabs=QUAD_EPSABS):
     """scipy.integrate.quad with this package's tolerances and error policy;
     the jump integrals pass their own ``epsabs``, the time integrals of
-    ``market`` keep the default."""
+    ``market`` keep the default.  scipy is imported here, on the first
+    call, so a process that never integrates never loads it."""
+    from scipy.integrate import quad
+
     res = quad(
         fn,
         lo,
@@ -182,8 +184,11 @@ def _integrate(fn, m, big, x):
     infinity in 1/|y|, any other on a log scale.  Each piece stops at
     ``QUAD_EPSREL`` relative to itself or to the sum of the pieces before
     it, whichever is looser, so a piece far smaller than the total does
-    not chase digits that the sum cannot show.
+    not chase digits that the sum cannot show.  An empty support
+    (``m == big``, as ``NoJumps`` has) integrates to 0 with no quadrature.
     """
+    if not m < big:
+        return 0.0
     c = 1.0 / abs(float(x)) if x != 0.0 else math.inf
     cuts = {v for v in (-c, -1.0, 0.0, 1.0, c) if m < v < big}
     edges = [m, *sorted(cuts), big]

@@ -29,7 +29,6 @@ from functools import partial
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize.elementwise import find_root
 
 from . import _csv
 from .errors import ConfigError, ConvergenceError, DomainError
@@ -103,6 +102,8 @@ def _solve_q(market, t, q, pi_min, pi_max):
     iters = 0
     resid = np.zeros_like(q)
     if np.any(interior):
+        from scipy.optimize.elementwise import find_root
+
         qi = q[interior]
         res = find_root(lambda p, qv: G(p) - qv,
                         (float(pi_min), float(pi_max)), args=(qi,))

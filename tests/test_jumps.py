@@ -593,6 +593,40 @@ class TestNoJumps:
                 assert out == 0.0 and isinstance(out, float)
 
 
+class TestEmptySupport:
+    """An empty support integrates to 0 with no quadrature, so the zero
+    measure never reaches scipy."""
+
+    @pytest.fixture(autouse=True)
+    def no_quadrature(self, monkeypatch):
+        def _raise(*_, **__):
+            raise AssertionError("a quadrature ran")
+
+        monkeypatch.setattr(jumps, "_quad", _raise)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_moments(self, k):
+        assert NoJumps().moment(k) == 0.0
+        assert NoJumps().abs_moment(k) == 0.0
+
+    @pytest.mark.parametrize("pi", [-1.5, 0.0, 0.3])
+    def test_transforms(self, pi):
+        none = NoJumps()
+        for fn in (none.drag_integral, none.log_penalty_integral,
+                   none.curvature_integral, none.tilted_second_moment,
+                   none.drag, none.curvature, none.log_penalty):
+            assert fn(pi, 1.2) == 0.0, fn.__name__
+
+    @pytest.mark.parametrize("x", [0.0, 0.5])
+    def test_integrate(self, x):
+        assert jumps._integrate(math.exp, 0.0, 0.0, x) == 0.0
+
+    def test_market_coefficients(self):
+        market = MarketCoefficients(lam=0.5, b=1.0, sigma=0.2, psi=1.0,
+                                    measure=NoJumps())
+        assert market.jump_second_moment == 0.0
+
+
 class TestPerFractionQuadrature:
     """The quadrature route for measures without a closed form."""
 

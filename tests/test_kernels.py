@@ -473,6 +473,31 @@ def test_walk_draws_normals_where_volatility_is_on_some_steps(monkeypatch):
     np.testing.assert_allclose(scalar, nodes, rtol=1e-14, atol=1e-14)
 
 
+def test_wealth_walk_keeps_the_drag_where_volatility_is_on_some_steps(
+        monkeypatch):
+    # A block with zero volatility on every step subtracts no variance
+    # drag; any other block must.  With one step per block both kinds
+    # occur, and the walk must equal the one-block walk bit for bit and
+    # the scalar twin, which subtracts the drag on every step.
+    market = MarketCoefficients(
+        lam=0.3, b=0.1, sigma=lambda u: 0.2 if u >= 1.0 else 0.0, psi=0.5,
+        measure=UniformJump(-0.5, 0.8, 3.0), sigma_range=(0.0, 0.2))
+    sim = build_sim_inputs(market, 0.0, 2.0, SimConfig(8, 8, 5))
+    args = (_rng.derive_keys(5, np.arange(8)), np.ones(8), *sim.kernel_args)
+    # At pi = 0.5 the drag is 0.5 pi^2 * 0.2^2 * 1.0 = 0.005 per path.
+    ft = strategy.constant_fraction_table(sim.times, 0.5)
+    whole = _kernels_np.wealth_paths(*args, *ft.kernel_args)
+    with np.errstate(over="ignore"):  # the uint64 hash wraps on purpose
+        scalar = scalar_kernels.wealth_paths(*args, *ft.kernel_args)
+    for got, want in zip(whole, scalar):
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-14)
+    monkeypatch.setattr(_kernels_np, "BLOCK_PATH_STEPS", 8)
+    monkeypatch.setattr(_kernels_np, "_memo", None)  # draw again
+    blocked = _kernels_np.wealth_paths(*args, *ft.kernel_args)
+    for got, want in zip(blocked, whole):
+        assert np.array_equal(got, want)
+
+
 # The skeleton memo: a walk over the same keys, grid and market as the last
 # call reuses that call's random skeleton.
 
