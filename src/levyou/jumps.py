@@ -214,6 +214,15 @@ def _integrate(fn, m, big, x):
     return math.fsum(parts)
 
 
+def _interval(support):
+    """``support`` as a float pair (m, M), which must have m <= M: a
+    reversed or NaN pair would integrate to 0 in silence."""
+    m, big = float(support[0]), float(support[1])
+    if not m <= big:
+        raise DomainError(f"jump support must satisfy m <= M, got {support}")
+    return m, big
+
+
 class CaseTag(enum.Enum):
     """Sign pattern of the jump support, which fixes the admissible set."""
 
@@ -517,7 +526,7 @@ class CompoundPoisson(JumpMeasure):
             raise DomainError(f"jump rate must be finite and >= 0, got {rate}")
         super().__init__(rate=rate)
         self._size_density = size_density
-        self._support = (float(support[0]), float(support[1]))
+        self._support = _interval(support)
         self._sampler = sampler
 
     def density(self, y):
@@ -766,7 +775,7 @@ class LevyDensity(JumpMeasure):
                 "small-jump order must be < 2 for a square-integrable measure"
             )
         self._density = density
-        self._support = (float(support[0]), float(support[1]))
+        self._support = _interval(support)
         self.small_order = float(small_order)
 
     def density(self, y):

@@ -626,6 +626,14 @@ class TestEmptySupport:
                                     measure=NoJumps())
         assert market.jump_second_moment == 0.0
 
+    @pytest.mark.parametrize("support", [(1.0, 0.0), (math.nan, 1.0),
+                                         (0.0, math.nan)])
+    def test_a_reversed_or_nan_support_is_rejected(self, support):
+        with pytest.raises(DomainError, match="m <= M"):
+            CompoundPoisson(1.0, lambda y: 1.0, support)
+        with pytest.raises(DomainError, match="m <= M"):
+            LevyDensity(lambda y: abs(y) ** -1.5, support, 0.5)
+
 
 class TestPerFractionQuadrature:
     """The quadrature route for measures without a closed form."""
