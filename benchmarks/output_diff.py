@@ -8,8 +8,8 @@ tree's ``src`` first on the path, and prints one line per group:
 * ``same`` when the group is bit-identical in both trees;
 * otherwise the largest absolute and relative difference of the group's
   numbers.  Numbers inside text groups (result files, reprs, error
-  messages) are parsed with the number pattern of the perfbench output
-  checks;
+  messages) are parsed with ``_NUMBER``, the same pattern as the perfbench
+  output checks;
 * ``TEXT DIFFERS`` when the group's text, with the numbers taken out,
   differs, or its arrays change shape or count.
 
@@ -26,15 +26,17 @@ Usage::
 import argparse
 import os
 import pickle
+import re
 import subprocess
 import sys
 import tempfile
 
 import numpy as np
 
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                                os.pardir, "perfbench"))
-from workloads import _NUMBER  # noqa: E402
+# A number in result text: signed decimals and exponents, nan and inf.
+_NUMBER = re.compile(
+    r"[-+]?(?:nan|inf|(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)"
+)
 
 # Run in each tree: pickle every group as a list of leaves, each a string
 # or an array, in the order ``output_digest.digest`` hashes them.

@@ -28,7 +28,11 @@ parts:
    paths with more than ``j`` jumps in it (``s * decay + drift + noise``,
    then the jump); every path then advances the same way, in place, to the
    step's right node.  It records every node price and each jump's pre-
-   and post-jump price.
+   and post-jump price.  The node prices are held node-major, one
+   contiguous row of paths per node: for PRICE the block's rows are the
+   rows of the output itself, which is returned transposed, as the
+   (n_paths, n_nodes) view of that (n_nodes, n_paths) array, without a
+   copy.
 3. The mode's table lookups then read all of the block's recorded prices
    at once (:func:`_lookup` takes a table row per element), and
    :func:`_value_terms` or :func:`_wealth_terms` turn them into one term
@@ -44,7 +48,12 @@ parts:
 
 A small call draws its whole skeleton at once; a large one keeps its memory
 bounded by the block.  No output depends on the block length or on which
-other paths share the batch.  One walk serves the three entry points; its
+other paths share the batch.  The budget is 2**15 path-steps: 15 000 paths
+walk blocks of 2 steps, 3 000 paths blocks of 10.  Larger blocks cost fewer
+numpy calls per path-step; 2**16 was a little faster still on the large
+calls, but the VALUE and WEALTH working set of a 3 000-path call, in blocks of
+21 steps, then raised the peak RSS of a mixed value, compare and simulate
+run by 2.4 MB.  One walk serves the three entry points; its
 mode picks what it accumulates along the path.
 
 The skeleton depends only on the keys, the time grid and the market's
@@ -68,7 +77,7 @@ from . import _rng
 PRICE, VALUE, WEALTH = 0, 1, 2
 
 # Path-steps whose skeleton is drawn at once; bounds the walk's memory.
-BLOCK_PATH_STEPS = 1 << 14
+BLOCK_PATH_STEPS = 1 << 15
 # Path-steps of the largest call whose skeleton is kept for the next call.
 MEMO_PATH_STEPS = 1 << 19
 
@@ -332,8 +341,9 @@ def _walk(mode, keys, s0, times, b_step, sig_step, psi_step, comp_step,
     s = s0.astype(np.float64)
     acc = np.zeros(n)
     if mode == PRICE:
-        nodes = np.empty((n, n_steps + 1))
-        nodes[:, 0] = s
+        # Node-major, so the price loop writes each node row in place.
+        nodes = np.empty((n_steps + 1, n))
+        nodes[0] = s
     elif mode == VALUE:
         f_left = _lookup(*table, 0, s)
     for b, k0 in enumerate(range(0, n_steps, block)):
@@ -350,9 +360,13 @@ def _walk(mode, keys, s0, times, b_step, sig_step, psi_step, comp_step,
 
         # The price loop: row r of ``price`` is the left node of block step r,
         # row r + 1 its right node; ``jumped`` holds each jump's pre- and
-        # post-jump price in the skeleton's jump order.
-        price = np.empty((ks.shape[0] + 1, n))
-        price[0] = s
+        # post-jump price in the skeleton's jump order.  In PRICE mode the
+        # rows are the block's rows of ``nodes``; row 0 already holds ``s``.
+        if mode == PRICE:
+            price = nodes[k0:k0 + ks.shape[0] + 1]
+        else:
+            price = np.empty((ks.shape[0] + 1, n))
+            price[0] = s
         jumped = np.empty((2, sk.j_path.shape[0]))
         shift = psi_step[ks][sk.j_row] * sk.j_size
         for r, groups in enumerate(sk.groups):
@@ -374,9 +388,7 @@ def _walk(mode, keys, s0, times, b_step, sig_step, psi_step, comp_step,
                 s += sk.noise[r]
 
         # The table lookups of the whole block, and the terms.
-        if mode == PRICE:
-            nodes[:, ks + 1] = price[1:].T
-        else:
+        if mode != PRICE:
             if mode == VALUE:
                 jump_term, node_term, f_left = _value_terms(
                     table, ks, sk, price, jumped, f_left)
@@ -397,7 +409,7 @@ def _walk(mode, keys, s0, times, b_step, sig_step, psi_step, comp_step,
     if blocks is None and tag is not None:
         _memo = (tag, tuple(drawn))
     if mode == PRICE:
-        return nodes
+        return nodes.T
     return acc, s
 
 

@@ -56,15 +56,25 @@ SIZE_UNIFORM = 2
 SIZE_CONSTANT = 3
 
 
-def mix64(z):
-    """splitmix64 finalizer, elementwise on uint64 arrays."""
-    z = np.asarray(z, dtype=np.uint64).copy()
-    z ^= z >> _U30
-    z *= MIX1
-    z ^= z >> _U27
-    z *= MIX2
-    z ^= z >> _U31
-    return z
+def mix64(z, out=None):
+    """splitmix64 finalizer, elementwise on uint64 arrays.
+
+    The result goes to ``out`` when given, a uint64 array of ``z``'s
+    broadcast shape that may be ``z`` itself; else to a new array (0-d for
+    a scalar ``z``).  The shifts and xors run in place through one scratch
+    buffer, so a call allocates one temporary of that shape.
+    """
+    if out is None:
+        out = np.array(z, dtype=np.uint64)
+    elif out is not z:
+        np.copyto(out, z)
+    tmp = np.empty_like(out)
+    out ^= np.right_shift(out, _U30, out=tmp)
+    out *= MIX1
+    out ^= np.right_shift(out, _U27, out=tmp)
+    out *= MIX2
+    out ^= np.right_shift(out, _U31, out=tmp)
+    return out
 
 
 def _word(x):
@@ -98,21 +108,34 @@ def derive_seed(seed, stream):
 
 def raw_words(keys, step, slot):
     """uint64 hash words for (key, step, slot); ``step``/``slot`` may be
-    scalars or arrays broadcastable against ``keys``."""
-    ctr = np.asarray(
-        np.asarray(step, dtype=np.uint64) * np.uint64(SLOT_SPACE)
-        + np.asarray(slot, dtype=np.uint64),
-        dtype=np.uint64,
-    ).copy()
+    scalars or arrays broadcastable against ``keys``.
+
+    The counter is hashed in place in an array of the (step, slot) shape,
+    and the words in one array of the full shape."""
+    step = np.asarray(step, dtype=np.uint64)
+    slot = np.asarray(slot, dtype=np.uint64)
+    ctr = np.multiply(step, np.uint64(SLOT_SPACE),
+                      out=np.empty(np.broadcast_shapes(step.shape, slot.shape),
+                                   dtype=np.uint64))
+    ctr += slot
     ctr *= GOLDEN
     ctr += MIX2
-    return mix64(np.asarray(keys, dtype=np.uint64) ^ mix64(ctr))
+    mix64(ctr, out=ctr)
+    keys = np.asarray(keys, dtype=np.uint64)
+    words = np.bitwise_xor(keys, ctr, out=np.empty(
+        np.broadcast_shapes(keys.shape, ctr.shape), dtype=np.uint64))
+    return mix64(words, out=words)
 
 
 def uniforms(keys, step, slot):
-    """Uniform variates on the open interval (0, 1)."""
+    """Uniform variates on the open interval (0, 1); a float for 0-d
+    inputs."""
     w = raw_words(keys, step, slot)
-    return ((w >> _U11).astype(np.float64) + 0.5) * _INV53
+    w >>= _U11
+    u = w.astype(np.float64)
+    u += 0.5
+    u *= _INV53
+    return u if u.ndim else u[()]
 
 
 def poisson_cdf_table(mu, cap=MAX_JUMPS_PER_STEP):
@@ -155,10 +178,15 @@ def poisson_counts(u, cdf):
     """Invert uniforms through a Poisson CDF table.
 
     With a 2-D ``cdf``, row ``k`` of ``u`` is inverted through row ``k`` of
-    the table; when every row is the same (a constant rate on a uniform
-    grid), all of ``u`` is inverted through that row in one call.  A
-    uniform at or below the table's first entry is a count of 0, which is
-    what the search would give; only the others are searched.
+    the table.  When every row is the same (a constant rate on a uniform
+    grid), all of ``u`` is inverted through that row in one search; a
+    uniform at or below the row's first entry is a count of 0, which is
+    what the search would give, and only the others are searched.  Through
+    unequal rows, a count is the number of its row's entries below the
+    uniform, which is what the search gives on a non-decreasing row.  It is
+    summed over all of ``u`` in one pass per table column, up to the first
+    column at or above every uniform; a row's padding (at or above 1) is
+    never below a uniform, so it never counts.
     """
     if cdf.ndim == 2 and len(cdf) and (cdf == cdf[0]).all():
         cdf = cdf[0]
@@ -167,9 +195,14 @@ def poisson_counts(u, cdf):
         live = ~(u <= cdf[0])
         out[live] = np.searchsorted(cdf, u[live], side="left")
         return out
-    for k, row in enumerate(cdf):
-        live = ~(u[k] <= row[0])
-        out[k, live] = np.searchsorted(row, u[k, live], side="left")
+    top = u.max(initial=0.0)
+    for column in cdf.T:
+        # The rows do not decrease, so neither do the column minima: once
+        # one is at or above every uniform, no later entry counts.  (A table
+        # of no rows has columns of no entries, which count nothing.)
+        if not column.min(initial=1.0) < top:
+            break
+        out += column.reshape(-1, *[1] * (u.ndim - 1)) < u
     return out
 
 

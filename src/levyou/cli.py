@@ -265,13 +265,15 @@ def _cmd_simulate(args):
 
     emp_mean, se_mean = valuation._mean_se(terminal)
     dev_sq = (terminal - emp_mean) ** 2
-    emp_var = float(np.sum(dev_sq) / (n - 1)) if n > 1 else 0.0
-    _, se_var = valuation._mean_se(dev_sq)
+    emp_var = float(np.sum(dev_sq) / (n - 1)) if n > 1 else math.nan
+    # Two paths' squared deviations are equal but for rounding, so their
+    # spread says nothing: the variance's SE needs three paths.
+    se_var = valuation._mean_se(dev_sq)[1] if n > 2 else math.nan
     ana_mean = analytic_mean(market, t, s, T)
     ana_var = analytic_variance(market, t, T)
 
     def z(emp, ana, se):
-        return (emp - ana) / se if se > 0.0 else 0.0
+        return valuation.z_score(emp - ana, se)
 
     header = _params(preset, settings,
                      ("t", "s", "horizon", "paths", "steps", "seed"))

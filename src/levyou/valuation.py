@@ -57,9 +57,7 @@ class TowerReport(NamedTuple):
 
     @property
     def z_score(self):
-        if self.std_err == 0.0:
-            return 0.0
-        return self.discrepancy / self.std_err
+        return z_score(self.discrepancy, self.std_err)
 
 
 @dataclass
@@ -159,11 +157,27 @@ class ValueGrid:
 
 
 def _mean_se(samples):
-    """Sample mean and its standard error (0 for fewer than 2 samples)."""
+    """Sample mean and its standard error (nan for fewer than 2 samples).
+
+    The spread is taken of the samples scaled by a power of two, which is
+    exact, so the squared deviations do not overflow where the standard
+    error itself is finite.
+    """
     n = samples.shape[0]
     mean = float(np.mean(samples))
-    se = float(np.std(samples, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    return mean, se
+    if n < 2:
+        return mean, math.nan
+    e = math.frexp(float(np.max(np.abs(samples))))[1]
+    sd = float(np.std(np.ldexp(samples, -e), ddof=1))
+    return mean, math.ldexp(sd, e) / math.sqrt(n)
+
+
+def z_score(gap, se):
+    """``gap`` in standard errors: 0 for a gap of exactly 0 with no error,
+    nan for any other gap with none."""
+    if se == 0.0:
+        return 0.0 if gap == 0.0 else math.nan
+    return gap / se
 
 
 def strategy_table(market, kind, times, pi_min, pi_max, ns=257):

@@ -252,6 +252,42 @@ class TestValue:
         assert float(row[3]) == 0.0
 
 
+class TestErrorBars:
+    """A standard error is finite where the spread is, and nan, not 0,
+    where the sample cannot show one."""
+
+    def test_huge_start_price_keeps_a_finite_error(self, capsys):
+        # The squared deviations of rewards near 1e200 overflow a float.
+        code, out, _ = run_cli(capsys, "value", "--preset", "gaussian",
+                               "--s", "1e200", "--paths", "100")
+        assert code == 0
+        g_hat, se = map(float, data_rows(out)[0].split(",")[2:])
+        assert math.isfinite(g_hat) and g_hat > 1e199
+        assert math.isfinite(se) and 0.0 < se < 1e-10 * g_hat
+
+    def test_one_path_has_no_error(self, capsys):
+        code, out, _ = run_cli(capsys, "value", "--preset", "benth2012",
+                               "--paths", "1", "--steps", "1")
+        assert code == 0
+        g_hat, se = data_rows(out)[0].split(",")[2:]
+        assert math.isfinite(float(g_hat))
+        assert se == "nan"
+
+    def test_two_paths_give_no_variance_error_or_z(self, capsys):
+        # Two paths' squared deviations are equal but for rounding.
+        code, out, _ = run_cli(capsys, "simulate", "--preset", "gaussian",
+                               "--paths", "2", "--steps", "3")
+        assert code == 0
+        lines = {line.split(":")[0]: line for line in out.splitlines()}
+        mean = lines["terminal mean"]
+        assert math.isfinite(float(mean.split("+/- ")[1].split()[0]))
+        assert math.isfinite(float(mean.rsplit("z = ", 1)[1]))
+        var = lines["terminal variance"]
+        assert float(var.split("empirical ")[1].split()[0]) > 0.0
+        assert var.split("+/- ")[1].split()[0] == "nan"
+        assert var.rsplit("z = ", 1)[1] == "+nan"
+
+
 class TestCompare:
     ARGS = ("compare", "--paths", "800", "--steps", "24", "--seed", "9")
 

@@ -103,6 +103,36 @@ def test_numpy_kernels_are_batch_split_invariant(name, n_steps, monkeypatch):
                 f"{name} {key} budget {budget}"
 
 
+def test_price_nodes_do_not_depend_on_the_block_budget(monkeypatch):
+    # 3 000 paths x 24 steps is more than one block holds at every budget:
+    # blocks of 1, 5 and 10 steps, the last two with a shorter last block.
+    # The node rows are written in place block by block; no bit may move.
+    args, _, _ = kernel_inputs("benth2012", 3000, 24, 29)
+    want = None
+    for budget in (1, 1 << 14, 1 << 15):
+        monkeypatch.setattr(_kernels_np, "BLOCK_PATH_STEPS", budget)
+        got = _fresh(monkeypatch, lambda: _kernels_np.price_paths(*args))
+        assert got.shape == (3000, 25)
+        assert np.array_equal(got[:, 0], args[1])
+        if want is None:
+            want = got
+        np.testing.assert_array_equal(_bits(got), _bits(want),
+                                      err_msg=f"budget {budget}")
+
+
+def test_price_calls_return_their_own_arrays():
+    # The nodes are returned as a transposed view; a second call, which
+    # may walk the first call's kept skeleton, must not write into it.
+    args, _, _ = kernel_inputs("uniform-two-sided", 40, 12, 31)
+    first = _kernels_np.price_paths(*args)
+    kept = first.copy()
+    second = _kernels_np.price_paths(*args)
+    assert first.shape == second.shape == (40, 13)
+    assert not np.shares_memory(first, second)
+    second[:] = 0.0
+    assert np.array_equal(first, kept)
+
+
 @pytest.mark.parametrize("kern", [_kernels_np, scalar_kernels],
                          ids=["numpy", "scalar"])
 @pytest.mark.parametrize("side", ["above", "below"])

@@ -3,6 +3,8 @@ how it classes one group's leaves."""
 
 import importlib.util
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -63,3 +65,17 @@ def test_atol_fails_a_group_that_moves_too_far(output_diff, capsys):
     nan = {"kept": [np.array([np.nan])]}
     assert output_diff.report({"kept": [np.array([1.0])]}, nan,
                               atol=1e300) == 1
+
+
+def test_it_stands_alone_and_parses_result_numbers(output_diff):
+    # Loading the tool imports nothing from the benchmark's directory.
+    code = ("import importlib.util, sys\n"
+            "spec = importlib.util.spec_from_file_location('d', sys.argv[1])\n"
+            "spec.loader.exec_module(importlib.util.module_from_spec(spec))\n"
+            "assert 'workloads' not in sys.modules\n"
+            "assert not any('perfbench' in p for p in sys.path)\n")
+    subprocess.run([sys.executable, "-c", code, _PATH], check=True)
+    found = output_diff._NUMBER.findall(
+        "t,s=-1.5e-07,+2 .5 3. nan -inf 1E+300 x12")
+    assert found == ["-1.5e-07", "+2", ".5", "3.", "nan", "-inf", "1E+300",
+                     "12"]

@@ -58,6 +58,58 @@ class TestWords:
         for row, seed in zip(keys, seeds.tolist()):
             assert np.array_equal(row, _rng.derive_keys(seed, ids))
 
+    # Words recorded before the counter hash ran in place; every input form
+    # the walk and its callers use must still give them.
+    KEYS = [8825390260467612366, 5855951487170373226, 16209006977442687670]
+
+    def test_pinned_keys_and_words(self):
+        keys = _rng.derive_keys(2012, np.arange(3))
+        assert keys.tolist() == self.KEYS
+        assert _rng.raw_words(keys, 5, 9).tolist() == [
+            10926694135549192062, 11162017648492372002, 16230755199866208749]
+
+    def test_zero_d_keys_and_scalar_counters(self):
+        keys = np.array(self.KEYS, dtype=np.uint64)
+        for key, step in ((keys[1], 5), (np.asarray(keys[1]), np.uint64(5)),
+                          (self.KEYS[1], 5)):
+            w = _rng.raw_words(key, step, 9)
+            assert isinstance(w, np.ndarray) and w.shape == ()
+            assert w.dtype == np.uint64 and int(w) == 11162017648492372002
+            u = _rng.uniforms(key, step, 9)
+            assert isinstance(u, np.float64)
+            assert u == float.fromhex("0x1.35cee7d3260ecp-1")
+        assert [float(x).hex() for x in _rng.uniforms(keys, 5, 9)] == [
+            "0x1.2f46d4d92d81cp-1", "0x1.35cee7d3260ecp-1",
+            "0x1.c27e73b858b30p-1"]
+
+    def test_broadcast_counters(self):
+        keys = np.array(self.KEYS, dtype=np.uint64)
+        w = _rng.raw_words(keys, np.arange(2)[:, None], np.array([[0], [2048]]))
+        assert w.tolist() == [
+            [12947227556949194916, 16962688366791919715, 8654111570708975857],
+            [12320711730293416262, 13222319701901260468, 1500419248217647248]]
+        w = _rng.raw_words(keys[:, None], 7, np.arange(2))
+        assert w.tolist() == [
+            [10624164306710402672, 8380528947628613672],
+            [2288712118326073002, 10173963430615465307],
+            [5205726619004499996, 11400057813951693386]]
+        # each element is the variate of its own (key, step, slot)
+        u = _rng.uniforms(keys[:, None], 7, np.arange(2))
+        with np.errstate(over="ignore"):  # the uint64 hash wraps on purpose
+            assert u[2, 1] == scalar_kernels._uniform(keys[2], 7, 1)
+
+    def test_mix64_in_place_and_into_out(self):
+        z = np.array([0, 1, 12345, 2**64 - 1], dtype=np.uint64)
+        want = _rng.mix64(z)
+        assert z.tolist() == [0, 1, 12345, 2**64 - 1]  # input kept
+        assert _rng.mix64(np.uint64(12345)) == 17540659726606785873
+        assert _rng.mix64(12345).shape == ()
+        out = np.empty_like(z)
+        assert _rng.mix64(z, out=out) is out
+        assert np.array_equal(out, want)
+        assert _rng.mix64(z, out=z) is z
+        assert np.array_equal(z, want)
+
     def test_scalar_ops_do_not_warn(self):
         keys = _rng.derive_keys(3, np.arange(4))
         with np.errstate(over="raise"):
@@ -171,6 +223,38 @@ class TestPoisson:
             assert np.array_equal(_rng.poisson_counts(u[0], table[0]),
                                   want[0])
         assert want[0][0] == 0 and want[0][2] == 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        mus=st.lists(st.floats(0.0, 30.0), min_size=1, max_size=6),
+        ulps=st.lists(st.integers(-1, 1), min_size=6, max_size=6),
+        pad=st.sampled_from([1.0, 2.0]),
+        seed=st.integers(0, 2**32),
+    )
+    def test_unequal_rows_count_like_the_per_row_search(self, mus, ulps, pad,
+                                                        seed):
+        # Rows one ulp apart, as a linspace grid gives, or of other means
+        # and lengths; uniforms from the stream plus every table entry and
+        # its neighbours.
+        rows = [np.nextafter(_rng.poisson_cdf_table(mu), d * 2.0)
+                if d else _rng.poisson_cdf_table(mu)
+                for mu, d in zip(mus, ulps)]
+        rows = [np.minimum(row, 1.0) for row in rows]
+        width = max(map(len, rows)) + 1
+        cdf = np.full((len(rows), width), pad)
+        for k, row in enumerate(rows):
+            cdf[k, :len(row)] = np.sort(row)
+        keys = _rng.derive_keys(seed, np.arange(400))
+        u = _rng.uniforms(keys, np.arange(len(rows))[:, None], 0)
+        entries = np.concatenate([cdf.ravel(), np.nextafter(cdf.ravel(), 0.0),
+                                  np.nextafter(cdf.ravel(), 1.0)])
+        entries = entries[(entries > 0.0) & (entries < 1.0)]
+        u = np.concatenate([u, np.broadcast_to(entries, (len(rows),
+                                                         len(entries)))],
+                           axis=1)
+        want = [np.searchsorted(row, u[k], side="left")
+                for k, row in enumerate(cdf)]
+        assert np.array_equal(_rng.poisson_counts(u, cdf), want)
 
     def test_zero_rate(self):
         cdf = _rng.poisson_cdf_table(0.0)

@@ -43,6 +43,38 @@ def pareto_market(b_frac=0.8):
     )
 
 
+class TestMeanSE:
+    def test_fewer_than_two_samples_have_no_error(self):
+        mean, se = vl._mean_se(np.array([2.5]))
+        assert mean == 2.5 and math.isnan(se)
+
+    def test_equal_samples_have_zero_error(self):
+        assert vl._mean_se(np.full(7, 0.25)) == (0.25, 0.0)
+        assert vl._mean_se(np.zeros(2)) == (0.0, 0.0)
+
+    def test_huge_samples_do_not_overflow(self):
+        for scale in (1e200, 1e300, 1e-300):
+            mean, se = vl._mean_se(np.array([1.0, 2.0, 3.0]) * scale)
+            assert mean == pytest.approx(2.0 * scale, rel=1e-15)
+            assert se == pytest.approx(scale / math.sqrt(3.0), rel=1e-15)
+
+    def test_scaling_moves_no_bit_of_an_ordinary_error(self):
+        rng = np.random.default_rng(4)
+        for samples in (rng.normal(0.03, 0.01, 1000),
+                        rng.pareto(2.5, 5000) * 1e3, -rng.random(3)):
+            n = samples.shape[0]
+            want = float(np.std(samples, ddof=1) / math.sqrt(n))
+            assert vl._mean_se(samples)[1] == want
+
+    def test_z_score(self):
+        assert vl.z_score(0.5, 0.25) == 2.0
+        assert vl.z_score(0.0, 0.0) == 0.0
+        assert math.isnan(vl.z_score(1e-9, 0.0))
+        assert math.isnan(vl.z_score(0.5, math.nan))
+        report = vl.TowerReport(1.3, 1.0, 0.3, 0.0, n_paths=4, n_inner=2)
+        assert math.isnan(report.z_score)
+
+
 class TestValueEstimate:
     def test_terminal_time_is_exactly_zero(self):
         est = vl.estimate_value(
