@@ -251,11 +251,13 @@ def _lookup(value, slope, knot, s1, inv_h, row, s):
     np.fmin(f, width - 2, out=f)
     f += row * width + 1
     at = f.astype(np.intp)
-    # value + slope * (s - knot), in place
+    # value + slope * (s - knot), in place; ``f`` takes the gathers
     out = knot.take(at)
     np.subtract(s, out, out=out)
-    out *= slope.take(at)
-    out += value.take(at)
+    # "clip" leaves the in-range indices as they are, and lets ``take``
+    # write to ``out`` without buffering.
+    out *= slope.take(at, out=f, mode="clip")
+    out += value.take(at, out=f, mode="clip")
     return out
 
 
@@ -278,8 +280,11 @@ def _value_terms(table, ks, sk, price, jumped, f_left):
         jump_term[ranked] = 0.5 * (flat[on] + f_jump[0, ranked]) \
             * sk.j_delta[ranked]
         flat[on] = f_jump[1, ranked]
-    delta = _per_node(sk.dt, sk.cut_delta, sk.cut, n)
-    return jump_term, 0.5 * (f_prev + f) * delta, f[-1]
+    # 0.5 * (f_prev + f) * delta, in place
+    f_prev += f
+    f_prev *= 0.5
+    f_prev *= _per_node(sk.dt, sk.cut_delta, sk.cut, n)
+    return jump_term, f_prev, f[-1].copy()
 
 
 def _wealth_terms(table, ks, sk, price, times, psi_step, sig_step):
@@ -294,13 +299,21 @@ def _wealth_terms(table, ks, sk, price, times, psi_step, sig_step):
     flat = sumy.ravel()
     for ranked in sk.ranks:
         flat[at[ranked]] += sk.j_size[ranked]
-    psi = psi_step[ks][:, None]
+    # pi * (price[1:] - price[:-1] - psi * sumy), in place
+    sumy *= psi_step[ks][:, None]
+    move = np.subtract(price[1:], price[:-1])
+    move -= sumy
+    move *= pi
     sig = sig_step[ks][:, None]
     drag = None
     if sig.any():
-        dt = (times[ks + 1] - times[ks])[:, None]
-        drag = 0.5 * pi * pi * sig * sig * dt
-    return jump_term, pi * (price[1:] - price[:-1] - psi * sumy), drag
+        # 0.5 * pi * pi * sig * sig * dt, in place
+        drag = 0.5 * pi
+        drag *= pi
+        drag *= sig
+        drag *= sig
+        drag *= (times[ks + 1] - times[ks])[:, None]
+    return jump_term, move, drag
 
 
 def _walk(mode, keys, s0, times, b_step, sig_step, psi_step, comp_step,
@@ -386,6 +399,7 @@ def _walk(mode, keys, s0, times, b_step, sig_step, psi_step, comp_step,
             s += drift[r]
             if sk.noise is not None:
                 s += sk.noise[r]
+        del ed, drift
 
         # The table lookups of the whole block, and the terms.
         if mode != PRICE:
@@ -402,10 +416,13 @@ def _walk(mode, keys, s0, times, b_step, sig_step, psi_step, comp_step,
                 acc += node_term[r]
                 if mode == WEALTH and drag is not None:
                     acc -= drag[r]
-        # Free this block's dense rows, and its skeleton unless it is kept,
-        # before the next is drawn: holding two at once fragments the heap
-        # and raised the peak RSS of large runs.
-        del sk, ed, drift
+            del jump_term, node_term
+            s = s.copy()  # not a view, which would keep this block's rows
+        # Free this block's rows and terms, and its skeleton unless it is
+        # kept, before the next is drawn (the dense rows went after the price
+        # loop): holding two at once fragments the heap and raised the peak
+        # RSS of large runs.
+        del sk, price, jumped
     if blocks is None and tag is not None:
         _memo = (tag, tuple(drawn))
     if mode == PRICE:
