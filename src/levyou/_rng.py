@@ -112,18 +112,14 @@ def raw_words(keys, step, slot):
 
     The counter is hashed in place in an array of the (step, slot) shape,
     and the words in one array of the full shape."""
-    step = np.asarray(step, dtype=np.uint64)
-    slot = np.asarray(slot, dtype=np.uint64)
-    ctr = np.multiply(step, np.uint64(SLOT_SPACE),
-                      out=np.empty(np.broadcast_shapes(step.shape, slot.shape),
-                                   dtype=np.uint64))
-    ctr += slot
+    # ``np.asarray`` makes an array of a scalar result, for the in-place
+    # steps; an array result is already new.
+    ctr = np.asarray(np.asarray(step, dtype=np.uint64) * np.uint64(SLOT_SPACE)
+                     + np.asarray(slot, dtype=np.uint64))
     ctr *= GOLDEN
     ctr += MIX2
     mix64(ctr, out=ctr)
-    keys = np.asarray(keys, dtype=np.uint64)
-    words = np.bitwise_xor(keys, ctr, out=np.empty(
-        np.broadcast_shapes(keys.shape, ctr.shape), dtype=np.uint64))
+    words = np.asarray(np.asarray(keys, dtype=np.uint64) ^ ctr)
     return mix64(words, out=words)
 
 
