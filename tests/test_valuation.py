@@ -52,7 +52,7 @@ class TestMeanSE:
         assert vl._mean_se(np.full(7, 0.25)) == (0.25, 0.0)
         assert vl._mean_se(np.zeros(2)) == (0.0, 0.0)
 
-    def test_huge_samples_do_not_overflow(self):
+    def test_huge_and_tiny_samples_keep_their_error(self):
         for scale in (1e200, 1e300, 1e-300):
             mean, se = vl._mean_se(np.array([1.0, 2.0, 3.0]) * scale)
             assert mean == pytest.approx(2.0 * scale, rel=1e-15)
