@@ -16,6 +16,8 @@ Conventions
   ``presets.SETTINGS`` declares each run setting once (type, default,
   help); it gives the flags, the config-file keys and the defaults.
   Float settings must be finite.
+* A flag value may start with ``-`` (``--s-grid -2:2:3``): a token of
+  ``-`` and then a digit or ``.`` is read as a value (``_Parser``).
 * Result files are written by ``levyou._csv``: 17 significant digits,
   ``#`` comment headers carrying the run parameters, to ``--out``
   (stdout otherwise).
@@ -38,6 +40,7 @@ import argparse
 import functools
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -388,11 +391,22 @@ def _flag(name):
     return {"type": setting.type, "help": setting.help + default}
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reads a token of ``-`` and then a digit or
+    ``.`` as a value, such as ``-2:2:3``, ``-1e-3`` or ``-.5,0.2``; no
+    levyou flag looks like that.  (argparse takes only plain negative
+    decimals for values.)  Its subcommand parsers are of this class too."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self._negative_number_matcher = re.compile(r"-[\d.]")
+
+
 @functools.cache
 def _build_parser():
     """The argument parser, built on the first call and kept for the
     process."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="levyou",
         description="Log-optimal trading fractions for mean-reverting "
                     "jump price models.",

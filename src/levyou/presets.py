@@ -90,103 +90,74 @@ class Preset:
     notes: tuple = ()
 
 
-def _benth2012(b=None, b_frac=0.8, pi_min=0.0, pi_max=0.2):
-    """Electricity intraday calibration (hourly rates, Pareto jumps)."""
-    lam = _CAL_LAMBDA_PER_DAY / _HOURS_PER_DAY
-    measure = ParetoJump(alpha=_CAL_PARETO_ALPHA, scale=_CAL_PARETO_SCALE,
-                         rate=_CAL_ETA_PER_DAY / _HOURS_PER_DAY)
-    if b is None:
-        b = b_frac * measure.moment(1)
-    market = MarketCoefficients(lam=lam, b=float(b), sigma=0.0, psi=1.0,
-                                measure=measure, compensated=True)
-    return Preset(
-        name="benth2012",
+def _calibrated_pareto():
+    """The ``benth2012`` jump measure, in hourly rates."""
+    return ParetoJump(alpha=_CAL_PARETO_ALPHA, scale=_CAL_PARETO_SCALE,
+                      rate=_CAL_ETA_PER_DAY / _HOURS_PER_DAY)
+
+
+_HOURLY_NOTE = ("rates are per hour: the published per-day rates were "
+                "divided by 24, so horizon=24 covers one day")
+
+
+class _Spec(NamedTuple):
+    """What :func:`get_preset` builds a preset from: the market without
+    its drift, the default drift fraction, and the preset's fields."""
+
+    description: str
+    lam: float
+    sigma: float
+    psi: float
+    measure: object  # zero-argument callable returning the JumpMeasure
+    compensated: bool
+    b_frac: float
+    s0: float
+    horizon: float
+    pi_min: float
+    pi_max: float
+    notes: tuple = ()
+    base_b: float = None  # what b_frac scales when there are no jumps
+
+
+_SPECS = {
+    "benth2012": _Spec(
         description=("one-sided Pareto jumps, no Brownian part; daily "
                      "calibration converted to hourly rates"),
-        market=market,
-        s0=5.0,
-        horizon=24.0,
-        pi_min=float(pi_min),
-        pi_max=float(pi_max),
-        time_unit="hour",
-        notes=(
-            "rates are per hour: the published per-day rates were divided "
-            "by 24, so horizon=24 covers one day",
-            "the drift level has no published calibration; default is "
-            "b = 0.8 * eta * E[Y] (override with b or b_frac)",
-        ),
-    )
-
-
-def _benth2012_raw(b=None, b_frac=0.0, pi_min=0.0, pi_max=0.2):
-    """Same jump calibration, uncompensated drift convention."""
-    base = _benth2012(b=b if b is not None else 0.0, pi_min=pi_min,
-                      pi_max=pi_max)
-    measure = base.market.measure
-    if b is None:
-        b = b_frac * measure.moment(1)
-    market = dataclasses.replace(base.market, b=float(b), compensated=False)
-    return dataclasses.replace(
-        base,
-        name="benth2012-raw",
+        lam=_CAL_LAMBDA_PER_DAY / _HOURS_PER_DAY, sigma=0.0, psi=1.0,
+        measure=_calibrated_pareto, compensated=True, b_frac=0.8,
+        s0=5.0, horizon=24.0, pi_min=0.0, pi_max=0.2,
+        notes=(_HOURLY_NOTE,
+               "the drift level has no published calibration; default is "
+               "b = 0.8 * eta * E[Y] (override with b or b_frac)"),
+    ),
+    "benth2012-raw": _Spec(
         description=("benth2012 with the raw-drift convention: b is the "
                      "full price drift and jumps are not compensated"),
-        market=market,
-        notes=base.notes[:1] + (
-            "b defaults to 0: all upward drift then comes from the jumps",
-        ),
-    )
-
-
-def _uniform_two_sided(b=None, b_frac=None, pi_min=-0.4, pi_max=0.8):
-    """Two-sided uniform jumps plus a Brownian part (bounded support)."""
-    if b is None:
-        b = 0.1 if b_frac is None else b_frac * 0.25  # eta * E[Y] = 0.25
-    market = MarketCoefficients(lam=0.3, b=float(b), sigma=0.3, psi=1.0,
-                                measure=UniformJump(lo=-0.5, hi=1.0,
-                                                    rate=1.0),
-                                compensated=True)
-    return Preset(
-        name="uniform-two-sided",
+        lam=_CAL_LAMBDA_PER_DAY / _HOURS_PER_DAY, sigma=0.0, psi=1.0,
+        measure=_calibrated_pareto, compensated=False, b_frac=0.0,
+        s0=5.0, horizon=24.0, pi_min=0.0, pi_max=0.2,
+        notes=(_HOURLY_NOTE,
+               "b defaults to 0: all upward drift then comes from the jumps"),
+    ),
+    "uniform-two-sided": _Spec(
         description=("uniform jumps on [-0.5, 1] with a Brownian part; "
                      "all error bounds are finite"),
-        market=market,
-        s0=0.2,
-        horizon=6.0,
-        pi_min=float(pi_min),
-        pi_max=float(pi_max),
-        time_unit="hour",
-    )
-
-
-def _gaussian(b=None, b_frac=None, pi_min=-2.0, pi_max=2.0):
-    """Pure-diffusion model: the optimal fraction is (b - lam*s)/sigma^2."""
-    if b is None:
-        b = 0.2 if b_frac is None else 0.2 * b_frac
-    market = MarketCoefficients(lam=0.5, b=float(b), sigma=0.3, psi=0.0,
-                                measure=NoJumps(), compensated=True)
-    return Preset(
-        name="gaussian",
+        lam=0.3, sigma=0.3, psi=1.0,
+        measure=lambda: UniformJump(lo=-0.5, hi=1.0, rate=1.0),
+        compensated=True, b_frac=0.4,
+        s0=0.2, horizon=6.0, pi_min=-0.4, pi_max=0.8,
+    ),
+    "gaussian": _Spec(
         description=("no jumps: closed-form optimal fraction "
                      "(b - lam*s)/sigma^2, used as an exact reference"),
-        market=market,
-        s0=0.1,
-        horizon=2.0,
-        pi_min=float(pi_min),
-        pi_max=float(pi_max),
-        time_unit="hour",
-    )
-
-
-_FACTORIES = {
-    "benth2012": _benth2012,
-    "benth2012-raw": _benth2012_raw,
-    "uniform-two-sided": _uniform_two_sided,
-    "gaussian": _gaussian,
+        lam=0.5, sigma=0.3, psi=0.0, measure=NoJumps, compensated=True,
+        b_frac=1.0, base_b=0.2,
+        s0=0.1, horizon=2.0, pi_min=-2.0, pi_max=2.0,
+    ),
 }
 
 #: Names accepted by :func:`get_preset`, in presentation order.
-PRESET_NAMES = tuple(_FACTORIES)
+PRESET_NAMES = tuple(_SPECS)
 
 
 def get_preset(name, b=None, b_frac=None, pi_min=None, pi_max=None):
@@ -200,7 +171,8 @@ def get_preset(name, b=None, b_frac=None, pi_min=None, pi_max=None):
         Absolute drift level; wins over ``b_frac``.
     b_frac : float, optional
         Drift as a fraction of the mean jump drift ``eta * E[Y]``
-        (presets without jumps scale their default drift instead).
+        (presets without jumps scale their base drift instead).  Each
+        preset has a default fraction.
     pi_min, pi_max : float, optional
         Fraction interval overrides.
 
@@ -210,7 +182,7 @@ def get_preset(name, b=None, b_frac=None, pi_min=None, pi_max=None):
         Unknown name, or drift/interval values that fail validation.
     """
     try:
-        factory = _FACTORIES[name]
+        spec = _SPECS[name]
     except KeyError:
         known = ", ".join(PRESET_NAMES)
         raise ConfigError(f"unknown preset {name!r} (known: {known})") \
@@ -221,16 +193,20 @@ def get_preset(name, b=None, b_frac=None, pi_min=None, pi_max=None):
                          ("pi_min", pi_min), ("pi_max", pi_max)):
         if value is not None and not math.isfinite(value):
             raise ConfigError(f"{label} must be finite, got {value}")
-    kwargs = {}
-    if b is not None:
-        kwargs["b"] = float(b)
-    if b_frac is not None:
-        kwargs["b_frac"] = float(b_frac)
-    if pi_min is not None:
-        kwargs["pi_min"] = float(pi_min)
-    if pi_max is not None:
-        kwargs["pi_max"] = float(pi_max)
-    preset = factory(**kwargs)
+    measure = spec.measure()
+    if b is None:
+        frac = spec.b_frac if b_frac is None else float(b_frac)
+        b = frac * (measure.moment(1) if spec.base_b is None else spec.base_b)
+    market = MarketCoefficients(lam=spec.lam, b=float(b), sigma=spec.sigma,
+                                psi=spec.psi, measure=measure,
+                                compensated=spec.compensated)
+    preset = Preset(
+        name=name, description=spec.description, market=market,
+        s0=spec.s0, horizon=spec.horizon,
+        pi_min=float(spec.pi_min if pi_min is None else pi_min),
+        pi_max=float(spec.pi_max if pi_max is None else pi_max),
+        time_unit="hour", notes=spec.notes,
+    )
     if preset.pi_min >= preset.pi_max:
         raise ConfigError(
             f"pi_min must be < pi_max, got [{preset.pi_min}, {preset.pi_max}]"
@@ -270,14 +246,14 @@ SETTINGS = {
 def load_config(path):
     """Read an INI config file into ``{section: {key: parsed value}}``.
 
-    Every section name is taken verbatim (it usually matches a preset
-    name); keys must be names in :data:`SETTINGS` and parse with the
-    setting's type.
+    Every section must name a preset in :data:`PRESET_NAMES`; keys must
+    be names in :data:`SETTINGS` and parse with the setting's type.
 
     Raises
     ------
     ConfigError
-        Missing file, INI syntax errors, unknown keys or bad values.
+        Missing file, INI syntax errors, unknown sections or keys, or bad
+        values.
     """
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
@@ -289,6 +265,12 @@ def load_config(path):
         raise ConfigError(f"cannot parse config file {path}: {exc}") from exc
     sections = {}
     for section in parser.sections():
+        if section not in _SPECS:
+            known = ", ".join(PRESET_NAMES)
+            raise ConfigError(
+                f"config section [{section}] names no preset "
+                f"(known: {known})"
+            )
         values = {}
         for key, raw in parser.items(section):
             key = key.replace("-", "_")

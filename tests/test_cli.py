@@ -515,3 +515,30 @@ class TestConfigFile:
                    if tok.startswith("b=")][0]
         default_b = presets.get_preset("benth2012").market.b
         assert float(b_token[2:]) == pytest.approx(default_b, rel=1e-15)
+
+    def test_a_section_that_names_no_preset_exits_2(self, capsys, tmp_path):
+        ini = tmp_path / "run.ini"
+        ini.write_text("[benth2021]\nb_frac = 0.5\n")
+        code, out, err = run_cli(capsys, "solve", "--s", "5",
+                                 "--config", str(ini))
+        assert code == errors.EXIT_CONFIG
+        assert out == ""
+        assert "[benth2021] names no preset" in err
+
+
+class TestNegativeValues:
+    """A value that starts with '-' is read as a value, not as a flag."""
+
+    @pytest.mark.parametrize("command,flag,value,rest", [
+        ("solve", "--s-grid", "-2:2:3", ()),
+        ("solve", "--s", "-1e-3", ()),
+        ("figure", "--fractions", "-0.5,0.2",
+         ("--points", "5", "--out", "{tmp}")),
+    ])
+    def test_spaced_value_prints_what_the_equals_form_prints(
+            self, capsys, tmp_path, command, flag, value, rest):
+        rest = [arg.format(tmp=tmp_path) for arg in rest]
+        spaced = run_cli(capsys, command, flag, value, *rest)
+        joined = run_cli(capsys, command, f"{flag}={value}", *rest)
+        assert spaced[0] == errors.EXIT_OK
+        assert spaced == joined

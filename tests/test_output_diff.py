@@ -1,5 +1,5 @@
 """The numeric diff of two trees' output groups (benchmarks/output_diff.py):
-how it classes one group's leaves."""
+how it classes one group's leaves, and a run of every group."""
 
 import importlib.util
 import os
@@ -68,14 +68,31 @@ def test_atol_fails_a_group_that_moves_too_far(output_diff, capsys):
 
 
 def test_it_stands_alone_and_parses_result_numbers(output_diff):
-    # Loading the tool imports nothing from the benchmark's directory.
+    # Loading the tool imports nothing from the benchmark's directory and
+    # no levyou module.
     code = ("import importlib.util, sys\n"
             "spec = importlib.util.spec_from_file_location('d', sys.argv[1])\n"
             "spec.loader.exec_module(importlib.util.module_from_spec(spec))\n"
             "assert 'workloads' not in sys.modules\n"
-            "assert not any('perfbench' in p for p in sys.path)\n")
+            "assert not any('perfbench' in p for p in sys.path)\n"
+            "assert not [m for m in sys.modules if m.startswith('levyou')]\n")
     subprocess.run([sys.executable, "-c", code, _PATH], check=True)
     found = output_diff._NUMBER.findall(
         "t,s=-1.5e-07,+2 .5 3. nan -inf 1E+300 x12")
     assert found == ["-1.5e-07", "+2", ".5", "3.", "nan", "-inf", "1E+300",
                      "12"]
+
+
+def test_a_tree_against_itself_reads_same_in_every_group():
+    # Runs every group, twice, in child processes that find levyou through
+    # the tree's src alone.
+    root = os.path.join(os.path.dirname(__file__), os.pardir)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    done = subprocess.run([sys.executable, _PATH, root, root], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    *lines, summary = done.stdout.splitlines()
+    assert len(lines) >= 129
+    assert all(line.endswith(": same") for line in lines)
+    assert summary.startswith(f"-- {len(lines)} same, 0 changed")
+    assert summary.endswith(", 0 flagged")

@@ -156,6 +156,14 @@ class TestConfigFile:
         with pytest.raises(errors.ConfigError, match="bad value"):
             presets.load_config(str(path))
 
+    def test_section_that_names_no_preset(self, tmp_path):
+        path = tmp_path / "run.ini"
+        path.write_text("[benth2012]\npaths = 3\n\n[benth2021]\nb_frac = 0.5\n")
+        with pytest.raises(errors.ConfigError,
+                           match=r"\[benth2021\] names no preset "
+                                 r"\(known: benth2012, benth2012-raw, "):
+            presets.load_config(str(path))
+
     def test_bad_syntax(self, tmp_path):
         path = tmp_path / "run.ini"
         path.write_text("paths = 3\n")  # key before any section header
