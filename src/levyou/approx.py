@@ -16,7 +16,8 @@ gap leaves the rule's own stationarity map evaluated at the interval ends
 pi_min or pi_max.  Both report the clamp flag plus the raw (unclamped)
 value.  ``merton_error_bound`` and ``jump_mean_error_bound``
 give rigorous uniform-in-price bounds on the distance to the exact
-fraction, with case-dependent constants; the first needs a finite third
+fraction, with constants from the binding ends of the jump support
+(:func:`levyou.jumps.binding_ends`); the first needs a finite third
 absolute jump moment and reports an infinite bound otherwise.
 """
 
@@ -28,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import BranchError, CaseError, DegenerateError
-from .jumps import CaseTag, classify_case
+from .jumps import CaseTag, binding_ends, classify_case
 from .strategy import _clamp, drift_gap, fraction_table
 
 
@@ -217,6 +218,13 @@ def _window_scales(market):
     return psi1, psi2, sigma1 * sigma1
 
 
+def _end_distances(measure, delta, psi2):
+    """delta psi2 |end| for each finite one of :func:`binding_ends`, with
+    delta the interval's distance to the admissible set's open ends."""
+    return [delta * psi2 * abs(end) for end in binding_ends(measure)
+            if math.isfinite(end)]
+
+
 def merton_error_bound(market, pi_min, pi_max):
     """Uniform bound on the risk-ratio approximation error.
 
@@ -236,12 +244,7 @@ def merton_error_bound(market, pi_min, pi_max):
     c0 = psi2**3 * max(pi_min * pi_min, pi_max * pi_max) / (
         sigma1_sq + psi2 * psi2 * sv2
     )
-    terms = [1.0]
-    if case in (CaseTag.TWO_SIDED, CaseTag.POSITIVE) and math.isfinite(big):
-        terms.append(delta * psi2 * big)
-    if case in (CaseTag.TWO_SIDED, CaseTag.NEGATIVE) and math.isfinite(m):
-        terms.append(-delta * psi2 * m)
-    c = c0 / min(terms)
+    c = c0 / min([1.0, *_end_distances(market.measure, delta, psi2)])
     third = market.measure.abs_moment(3)
     bound = c * third if math.isfinite(third) else math.inf
     return ApproxBound(
@@ -279,20 +282,9 @@ def jump_mean_error_bound(market, pi_min, pi_max):
             "the jump-mean bound needs a Brownian part or a nonzero mean "
             "jump size"
         )
-    sq_terms = [1.0]
-    lin_terms = [1.0]
-    if case in (CaseTag.TWO_SIDED, CaseTag.POSITIVE) and math.isfinite(big):
-        x = delta * psi2 * big
-        sq_terms.append(1.0 / (x * x))
-        lin_terms.append(1.0 / x)
-    if case in (CaseTag.TWO_SIDED, CaseTag.NEGATIVE) and math.isfinite(m):
-        x = delta * psi2 * abs(m)
-        sq_terms.append(1.0 / (x * x))
-        lin_terms.append(1.0 / x)
-    if len(sq_terms) == 1:
-        c1 = 1.0
-    else:
-        c1 = max(sq_terms) + max(lin_terms)
+    xs = _end_distances(meas, delta, psi2)
+    c1 = (max([1.0, *(1.0 / (x * x) for x in xs)])
+          + max([1.0, *(1.0 / x for x in xs)])) if xs else 1.0
     if mu_f > 0.0:
         c2 = 1.0 / (1.0 + pi_max * psi2 * mu_f) ** 2
     elif mu_f < 0.0:

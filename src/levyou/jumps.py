@@ -1,5 +1,5 @@
-"""Jump measures, their admissible fractions and the integral transforms
-the optimizer needs.
+"""Jump measures, their admissible fractions and their integral
+transforms.
 
 A jump measure nu is represented through its Lévy density (mass
 ``rate = nu(R)`` may be infinite).  Four integral transforms of nu appear
@@ -12,9 +12,10 @@ x = pi * psi * y:
 ``tilted_second_moment``T(pi) = ∫ y^2 / (1 + x) nu(dy)
 
 They are related by I = pi psi^2 T and C = dI/dpi, and all require the
-fraction to be admissible (1 + x > 0 on the support of nu).  One rule,
-:func:`admissible_set`, decides that for every route from the sign
-pattern of the support and the impact scale; a negative impact scale is a
+fraction to be admissible (1 + x > 0 on the support of nu).
+:func:`binding_ends` decides once which ends of the support bound the
+fraction; :func:`admissible_set` and the error bounds of
+:mod:`levyou.approx` read them.  A negative impact scale is a
 :class:`DomainError` for any measure with jumps.
 
 The ``*_integral`` methods write each transform as a prefactor times one
@@ -27,9 +28,12 @@ quadrature per piece, to a relative tolerance of the sum so far.  A
 density with a non-integrable singularity at the origin (``LevyDensity``)
 needs nothing more, since y^2 nu(y) is integrable there.
 
-The optimizer calls ``drag``, ``curvature`` and ``log_penalty``, which
-take a scalar or an ndarray of fractions.  The simulated jump laws give
-them closed forms:
+Every transform route takes a scalar or an ndarray of fractions and goes
+through ``JumpMeasure._transform``, the one place that checks
+admissibility and returns zeros for a zero rate.  The base ``drag``,
+``curvature`` and ``log_penalty`` are the quadrature routes, run at each
+fraction of an array of any shape.  The simulated jump laws override them
+with closed forms:
 
 * Pareto sizes: ``ParetoJump.drag`` and ``ParetoJump.curvature`` through
   the Euler integrals I_b(w) = ∫₀¹ t^(b-1)/(w+t) dt and
@@ -37,18 +41,14 @@ them closed forms:
   included, the log penalty from the drag by parts;
 * uniform sizes: elementary antiderivatives in u = pi psi y, with a Taylor
   series near u = 0;
-* constant sizes: point evaluation.
+* constant sizes: point evaluation, which is also their ``*_integral``.
 
-Constant sizes have no other route: their ``*_integral`` methods are the
-closed forms.  Other measures (``CompoundPoisson`` with a custom density,
-``LevyDensity``) fall back to the base class, whose one per-fraction loop
-runs the quadrature at each fraction of an array of any shape.  Every
-route returns zeros for a zero rate, and an empty support makes every
-moment zero, so the zero measure ``NoJumps`` overrides neither.  The
-Pareto and uniform closed forms share no code with the quadrature route
-but the Taylor series of log1p(u) - u, so each is a cross-check of the
-other.  The tilted second moment comes from the drag, as I/(pi psi^2),
-or is the second moment at pi psi^2 = 0.
+An empty support makes every moment and transform zero, so the zero
+measure ``NoJumps`` overrides none.  The Pareto and uniform closed forms
+share no code with the quadrature route but the Taylor series of
+log1p(u) - u, so each is a cross-check of the other.  The tilted second
+moment comes from the drag, as I/(pi psi^2), or is the second moment at
+pi psi^2 = 0.
 """
 
 import enum
@@ -224,10 +224,10 @@ def _interval(support):
 
 
 class CaseTag(enum.Enum):
-    """Sign pattern of the jump support, which fixes the admissible set."""
+    """Sign pattern of the jump support, the admissible set's label."""
 
     TWO_SIDED = "A"      # m < 0 < M
-    POSITIVE = "B"       # 0 <= m <= M, M != 0
+    POSITIVE = "B"       # 0 <= m <= M, {0} included
     NEGATIVE = "C"       # m <= M <= 0, m != 0
     CONTINUOUS = "D"     # no jumps
 
@@ -270,34 +270,39 @@ class AdmissibleSet:
         return d
 
 
+def binding_ends(measure):
+    """The ends of the support that bound the fraction, finite or not: M
+    when M > 0, which bounds pi from below, and m when m < 0, which
+    bounds it from above.  The zero measure has none."""
+    if measure.rate == 0.0:
+        return ()
+    m, big = measure.support()
+    return tuple(end for end, binds in ((big, big > 0.0), (m, m < 0.0))
+                 if binds)
+
+
 def admissible_set(measure, psi_max):
-    """Admissible fractions for a measure under the worst-case impact scale."""
+    """Admissible fractions for a measure under the worst-case impact scale.
+
+    Each of :func:`binding_ends` sets one limit: -1/(end psi_max), open,
+    for a finite end, and 0, closed, for an infinite one, since only the
+    flat position survives arbitrarily large adverse jumps.  A side with
+    no binding end is unbounded."""
     case = classify_case(measure)
     if case is CaseTag.CONTINUOUS or psi_max == 0.0:
         return AdmissibleSet(-math.inf, math.inf, True, True,
                              CaseTag.CONTINUOUS if psi_max == 0.0 else case)
     if psi_max < 0.0:
         raise DomainError(f"impact scale must be >= 0, got {psi_max}")
-    m, big = measure.support()
-    if case is CaseTag.TWO_SIDED:
-        # an unbounded jump tail pins that side to a closed endpoint at 0:
-        # only the flat position survives arbitrarily large adverse jumps
-        lo, lo_open = (
-            (-1.0 / (big * psi_max), True) if math.isfinite(big)
-            else (0.0, False)
-        )
-        hi, hi_open = (
-            (-1.0 / (m * psi_max), True) if math.isfinite(m)
-            else (0.0, False)
-        )
-        return AdmissibleSet(lo, hi, lo_open, hi_open, case)
-    if case is CaseTag.POSITIVE:
-        if math.isinf(big):
-            return AdmissibleSet(0.0, math.inf, False, True, case)
-        return AdmissibleSet(-1.0 / (big * psi_max), math.inf, True, True, case)
-    if math.isinf(m):
-        return AdmissibleSet(-math.inf, 0.0, True, False, case)
-    return AdmissibleSet(-math.inf, -1.0 / (m * psi_max), True, True, case)
+    lo, lo_open, hi, hi_open = -math.inf, True, math.inf, True
+    for end in binding_ends(measure):
+        limit = ((-1.0 / (end * psi_max), True) if math.isfinite(end)
+                 else (0.0, False))
+        if end > 0.0:
+            lo, lo_open = limit
+        else:
+            hi, hi_open = limit
+    return AdmissibleSet(lo, hi, lo_open, hi_open, case)
 
 
 class JumpMeasure:
@@ -345,8 +350,11 @@ class JumpMeasure:
         return _integrate(lambda y: y**k * self.density(y), m, big, 0.0)
 
     def abs_moment(self, k):
-        """∫ |y|^k nu(dy), by quadrature as :meth:`moment`."""
+        """∫ |y|^k nu(dy): |:meth:`moment`| on a one-signed support, else
+        by quadrature as :meth:`moment`."""
         m, big = self.support()
+        if m >= 0.0 or big <= 0.0:
+            return abs(self.moment(k))
         return _integrate(lambda y: abs(y) ** k * self.density(y), m, big,
                           0.0)
 
@@ -398,36 +406,55 @@ class JumpMeasure:
             f"{adm.hi}{')' if adm.hi_open else ']'}"
         )
 
-    # -- structure integrals ----------------------------------------------
+    # -- transforms -------------------------------------------------------
+
+    def _transform(self, pi, psi, formula):
+        """``formula(pi)`` once the fractions of a scalar or ndarray ``pi``
+        pass the admissibility rule, in the shape of ``pi`` (a float for a
+        scalar); zeros for the zero measure.  Every transform route goes
+        through here, and nothing else checks admissibility."""
+        pi = np.asarray(pi, dtype=np.float64)
+        self._require_admissible(pi, psi)
+        out = np.zeros_like(pi) if self.rate == 0.0 else formula(pi)
+        return float(out) if pi.ndim == 0 else out
+
+    def _quadrature(self, pi, psi, kernel, factors):
+        """c1 (c2 ∫ y^2 kernel(x y) nu(dy)) at each x = pi psi of a scalar
+        or ndarray ``pi``, with (c1, c2) = ``factors(x)``, through
+        :meth:`_transform`: the one loop of the quadrature routes.
+
+        The transform's prefactor c1 c2 stays off the integrand, so that
+        the integrand does not sink into subnormals at tiny x, and each
+        factor multiplies in turn, so that no power of x underflows
+        alone.  Where a factor is 0 the transform is 0 without the
+        integral, which may diverge there."""
+
+        def at(x):
+            c1, c2 = factors(x)
+            if c1 == 0.0 or c2 == 0.0:
+                return 0.0
+            return c1 * (c2 * self._against_y2(kernel, x))
+
+        return self._transform(pi, psi, lambda p: np.array(
+            [at(x) for x in (p * psi).ravel().tolist()]).reshape(p.shape))
 
     def drag_integral(self, pi, psi=1.0):
         """∫ pi psi^2 y^2/(1 + pi psi y) nu(dy) by quadrature."""
-        self._require_admissible(pi, psi)
-        if pi == 0.0 or psi == 0.0 or self.rate == 0.0:
-            return 0.0
-        return pi * psi * psi * self._against_y2(
-            lambda u: 1.0 / (1.0 + u), pi * psi)
+        return self._quadrature(pi, psi, lambda u: 1.0 / (1.0 + u),
+                                lambda x: (x * psi, 1.0))
 
     def log_penalty_integral(self, pi, psi=1.0):
         """∫ [log(1 + pi psi y) - pi psi y] nu(dy) by quadrature."""
-        self._require_admissible(pi, psi)
-        if pi == 0.0 or psi == 0.0 or self.rate == 0.0:
-            return 0.0
-        x = pi * psi
-        return x * (x * self._against_y2(_q, x))
+        return self._quadrature(pi, psi, _q, lambda x: (x, x))
 
     def curvature_integral(self, pi, psi=1.0):
         """∫ psi^2 y^2/(1 + pi psi y)^2 nu(dy) by quadrature."""
-        self._require_admissible(pi, psi)
-        if psi == 0.0 or self.rate == 0.0:
-            return 0.0
-        return psi * psi * self._against_y2(
-            lambda u: 1.0 / ((1.0 + u) * (1.0 + u)), pi * psi)
+        return self._quadrature(pi, psi,
+                                lambda u: 1.0 / ((1.0 + u) * (1.0 + u)),
+                                lambda x: (psi * psi, 1.0))
 
     def _against_y2(self, kernel, x):
-        """∫ y^2 kernel(x y) nu(dy) by :func:`_integrate`.  The prefactor
-        of each transform stays outside, so that the integrand does not
-        sink into subnormals at tiny x."""
+        """∫ y^2 kernel(x y) nu(dy) by :func:`_integrate`."""
 
         def fn(y):
             d = self.density(y)
@@ -438,36 +465,10 @@ class JumpMeasure:
         m, big = self.support()
         return _integrate(fn, m, big, x)
 
-    # -- fast routes used by the optimizer --------------------------------
-
-    def _transform(self, pi, psi, formula):
-        """``formula(pi)`` once the fractions of a scalar or ndarray ``pi``
-        pass the admissibility rule, in the shape of ``pi`` (a float for a
-        scalar); zeros for the zero measure.  Every transform route goes
-        through here."""
-        pi = np.asarray(pi, dtype=np.float64)
-        self._require_admissible(pi, psi)
-        out = np.zeros_like(pi) if self.rate == 0.0 else formula(pi)
-        return float(out) if pi.ndim == 0 else out
-
-    def _per_fraction(self, integral, pi, psi):
-        """The scalar quadrature ``integral`` at every fraction of ``pi``."""
-        return self._transform(pi, psi, lambda p: np.array(
-            [integral(float(x), psi) for x in p.flat]).reshape(p.shape))
-
-    def drag(self, pi, psi=1.0):
-        """Drag transform of a scalar or ndarray ``pi``; subclasses may
-        override the per-fraction quadrature with a closed form."""
-        return self._per_fraction(self.drag_integral, pi, psi)
-
-    def curvature(self, pi, psi=1.0):
-        """d(drag)/d(pi); subclasses may override with a closed form."""
-        return self._per_fraction(self.curvature_integral, pi, psi)
-
-    def log_penalty(self, pi, psi=1.0):
-        """Log penalty transform; subclasses may override with a closed
-        form."""
-        return self._per_fraction(self.log_penalty_integral, pi, psi)
+    # The closed-form subclasses override these three.
+    drag = drag_integral
+    curvature = curvature_integral
+    log_penalty = log_penalty_integral
 
     def tilted_second_moment(self, pi, psi=1.0):
         """∫ y^2/(1 + pi psi y) nu(dy) of a scalar or ndarray ``pi``: the
@@ -582,9 +583,6 @@ class ParetoJump(CompoundPoisson):
             return math.inf
         return self.rate * self.alpha * self.scale**k / (self.alpha - k)
 
-    def abs_moment(self, k):
-        return self.moment(k)
-
     def _euler(self, pi, psi, at_zero, positive):
         """``positive(w)`` at each w = pi*psi*z0 > 0 and ``at_zero`` at
         w = 0."""
@@ -657,10 +655,8 @@ class UniformJump(CompoundPoisson):
 
     def abs_moment(self, k):
         lo, hi = self.lo, self.hi
-        if lo >= 0.0:
-            return self.moment(k)
-        if hi <= 0.0:
-            return (-1.0) ** k * self.moment(k) if k % 2 else self.moment(k)
+        if lo >= 0.0 or hi <= 0.0:
+            return super().abs_moment(k)
         return (
             self.rate
             * (hi ** (k + 1) + abs(lo) ** (k + 1))
@@ -725,9 +721,6 @@ class ConstantJump(JumpMeasure):
 
     def moment(self, k):
         return self.rate * self.size**k
-
-    def abs_moment(self, k):
-        return self.rate * abs(self.size) ** k
 
     def drag(self, pi, psi=1.0):
         y = self.size

@@ -16,11 +16,14 @@ from levyou import presets
 from levyou import strategy as sg
 from levyou.errors import BranchError, CaseError, DegenerateError, DomainError
 from levyou.jumps import (
+    CompoundPoisson,
     ConstantJump,
     LevyDensity,
     NoJumps,
     ParetoJump,
     UniformJump,
+    admissible_set,
+    binding_ends,
 )
 from levyou.market import CaseTag
 
@@ -524,6 +527,47 @@ class TestJumpMeanBound:
         exact, _ = sg.optimal_fraction_grid(m, 0.0, s_grid, lo, hi)
         vals, _, _ = ax.jump_mean_fraction_grid(m, 0.0, s_grid, lo, hi)
         assert float(np.max(np.abs(exact - vals))) <= b.bound_value
+
+
+INF = math.inf
+#: support, its binding ends, and the admissible set (lo, hi, lo_open,
+#: hi_open) at impact 1, for every sign pattern of the support
+SIGN_PATTERNS = [
+    ((-0.5, 1.0), (1.0, -0.5), (-1.0, 2.0, True, True)),
+    ((0.25, 0.5), (0.5,), (-2.0, INF, True, True)),
+    ((0.0, 0.5), (0.5,), (-2.0, INF, True, True)),
+    ((-0.5, -0.25), (-0.5,), (-INF, 2.0, True, True)),
+    ((-0.5, 0.0), (-0.5,), (-INF, 2.0, True, True)),
+    ((0.25, INF), (INF,), (0.0, INF, False, True)),
+    ((-INF, -0.25), (-INF,), (-INF, 0.0, True, False)),
+    ((-0.5, INF), (INF, -0.5), (0.0, 2.0, False, True)),
+    ((0.0, 0.0), (), (-INF, INF, True, True)),
+]
+
+
+@pytest.mark.parametrize("support,ends,limits", SIGN_PATTERNS,
+                         ids=[str(p[0]) for p in SIGN_PATTERNS])
+def test_admissible_set_and_bounds_read_the_same_binding_ends(
+        support, ends, limits):
+    # A {0} support with a positive rate has no binding end: it admits
+    # every fraction (admissible_set divided by M = 0 there), and both
+    # bounds take their delta*psi2*|end| terms from the same ends.
+    measure = CompoundPoisson(1.0, lambda y: math.exp(-abs(y)), support)
+    assert binding_ends(measure) == ends
+    adm = admissible_set(measure, 1.0)
+    assert (adm.lo, adm.hi, adm.lo_open, adm.hi_open) == limits
+    market = mk.MarketCoefficients(lam=0.3, b=0.1, sigma=0.3, psi=1.0,
+                                   measure=measure)
+    pi_min, pi_max = max(adm.lo / 2.0, -0.5), min(adm.hi / 2.0, 0.5)
+    delta = adm.boundary_distance(pi_min, pi_max)
+    xs = [delta * abs(end) for end in ends if math.isfinite(end)]
+    merton = ax.merton_error_bound(market, pi_min, pi_max)
+    assert merton.constants["C"] == merton.constants["C0"] / min([1.0, *xs])
+    jump_mean = ax.jump_mean_error_bound(market, pi_min, pi_max)
+    c1 = (max([1.0, *(1.0 / (x * x) for x in xs)])
+          + max([1.0, *(1.0 / x for x in xs)])) if xs else 1.0
+    assert jump_mean.constants["C1"] == c1
+    assert merton.case is jump_mean.case is adm.case
 
 
 class TestApproxTables:

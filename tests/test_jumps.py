@@ -651,6 +651,25 @@ class TestPerFractionQuadrature:
                 out, [[fn(float(p), 1.2) for p in row] for row in pis]
             )
 
+    @pytest.mark.parametrize("measure", [
+        ParetoJump(alpha=ALPHA, scale=SCALE, rate=RATE),
+        UniformJump(lo=-0.5, hi=1.0, rate=1.0),
+        ConstantJump(size=-0.6, rate=2.0),
+        NoJumps(),
+        CompoundPoisson(0.5, lambda y: 0.75 * (1.0 - y * y), (-1.0, 1.0)),
+    ], ids=["pareto", "uniform", "constant", "no-jumps", "compound-poisson"])
+    def test_integral_routes_take_arrays(self, measure):
+        # An array of fractions is gated once and integrated at each
+        # fraction, as the routes taken one fraction at a time (the
+        # quadrature routes tested ``pi == 0.0`` on the whole array).
+        pis = np.array([[0.0, 0.3], [0.05, 0.6]])
+        for name in TRANSFORMS:
+            fn = getattr(measure, name + "_integral")
+            out = fn(pis, 1.2)
+            assert out.shape == (2, 2)
+            np.testing.assert_array_equal(
+                out, [[fn(float(p), 1.2) for p in row] for row in pis])
+
     @pytest.mark.parametrize("pi", [1e-6, 1.07e-3])
     def test_relative_accuracy_at_small_fractions(self, pareto, pi):
         # benth2012's jump law as a plain density, against the closed forms;
