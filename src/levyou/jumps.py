@@ -457,13 +457,20 @@ class JumpMeasure:
         """∫ y^2 kernel(x y) nu(dy) by :func:`_integrate`."""
 
         def fn(y):
-            d = self.density(y)
-            # y*y overflows past 1.3e154, and a vanished density at an
-            # infinite y would give NaN
-            return 0.0 if d == 0.0 else y * (y * d) * kernel(x * y)
+            w = self._y2_density(y)
+            # a vanished y^2 nu at an infinite y would give NaN
+            return 0.0 if w == 0.0 else w * kernel(x * y)
 
         m, big = self.support()
         return _integrate(fn, m, big, x)
+
+    def _y2_density(self, y):
+        """y^2 nu(y), the integrand of every transform before its kernel;
+        subclasses whose density underflows before y^2 nu does override
+        it."""
+        d = self.density(y)
+        # y*y overflows past 1.3e154
+        return 0.0 if d == 0.0 else y * (y * d)
 
     # The closed-form subclasses override these three.
     drag = drag_integral
@@ -575,6 +582,13 @@ class ParetoJump(CompoundPoisson):
         # overflow
         a, z0 = self.alpha, self.scale
         return a / z0 * (z0 / y) ** (a + 1.0)
+
+    def _y2_density(self, y):
+        """rate alpha z0 (z0/y)^(alpha-1) on the support: the powers of y
+        cancel, so it stays in range out to y ~ 1/pi where the density
+        has underflowed for alpha <= 2."""
+        return (self.rate * self.alpha * self.scale
+                * (self.scale / y) ** (self.alpha - 1.0))
 
     def moment(self, k):
         if self.rate == 0.0:

@@ -338,6 +338,19 @@ def test_quadrature_at_tiny_fractions_is_right_or_raises(alpha, pi):
                                    rtol=1e-10, atol=1e-322, err_msg=name)
 
 
+@pytest.mark.parametrize("alpha,pi", [(2.0, 1e-110), (1.5, 1e-125)])
+def test_quadrature_sees_the_far_tail_where_the_density_underflows(alpha,
+                                                                   pi):
+    # For alpha <= 2 the weight of y^2 nu lies near y = 1/pi, where the
+    # Pareto density has underflowed; y^2 nu read in the ratio z0/y is in
+    # range there (the quadrature raised QuadratureError).
+    measure = ParetoJump(alpha=alpha, scale=SCALE, rate=RATE)
+    for name in TRANSFORMS:
+        np.testing.assert_allclose(getattr(measure, name + "_integral")(pi),
+                                   getattr(measure, name)(pi), rtol=1e-13,
+                                   atol=0.0, err_msg=name)
+
+
 ROUTES = ("drag", "curvature", "log_penalty", "drag_integral",
           "curvature_integral", "log_penalty_integral",
           "tilted_second_moment")
