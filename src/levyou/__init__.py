@@ -19,9 +19,6 @@ more general Lévy) jumps:
   consistency check;
 * :mod:`levyou.presets` — named calibrated model configurations;
 * :mod:`levyou.cli` — the ``levyou`` command line tool.
-
-Environment flag: ``LEVYOU_BACKEND`` accepts only ``numpy``, the one kernel
-implementation; any other value warns and is ignored.
 """
 
 from ._backend import available_backends, get_kernels

@@ -30,8 +30,7 @@ Conventions
 * ``main`` builds the argument parser on its first call and reuses it.
 * Exit codes: 0 success, 2 configuration/usage error, 3 numerical
   failure.
-* ``--backend`` and ``LEVYOU_BACKEND`` accept only ``numpy``, the one
-  kernel implementation.
+* ``--backend`` accepts only ``numpy``, the one kernel implementation.
 """
 
 from __future__ import annotations

@@ -360,17 +360,16 @@ class TestDeterminism:
         stitched = np.vstack([first.prices, rest.prices])
         assert np.array_equal(stitched, whole.prices)
 
-    def test_env_flag_selects_backend(self, monkeypatch):
+    def test_environment_selects_no_backend(self, monkeypatch):
+        # numpy is the one backend, so the environment selects nothing:
+        # LEVYOU_BACKEND is not read, and a stale value no longer warns
         from levyou import _backend, _kernels_np
-        monkeypatch.setenv("LEVYOU_BACKEND", "numpy")
+        monkeypatch.setenv("LEVYOU_BACKEND", "numba")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
+            assert _backend._resolve_backend() == "numpy"
             assert _backend.get_kernels() is _kernels_np
-        # any other name warns once and is ignored
-        monkeypatch.setenv("LEVYOU_BACKEND", "numba")
-        with pytest.warns(RuntimeWarning, match="numba") as caught:
-            assert _backend.get_kernels() is _kernels_np
-        assert len(caught) == 1
+            assert _backend.get_kernels("numpy") is _kernels_np
 
     def test_unknown_backend_name_raises(self):
         from levyou import _backend
