@@ -7,9 +7,11 @@ with one pass/fail line per guarantee.
 """
 
 import math
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +27,7 @@ from levyou.market import (
 )
 
 SEED = 20120808
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -318,6 +321,7 @@ def test_property_suite():
         proc = subprocess.run(
             [sys.executable, "-c", script],
             capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
         )
         assert proc.returncode == 0, proc.stderr
         outputs.append(proc.stdout.strip())

@@ -1,8 +1,10 @@
 """Tests for the command line tool: exit codes, CSV schemas, determinism."""
 
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ import pytest
 from levyou import approx, cli, errors, presets, strategy
 from levyou.market import PathBundle
 
+SRC = Path(__file__).resolve().parents[1] / "src"
 FLAT_PRICE = 0.074695526567830715 / (0.3333 / 24.0)
 
 
@@ -372,6 +375,7 @@ class TestExitCodes:
         proc = subprocess.run(
             [sys.executable, "-m", "levyou.cli", "describe-preset"],
             capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
         )
         assert proc.returncode == 0
         assert "benth2012" in proc.stdout
@@ -392,6 +396,7 @@ class TestParser:
             [sys.executable, "-c", "import levyou.cli as c; "
              "print(c._build_parser.cache_info().currsize)"],
             capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
         )
         assert proc.returncode == 0
         assert proc.stdout == "0\n"
