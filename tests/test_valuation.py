@@ -17,7 +17,8 @@ import pytest
 from levyou import valuation as vl
 from levyou.errors import ConfigError, DomainError
 from levyou.jumps import ConstantJump, NoJumps, ParetoJump
-from levyou.market import MarketCoefficients, SimConfig, simulate_paths
+from levyou.market import (MarketCoefficients, SimConfig, analytic_mean,
+                           analytic_variance, simulate_paths)
 from levyou.presets import get_preset
 from levyou.strategy import PriceTable, best_growth, constant_fraction_table
 
@@ -147,6 +148,73 @@ class TestValueEstimate:
             slope = abs(cur.g_hat - prev.g_hat) / 0.5
             assert slope <= cap + 1e-3
             prev = cur
+
+
+def clamped_growth_mean(m, sd, sg2, pi_min, pi_max):
+    """E f*(q) for a drift gap q ~ N(m, sd^2) without jumps, where f* is
+    pi_min q - sg2 pi_min^2/2 for q <= sg2 pi_min, pi_max q - sg2
+    pi_max^2/2 for q >= sg2 pi_max and q^2/(2 sg2) between: each piece
+    from the Gaussian moments truncated at the clamp thresholds."""
+    from scipy.special import ndtr
+
+    z = (sg2 * np.array([pi_min, pi_max]) - m) / sd
+    pdf = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+    p_lo, p_hi = ndtr(z[0]), ndtr(-z[1])
+    p_mid = ndtr(z[1]) - p_lo
+    q_lo = m * p_lo - sd * pdf[0]
+    q_hi = m * p_hi + sd * pdf[1]
+    q2_mid = (m * m * p_mid + 2.0 * m * sd * (pdf[0] - pdf[1])
+              + sd * sd * (p_mid - (z[1] * pdf[1] - z[0] * pdf[0])))
+    return (pi_min * q_lo - 0.5 * sg2 * pi_min * pi_min * p_lo
+            + pi_max * q_hi - 0.5 * sg2 * pi_max * pi_max * p_hi
+            + q2_mid / (2.0 * sg2))
+
+
+def no_jump_value(market, s, T, pi_min, pi_max, n_nodes=128):
+    """g(0, s) = ∫_0^T E f*(u, S(u)) du for a market without jumps,
+    where S(u) is Gaussian with the analytic mean and variance: Gauss-
+    Legendre nodes in u over the closed-form expectation at each."""
+    x, w = np.polynomial.legendre.leggauss(n_nodes)
+    total = 0.0
+    for u, wu in zip(0.5 * T * (x + 1.0), 0.5 * T * w):
+        m = market.foc_drift(u) - market.lam * analytic_mean(market, 0.0,
+                                                             s, u)
+        sd = market.lam * math.sqrt(analytic_variance(market, 0.0, u))
+        total += wu * clamped_growth_mean(m, sd, market.sigma_at(u) ** 2,
+                                          pi_min, pi_max)
+    return float(total)
+
+
+def time_varying_gaussian_market():
+    return MarketCoefficients(
+        lam=0.5, b=lambda t: 0.2 + 0.1 * math.sin(2.0 * t),
+        sigma=lambda t: 0.3 + 0.05 * t, psi=0.0, measure=NoJumps(),
+        sigma_range=(0.3, 0.4),
+    )
+
+
+@pytest.mark.parametrize("market_fn", [
+    lambda: get_preset("gaussian").market, time_varying_gaussian_market,
+], ids=["gaussian", "time-varying"])
+def test_value_estimate_matches_the_gaussian_oracle(market_fn):
+    # Without jumps the value is a deterministic integral of closed-form
+    # Gaussian expectations, computed here apart from the path simulator.
+    market = market_fn()
+    g = no_jump_value(market, 0.1, 2.0, -2.0, 2.0)
+    assert g == pytest.approx(no_jump_value(market, 0.1, 2.0, -2.0, 2.0, 64),
+                              abs=1e-10)
+    est = vl.estimate_value(market, 0.0, 0.1, 2.0, -2.0, 2.0,
+                            SimConfig(n_paths=20_000, n_steps=96,
+                                      seed=20120808))
+    assert est.std_err < 1.5e-3
+    assert abs(est.g_hat - g) <= 4.0 * est.std_err
+
+
+def test_gaussian_oracle_is_the_frozen_value():
+    p = get_preset("gaussian")
+    assert (p.s0, p.horizon, p.pi_min, p.pi_max) == (0.1, 2.0, -2.0, 2.0)
+    assert no_jump_value(p.market, p.s0, p.horizon, p.pi_min,
+                         p.pi_max) == pytest.approx(GAUSSIAN_VALUE, abs=1e-12)
 
 
 @pytest.mark.parametrize("name",
