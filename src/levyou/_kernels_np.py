@@ -32,7 +32,13 @@ parts:
    contiguous row of paths per node: for PRICE the block's rows are the
    rows of the output itself, which is returned transposed, as the
    (n_paths, n_nodes) view of that (n_nodes, n_paths) array, without a
-   copy.
+   copy.  PRICE also has a node-free form (``price_paths(...,
+   nodes=False)``, the RANGE mode): the block's rows are the leading rows
+   of one buffer that every block reuses, and are folded into a running
+   per-path minimum and maximum, which start at the start prices; the walk
+   returns the last prices, the minima and the maxima.  Those are the last column and the row extremes of the node
+   array bit for bit, since min and max round nothing, and the walk holds
+   one block of rows instead of every node.
 3. The mode's table lookups then read all of the block's recorded prices
    at once (:func:`_lookup` takes a table row per element), and
    :func:`_value_terms` or :func:`_wealth_terms` turn them into one term
@@ -73,8 +79,9 @@ import numpy as np
 from . import _rng
 
 # What the walk accumulates: node prices, the trapezoid integral of a
-# tabulated reward, or log-wealth under a tabulated fraction.
-PRICE, VALUE, WEALTH = 0, 1, 2
+# tabulated reward, log-wealth under a tabulated fraction, or each path's
+# lowest and highest node price.
+PRICE, VALUE, WEALTH, RANGE = 0, 1, 2, 3
 
 # Path-steps whose skeleton is drawn at once; bounds the walk's memory.
 BLOCK_PATH_STEPS = 1 << 15
@@ -329,9 +336,10 @@ def _walk(mode, keys, s0, times, b_step, sig_step, psi_step, comp_step,
     in the order of a step-by-step walk (each step's jump ranks, then its
     node), so no sum is regrouped.
 
-    ``table`` is the piece form of the mode's table (empty for PRICE).
-    Returns the (n_paths, n_nodes) node prices for PRICE, else the
-    accumulated integral and the final prices.
+    ``table`` is the piece form of the mode's table (empty for PRICE and
+    RANGE).  Returns the (n_paths, n_nodes) node prices for PRICE, the
+    final, lowest and highest prices for RANGE, else the accumulated
+    integral and the final prices.
     """
     global _memo
     keys = np.asarray(keys, dtype=np.uint64)
@@ -359,6 +367,9 @@ def _walk(mode, keys, s0, times, b_step, sig_step, psi_step, comp_step,
         nodes[0] = s
     elif mode == VALUE:
         f_left = _lookup(*table, 0, s)
+    elif mode == RANGE:
+        low, high = s.copy(), s.copy()
+        rows = np.empty((min(block, n_steps) + 1, n))  # reused by each block
     for b, k0 in enumerate(range(0, n_steps, block)):
         ks = np.arange(k0, min(k0 + block, n_steps))
         if blocks is None:
@@ -375,10 +386,12 @@ def _walk(mode, keys, s0, times, b_step, sig_step, psi_step, comp_step,
         # row r + 1 its right node; ``jumped`` holds each jump's pre- and
         # post-jump price in the skeleton's jump order.  In PRICE mode the
         # rows are the block's rows of ``nodes``; row 0 already holds ``s``.
+        # In RANGE mode they are the leading rows of ``rows``.
         if mode == PRICE:
             price = nodes[k0:k0 + ks.shape[0] + 1]
         else:
-            price = np.empty((ks.shape[0] + 1, n))
+            price = (rows[:ks.shape[0] + 1] if mode == RANGE
+                     else np.empty((ks.shape[0] + 1, n)))
             price[0] = s
         jumped = np.empty((2, sk.j_path.shape[0]))
         shift = psi_step[ks][sk.j_row] * sk.j_size
@@ -401,8 +414,12 @@ def _walk(mode, keys, s0, times, b_step, sig_step, psi_step, comp_step,
                 s += sk.noise[r]
         del ed, drift
 
+        if mode == RANGE:
+            # min and max round nothing, so the range is the node array's
+            np.minimum(low, price[1:].min(axis=0), out=low)
+            np.maximum(high, price[1:].max(axis=0), out=high)
         # The table lookups of the whole block, and the terms.
-        if mode != PRICE:
+        elif mode != PRICE:
             if mode == VALUE:
                 jump_term, node_term, f_left = _value_terms(
                     table, ks, sk, price, jumped, f_left)
@@ -417,6 +434,7 @@ def _walk(mode, keys, s0, times, b_step, sig_step, psi_step, comp_step,
                 if mode == WEALTH and drag is not None:
                     acc -= drag[r]
             del jump_term, node_term
+        if mode != PRICE:
             s = s.copy()  # not a view, which would keep this block's rows
         # Free this block's rows and terms, and its skeleton unless it is
         # kept, before the next is drawn (the dense rows went after the price
@@ -427,14 +445,19 @@ def _walk(mode, keys, s0, times, b_step, sig_step, psi_step, comp_step,
         _memo = (tag, tuple(drawn))
     if mode == PRICE:
         return nodes.T
+    if mode == RANGE:
+        return s, low, high
     return acc, s
 
 
 def price_paths(keys, s0, times, b_step, sig_step, psi_step, comp_step,
-                lam, cdf, kind, p0, p1):
-    """Prices at the grid nodes, shape (n_paths, n_nodes)."""
-    return _walk(PRICE, keys, s0, times, b_step, sig_step, psi_step,
-                 comp_step, lam, cdf, kind, p0, p1)
+                lam, cdf, kind, p0, p1, nodes=True):
+    """Prices at the grid nodes, shape (n_paths, n_nodes); with
+    ``nodes=False`` (last prices, lowest prices, highest prices), each of
+    shape (n_paths,), the last column and the row minimum and maximum of
+    those nodes, from a walk that holds one block of them at a time."""
+    return _walk(PRICE if nodes else RANGE, keys, s0, times, b_step,
+                 sig_step, psi_step, comp_step, lam, cdf, kind, p0, p1)
 
 
 def value_paths(keys, s0, times, b_step, sig_step, psi_step, comp_step,

@@ -55,7 +55,8 @@ from .errors import (
     ConfigError,
     DegenerateError,
 )
-from .market import SimConfig, analytic_mean, analytic_variance, simulate_paths
+from .market import (SimConfig, analytic_mean, analytic_variance,
+                     price_range, simulate_paths)
 
 __all__ = ["main"]
 
@@ -260,9 +261,15 @@ def _cmd_simulate(args):
     t, s, T = settings["t"], settings["s"], settings["horizon"]
     if not t < T:
         raise ConfigError(f"simulate needs t < horizon, got {t} >= {T}")
-    bundle = simulate_paths(market, t, s, T, settings["sim"],
-                            backend=args.backend)
-    terminal = bundle.prices[:, -1]
+    # Without a file to write, the walk keeps no node array.
+    if args.out is None:
+        terminal, low, high = price_range(market, t, s, T, settings["sim"],
+                                          backend=args.backend)
+    else:
+        bundle = simulate_paths(market, t, s, T, settings["sim"],
+                                backend=args.backend)
+        terminal = bundle.prices[:, -1]
+        low = high = bundle.prices
     n = terminal.shape[0]
 
     emp_mean, se_mean = valuation._mean_se(terminal)
@@ -284,8 +291,7 @@ def _cmd_simulate(args):
         f" | analytic {ana_mean:.6g} | z = {z(emp_mean, ana_mean, se_mean):+.2f}",
         f"terminal variance: empirical {emp_var:.6g} +/- {se_var:.3g}"
         f" | analytic {ana_var:.6g} | z = {z(emp_var, ana_var, se_var):+.2f}",
-        f"price range:       [{np.min(bundle.prices):.6g}, "
-        f"{np.max(bundle.prices):.6g}]",
+        f"price range:       [{np.min(low):.6g}, {np.max(high):.6g}]",
     ]))
     if args.out is not None:
         bundle.to_csv(args.out)

@@ -32,8 +32,11 @@ Every transform route takes a scalar or an ndarray of fractions and goes
 through ``JumpMeasure._transform``, the one place that checks
 admissibility and returns zeros for a zero rate.  The base ``drag``,
 ``curvature`` and ``log_penalty`` are the quadrature routes, run at each
-fraction of an array of any shape.  The simulated jump laws override them
-with closed forms:
+fraction of an array of any shape.  The drag is written once per measure,
+unchecked, as ``_drag``: ``drag`` runs it behind the check, and the
+transforms built from the drag (the Pareto log penalty, the tilted second
+moment) call it inside their own, so each call checks once.  The simulated
+jump laws override these with closed forms:
 
 * Pareto sizes: ``ParetoJump.drag`` and ``ParetoJump.curvature`` through
   the Euler integrals I_b(w) = ∫₀¹ t^(b-1)/(w+t) dt and
@@ -350,10 +353,12 @@ class JumpMeasure:
         return _integrate(lambda y: y**k * self.density(y), m, big, 0.0)
 
     def abs_moment(self, k):
-        """∫ |y|^k nu(dy): |:meth:`moment`| on a one-signed support, else
-        by quadrature as :meth:`moment`."""
+        """∫ |y|^k nu(dy): |:meth:`moment`| on a support in [0, inf), else
+        by :func:`_integrate`, which reflects the negative pieces, so that
+        on a negative support it is |:meth:`moment`| bit for bit for an
+        integer k and stays real for a fractional one."""
         m, big = self.support()
-        if m >= 0.0 or big <= 0.0:
+        if m >= 0.0:
             return abs(self.moment(k))
         return _integrate(lambda y: abs(y) ** k * self.density(y), m, big,
                           0.0)
@@ -418,10 +423,10 @@ class JumpMeasure:
         out = np.zeros_like(pi) if self.rate == 0.0 else formula(pi)
         return float(out) if pi.ndim == 0 else out
 
-    def _quadrature(self, pi, psi, kernel, factors):
-        """c1 (c2 ∫ y^2 kernel(x y) nu(dy)) at each x = pi psi of a scalar
-        or ndarray ``pi``, with (c1, c2) = ``factors(x)``, through
-        :meth:`_transform`: the one loop of the quadrature routes.
+    def _quadrature(self, p, psi, kernel, factors):
+        """c1 (c2 ∫ y^2 kernel(x y) nu(dy)) at each x = p psi of an ndarray
+        ``p`` of admissible fractions, with (c1, c2) = ``factors(x)``: the
+        one loop of the quadrature routes.
 
         The transform's prefactor c1 c2 stays off the integrand, so that
         the integrand does not sink into subnormals at tiny x, and each
@@ -435,23 +440,28 @@ class JumpMeasure:
                 return 0.0
             return c1 * (c2 * self._against_y2(kernel, x))
 
-        return self._transform(pi, psi, lambda p: np.array(
-            [at(x) for x in (p * psi).ravel().tolist()]).reshape(p.shape))
+        return np.array([at(x) for x in (p * psi).ravel().tolist()]
+                        ).reshape(p.shape)
+
+    def _drag_quadrature(self, p, psi):
+        return self._quadrature(p, psi, lambda u: 1.0 / (1.0 + u),
+                                lambda x: (x * psi, 1.0))
 
     def drag_integral(self, pi, psi=1.0):
         """∫ pi psi^2 y^2/(1 + pi psi y) nu(dy) by quadrature."""
-        return self._quadrature(pi, psi, lambda u: 1.0 / (1.0 + u),
-                                lambda x: (x * psi, 1.0))
+        return self._transform(pi, psi,
+                               lambda p: self._drag_quadrature(p, psi))
 
     def log_penalty_integral(self, pi, psi=1.0):
         """∫ [log(1 + pi psi y) - pi psi y] nu(dy) by quadrature."""
-        return self._quadrature(pi, psi, _q, lambda x: (x, x))
+        return self._transform(pi, psi, lambda p: self._quadrature(
+            p, psi, _q, lambda x: (x, x)))
 
     def curvature_integral(self, pi, psi=1.0):
         """∫ psi^2 y^2/(1 + pi psi y)^2 nu(dy) by quadrature."""
-        return self._quadrature(pi, psi,
-                                lambda u: 1.0 / ((1.0 + u) * (1.0 + u)),
-                                lambda x: (psi * psi, 1.0))
+        return self._transform(pi, psi, lambda p: self._quadrature(
+            p, psi, lambda u: 1.0 / ((1.0 + u) * (1.0 + u)),
+            lambda x: (psi * psi, 1.0)))
 
     def _against_y2(self, kernel, x):
         """∫ y^2 kernel(x y) nu(dy) by :func:`_integrate`."""
@@ -472,8 +482,18 @@ class JumpMeasure:
         # y*y overflows past 1.3e154
         return 0.0 if d == 0.0 else y * (y * d)
 
-    # The closed-form subclasses override these three.
-    drag = drag_integral
+    # The drag at an ndarray of fractions that passed the admissibility
+    # rule, unchecked: :meth:`drag` checks and calls it, and the
+    # transforms built from the drag call it inside their own check, so
+    # each call checks the rule once.  The closed-form subclasses override
+    # it, ``curvature`` and ``log_penalty``.
+    _drag = _drag_quadrature
+
+    def drag(self, pi, psi=1.0):
+        """∫ pi psi^2 y^2/(1 + pi psi y) nu(dy) of a scalar or ndarray
+        ``pi``."""
+        return self._transform(pi, psi, lambda p: self._drag(p, psi))
+
     curvature = curvature_integral
     log_penalty = log_penalty_integral
 
@@ -484,7 +504,7 @@ class JumpMeasure:
         def formula(p):
             scale = p * psi * psi
             zero = scale == 0.0
-            out = np.divide(self.drag(p, psi), scale,
+            out = np.divide(self._drag(p, psi), scale,
                             out=np.zeros_like(scale), where=~zero)
             if np.any(zero):
                 out[zero] = self.moment(2)
@@ -597,21 +617,17 @@ class ParetoJump(CompoundPoisson):
             return math.inf
         return self.rate * self.alpha * self.scale**k / (self.alpha - k)
 
-    def _euler(self, pi, psi, at_zero, positive):
-        """``positive(w)`` at each w = pi*psi*z0 > 0 and ``at_zero`` at
-        w = 0."""
+    def _euler(self, p, psi, at_zero, positive):
+        """``positive(w)`` at each w = p*psi*z0 > 0 of an ndarray ``p``
+        and ``at_zero`` at w = 0."""
+        w = p * psi * self.scale
+        pos = w > 0.0
+        out = np.full_like(w, at_zero)
+        if np.any(pos):
+            out[pos] = positive(w[pos])
+        return out
 
-        def formula(p):
-            w = p * psi * self.scale
-            pos = w > 0.0
-            out = np.full_like(w, at_zero)
-            if np.any(pos):
-                out[pos] = positive(w[pos])
-            return out
-
-        return self._transform(pi, psi, formula)
-
-    def drag(self, pi, psi=1.0):
+    def _drag(self, p, psi):
         """Drag through the Euler integral I_(alpha-1).
 
         With w = pi * psi * z0, substituting t = z0/y gives
@@ -621,7 +637,7 @@ class ParetoJump(CompoundPoisson):
         """
         a = self.alpha
         return self._euler(
-            pi, psi, 0.0, lambda w: psi * self.rate * a * self.scale
+            p, psi, 0.0, lambda w: psi * self.rate * a * self.scale
             * w * euler_integral(a - 1.0, w))
 
     def curvature(self, pi, psi=1.0):
@@ -632,16 +648,16 @@ class ParetoJump(CompoundPoisson):
         """
         a = self.alpha
         at_zero = psi * psi * self.moment(2) if psi > 0.0 else 0.0
-        return self._euler(
-            pi, psi, at_zero, lambda w: self.rate * (psi * self.scale) ** 2
-            * a * euler_integral(a, w, order=1))
+        return self._transform(pi, psi, lambda p: self._euler(
+            p, psi, at_zero, lambda w: self.rate * (psi * self.scale) ** 2
+            * a * euler_integral(a, w, order=1)))
 
     def log_penalty(self, pi, psi=1.0):
         """Closed form by parts against the tail mass eta*(z0/y)**alpha:
         P(pi) = eta*log1p_minus(pi*psi*z0) - pi*drag(pi)/alpha."""
         return self._transform(pi, psi, lambda p: (
             self.rate * log1p_minus(p * psi * self.scale)
-            - p * self.drag(p, psi) / self.alpha))
+            - p * self._drag(p, psi) / self.alpha))
 
 
 class UniformJump(CompoundPoisson):
@@ -668,39 +684,37 @@ class UniformJump(CompoundPoisson):
         return self.rate * (hi ** (k + 1) - lo ** (k + 1)) / ((k + 1) * (hi - lo))
 
     def abs_moment(self, k):
-        lo, hi = self.lo, self.hi
-        if lo >= 0.0 or hi <= 0.0:
-            return super().abs_moment(k)
-        return (
-            self.rate
-            * (hi ** (k + 1) + abs(lo) ** (k + 1))
-            / ((k + 1) * (hi - lo))
-        )
+        """rate (F(hi) - F(lo)) / ((k + 1)(hi - lo)) with
+        F(y) = sign(y) |y|^(k+1), on a support of either sign."""
 
-    def _closed_form(self, kernel, k, pi, psi):
+        def F(y):
+            return math.copysign(abs(y) ** (k + 1), y)
+
+        return self.rate * (F(self.hi) - F(self.lo)) / (
+            (k + 1) * (self.hi - self.lo))
+
+    def _closed_form(self, kernel, k, p, psi):
         """rate/(hi - lo) * psi^(2-k) * x^k * [hi^3 G(x hi) - lo^3 G(x lo)]
-        with x = pi*psi, where u^3 G(u) is an antiderivative of the
-        transform's integrand in u = x*y; the y^3 G(x y) form stays exact
-        at x = 0."""
+        with x = p*psi at each admissible fraction of an ndarray ``p``,
+        where u^3 G(u) is an antiderivative of the transform's integrand
+        in u = x*y; the y^3 G(x y) form stays exact at x = 0."""
+        x = p * psi
+        # both ends in one kernel call; the kernel is elementwise
+        g_hi, g_lo = kernel(np.multiply.outer((self.hi, self.lo), x))
+        gap = self.hi**3 * g_hi - self.lo**3 * g_lo
+        return (self.rate * psi ** (2 - k) * x**k * gap
+                / (self.hi - self.lo))
 
-        def formula(p):
-            x = p * psi
-            # both ends in one kernel call; the kernel is elementwise
-            g_hi, g_lo = kernel(np.multiply.outer((self.hi, self.lo), x))
-            gap = self.hi**3 * g_hi - self.lo**3 * g_lo
-            return (self.rate * psi ** (2 - k) * x**k * gap
-                    / (self.hi - self.lo))
-
-        return self._transform(pi, psi, formula)
-
-    def drag(self, pi, psi=1.0):
-        return self._closed_form(_g_drag, 1, pi, psi)
+    def _drag(self, p, psi):
+        return self._closed_form(_g_drag, 1, p, psi)
 
     def curvature(self, pi, psi=1.0):
-        return self._closed_form(_g_curvature, 0, pi, psi)
+        return self._transform(pi, psi, lambda p: self._closed_form(
+            _g_curvature, 0, p, psi))
 
     def log_penalty(self, pi, psi=1.0):
-        return self._closed_form(_g_log_penalty, 2, pi, psi)
+        return self._transform(pi, psi, lambda p: self._closed_form(
+            _g_log_penalty, 2, p, psi))
 
 
 class ConstantJump(JumpMeasure):
@@ -736,10 +750,12 @@ class ConstantJump(JumpMeasure):
     def moment(self, k):
         return self.rate * self.size**k
 
-    def drag(self, pi, psi=1.0):
+    def abs_moment(self, k):
+        return self.rate * abs(self.size) ** k
+
+    def _drag(self, p, psi):
         y = self.size
-        return self._transform(pi, psi, lambda p: (
-            self.rate * p * psi * psi * y * y / (1.0 + p * psi * y)))
+        return self.rate * p * psi * psi * y * y / (1.0 + p * psi * y)
 
     def curvature(self, pi, psi=1.0):
         y = self.size
@@ -751,7 +767,7 @@ class ConstantJump(JumpMeasure):
             self.rate * log1p_minus(p * psi * self.size)))
 
     # point evaluation is exact, so the closed forms are the integrals
-    drag_integral = drag
+    drag_integral = JumpMeasure.drag
     curvature_integral = curvature
     log_penalty_integral = log_penalty
 

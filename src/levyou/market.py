@@ -399,19 +399,33 @@ def check_times(**times):
             raise DomainError(f"{name} must be finite, got {bad[0]}")
 
 
+def _walk_prices(market, t, s, T, config, backend, nodes):
+    """The time grid and the price walk of a run from ``s``; see
+    ``price_paths`` of the kernels for ``nodes``."""
+    check_start(s)
+    sim = build_sim_inputs(market, t, T, config)
+    s0 = np.full(config.n_paths, float(s))
+    return sim.times, get_kernels(backend).price_paths(
+        config.path_keys(), s0, *sim.kernel_args, nodes=nodes
+    )
+
+
 def simulate_paths(market, t, s, T, config, backend=None):
     """Simulate price paths; returns a :class:`PathBundle`.
 
     Batch-splitting invariance: running this twice with offsets 0 and k (and
     path counts k and n-k) concatenates to exactly the single-run result.
     """
-    check_start(s)
-    sim = build_sim_inputs(market, t, T, config)
-    s0 = np.full(config.n_paths, float(s))
-    prices = get_kernels(backend).price_paths(
-        config.path_keys(), s0, *sim.kernel_args
-    )
+    times, prices = _walk_prices(market, t, s, T, config, backend, True)
     return PathBundle(
-        times=sim.times, prices=prices, seed=config.seed,
+        times=times, prices=prices, seed=config.seed,
         path_offset=config.path_offset,
     )
+
+
+def price_range(market, t, s, T, config, backend=None):
+    """(terminal prices, lowest prices, highest prices) of each path of
+    :func:`simulate_paths`, equal bit for bit to the last column and the
+    row minimum and maximum of its prices, from a walk that holds no node
+    array."""
+    return _walk_prices(market, t, s, T, config, backend, False)[1]

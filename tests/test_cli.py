@@ -4,13 +4,14 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from levyou import approx, cli, errors, presets, strategy
-from levyou.market import PathBundle
+from levyou.market import PathBundle, SimConfig, simulate_paths
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 FLAT_PRICE = 0.074695526567830715 / (0.3333 / 24.0)
@@ -219,6 +220,46 @@ class TestSimulate:
                 assert abs(z) <= 3.0
                 checked += 1
         assert checked == 2
+
+    @pytest.mark.parametrize("preset", ["benth2012", "gaussian",
+                                        "uniform-two-sided"])
+    def test_summary_is_the_same_with_and_without_a_file(self, capsys,
+                                                         tmp_path, preset):
+        # Without --out the walk keeps only each path's last price and
+        # range; the summary must be the one the node array gives.
+        argv = ("simulate", "--preset", preset, "--paths", "300",
+                "--steps", "24", "--seed", "7")
+        path = tmp_path / "paths.csv"
+        _, free, _ = run_cli(capsys, *argv)
+        _, kept, _ = run_cli(capsys, *argv, "--out", str(path))
+        assert kept == free + f"wrote {path}\n"
+        bundle = PathBundle.from_csv(str(path))
+        low, high = bundle.prices.min(), bundle.prices.max()
+        assert f"price range:       [{low:.6g}, {high:.6g}]" in free
+
+    def test_summary_holds_no_node_array(self, capsys):
+        # 20 000 paths x 97 nodes of float64 are 14.8 MiB; the node-free walk
+        # holds one block of rows (2 rows at this size) at a time.
+        # simulate_paths, which keeps every node, shows that tracemalloc
+        # sees the array.
+        node_bytes = 20_000 * 97 * 8
+        argv = ["simulate", "--paths", "20000", "--steps", "96"]
+        cli.main(argv)  # imports, presets and tables are made once
+
+        def peak(run):
+            capsys.readouterr()
+            tracemalloc.start()
+            try:
+                run()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        preset = presets.get_preset("benth2012")
+        assert peak(lambda: simulate_paths(
+            preset.market, 0.0, preset.s0, preset.horizon,
+            SimConfig(20_000, 96))) >= node_bytes
+        assert peak(lambda: cli.main(argv)) < node_bytes / 2
 
     def test_out_writes_loadable_nonnegative_paths(self, capsys, tmp_path):
         path = tmp_path / "paths.csv"

@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from levyou import jumps
+from levyou import jumps, presets
 from levyou.errors import (AdmissibilityError, CaseError, DomainError,
                            QuadratureError)
 from levyou.jumps import (
@@ -844,6 +844,44 @@ class TestGenericCompoundPoisson:
         )
         with pytest.raises(CaseError):
             generic.sampler_code()
+
+    def test_fractional_abs_moment_on_a_negative_support(self):
+        # y^1.5 is complex on (-1, -0.1), so |moment(1.5)| raised TypeError
+        # there; the quadrature of |y|^1.5 reflects the negative pieces.
+        generic = CompoundPoisson(1.0, lambda y: 1.0 / 0.9, (-1.0, -0.1))
+        uniform = UniformJump(-1.0, -0.1, 1.0)
+        assert uniform.abs_moment(1.5) == 0.44303898770659184
+        np.testing.assert_allclose(generic.abs_moment(1.5),
+                                   uniform.abs_moment(1.5),
+                                   rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_integer_abs_moment_on_a_negative_support_is_the_moments(
+            self, k):
+        # The reflected integrand is +-y^k, so the sum is |moment| exactly.
+        generic = CompoundPoisson(0.4, lambda y: 5.0, (-5.0, -0.3))
+        assert generic.abs_moment(k) == abs(generic.moment(k))
+
+
+def test_composite_transforms_check_admissibility_once(monkeypatch):
+    # The log penalty of Pareto sizes and the tilted second moment are
+    # built from the drag; they check the admissibility rule once, not once
+    # for themselves and once more for the drag.
+    calls = []
+    rule = jumps.admissible_set
+
+    def counted(*args):
+        calls.append(args)
+        return rule(*args)
+
+    monkeypatch.setattr(jumps, "admissible_set", counted)
+    pareto = presets.get_preset("benth2012").market.measure
+    fractions = np.linspace(0.0, 0.2, 257)
+    for route in (pareto.log_penalty, pareto.tilted_second_moment,
+                  pareto.drag):
+        calls.clear()
+        route(fractions)
+        assert len(calls) == 1, route.__name__
 
 
 class TestValidation:

@@ -120,6 +120,37 @@ def test_price_nodes_do_not_depend_on_the_block_budget(monkeypatch):
                                       err_msg=f"budget {budget}")
 
 
+@pytest.mark.parametrize("budget", [1, 7, None])
+@pytest.mark.parametrize("name", PRESETS)
+def test_node_free_price_walk_gives_the_nodes_last_column_and_range(
+        name, budget, monkeypatch):
+    # ``nodes=False`` folds each block's rows into a running minimum and
+    # maximum instead of keeping them.  It must give the node array's last
+    # column and row extremes bit for bit, whatever the block length: a
+    # budget of 7 path-steps walks the batch of 2 paths in blocks of 3
+    # steps and the batch of 3 in blocks of 2, each with a shorter last
+    # block; the default walks each batch in one block.  The batches are
+    # two path_offset runs of one key set.
+    if budget is not None:
+        monkeypatch.setattr(_kernels_np, "BLOCK_PATH_STEPS", budget)
+    args, _, _ = kernel_inputs(name, 5, 25, 37)
+    walks = []
+    for part in (slice(0, 2), slice(2, 5)):
+        batch = (args[0][part], args[1][part], *args[2:])
+        nodes = _fresh(monkeypatch, lambda: _kernels_np.price_paths(*batch))
+        free = _fresh(monkeypatch, lambda: _kernels_np.price_paths(
+            *batch, nodes=False))
+        want = (nodes[:, -1], nodes.min(axis=1), nodes.max(axis=1))
+        for got, expected in zip(free, want):
+            assert got.shape == expected.shape
+            np.testing.assert_array_equal(_bits(got), _bits(expected))
+        walks.append(free)
+    whole = _kernels_np.price_paths(*args, nodes=False)
+    for got, parts in zip(whole, zip(*walks)):
+        np.testing.assert_array_equal(_bits(got),
+                                      _bits(np.concatenate(parts)))
+
+
 def test_price_calls_return_their_own_arrays():
     # The nodes are returned as a transposed view; a second call, which
     # may walk the first call's kept skeleton, must not write into it.
