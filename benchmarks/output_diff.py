@@ -13,14 +13,15 @@ The groups are:
   mean log-wealth and standard error of a ``WealthRun``;
 * every ``levyou`` result file: ``solve`` at a point and, per preset, on a
   grid; the ``figure`` CSVs and SVGs per preset; the ``simulate`` summary
-  and its ``--out`` paths; the ``value`` and ``compare`` CSVs on
-  benth2012, and a ``value`` run whose settings come from a config file;
-* the CSVs of the four run records: ``PathBundle``, ``WealthRun``,
-  ``ValueGrid`` and ``StrategySurface``;
+  with its ``--out`` paths, and without ``--out`` (the node-free walk);
+  the ``value`` and ``compare`` CSVs on benth2012, and a ``value`` run
+  whose settings come from a config file;
+* the CSVs of the three run records: ``PathBundle``, ``WealthRun`` and
+  ``ValueGrid``;
 * per preset measure, plus a ``ConstantJump`` and a plain
   ``CompoundPoisson`` density: the array transforms on a fraction grid,
-  the ``*_integral`` and ``tilted_second_moment`` routes at each of its
-  fractions, and every route at impact scale 0 and at a negative one;
+  the ``*_integral`` routes at each of its fractions, and every route at
+  impact scale 0 and at a negative one;
 * per preset: the exact, risk-ratio and jump-mean grids at the prices
   ±1e308 and ±inf.
 
@@ -143,11 +144,14 @@ def cli_files(argv):
         return "\n".join(parts)
 
 
-def cli_csv(command, extra):
+def cli_run(command, extra=()):
     return cli_files([command, "--preset", "benth2012",
                       "--steps", str(STEPS), "--paths", str(PATHS),
-                      "--seed", str(SEED), "--backend", "numpy",
-                      "--out", "{tmp}/out.csv", *extra])
+                      "--seed", str(SEED), "--backend", "numpy", *extra])
+
+
+def cli_csv(command, extra):
+    return cli_run(command, ["--out", "{tmp}/out.csv", *extra])
 
 
 def cli_groups():
@@ -163,6 +167,7 @@ def cli_groups():
     yield "cli solve point", cli_files(
         ["solve", "--s", "4.5", "--b-frac", "0.5", "--t", "2"])
     yield "cli simulate", cli_csv("simulate", [])
+    yield "cli simulate without --out", cli_run("simulate")
     yield "cli value", cli_csv("value", ["--s-grid", "4:6:3"])
     yield "cli compare", cli_csv("compare", [])
     with tempfile.TemporaryDirectory() as tmp:
@@ -199,8 +204,6 @@ def record_groups(preset):
     yield "ValueGrid", valuation.value_grid(
         market, [0.0, T / 2.0], [4.0, 5.0, 6.0], T, lo, hi, config=config,
         backend="numpy")
-    yield "StrategySurface", strategy.strategy_surface(
-        market, [0.0, T / 2.0], np.linspace(0.0, 10.0, 11), lo, hi)
 
 
 def valuation_groups(preset):
@@ -229,8 +232,7 @@ def valuation_groups(preset):
 
 FRACTIONS = np.array([0.0, 1e-6, 0.05, 0.2, 0.8])
 ROUTES = ("drag", "curvature", "log_penalty", "drag_integral",
-          "curvature_integral", "log_penalty_integral",
-          "tilted_second_moment")
+          "curvature_integral", "log_penalty_integral")
 
 
 def measure_groups(measure):

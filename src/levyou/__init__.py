@@ -73,20 +73,16 @@ from .presets import PRESET_NAMES, Preset, get_preset, load_config
 from .strategy import (
     OptimalFraction,
     PriceTable,
-    StrategySurface,
     best_growth,
-    best_growth_gradient,
     clamp_thresholds,
     constant_fraction_table,
     exact_fraction_table,
     fraction_table,
     growth_rate,
-    growth_slope,
     growth_table,
     inverse_price,
     optimal_fraction,
     optimal_fraction_grid,
-    strategy_surface,
 )
 from .valuation import (
     STRATEGY_KINDS,
@@ -99,7 +95,6 @@ from .valuation import (
     compare_strategies,
     estimate_value,
     strategy_table,
-    total_value,
     tower_check,
     value_grid,
     wealth_simulate,
@@ -121,11 +116,10 @@ __all__ = [
     "MarketCoefficients", "SimConfig", "PathBundle", "simulate_paths",
     "analytic_mean", "analytic_variance",
     # strategy
-    "OptimalFraction", "growth_rate", "growth_slope", "optimal_fraction",
+    "OptimalFraction", "growth_rate", "optimal_fraction",
     "optimal_fraction_grid", "inverse_price", "clamp_thresholds",
-    "best_growth", "best_growth_gradient", "StrategySurface",
-    "strategy_surface", "PriceTable", "fraction_table",
-    "exact_fraction_table", "constant_fraction_table", "growth_table",
+    "best_growth", "PriceTable", "fraction_table", "exact_fraction_table",
+    "constant_fraction_table", "growth_table",
     # approx
     "ApproxFraction", "ApproxBound", "merton_denominator",
     "merton_fraction", "merton_fraction_grid", "merton_error_bound",
@@ -135,8 +129,8 @@ __all__ = [
     # valuation
     "STRATEGY_KINDS", "ValueEstimate", "TowerReport", "WealthRun",
     "StrategyScore", "ComparisonReport", "ValueGrid", "estimate_value",
-    "total_value", "wealth_simulate", "compare_strategies", "tower_check",
-    "value_grid", "strategy_table",
+    "wealth_simulate", "compare_strategies", "tower_check", "value_grid",
+    "strategy_table",
     # presets
     "Preset", "PRESET_NAMES", "get_preset", "load_config",
     # backends

@@ -207,10 +207,6 @@ class ApproxBound:
     case: CaseTag
     inputs_echo: dict
 
-    @property
-    def is_finite(self):
-        return math.isfinite(self.bound_value)
-
 
 def _window_scales(market):
     psi1, psi2 = market.psi_range

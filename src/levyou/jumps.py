@@ -2,17 +2,16 @@
 transforms.
 
 A jump measure nu is represented through its Lévy density (mass
-``rate = nu(R)`` may be infinite).  Four integral transforms of nu appear
+``rate = nu(R)`` may be infinite).  Three integral transforms of nu appear
 throughout the first-order analysis of the log-utility objective; writing
 x = pi * psi * y:
 
-``drag_integral``      I(pi)  = ∫ pi psi^2 y^2 / (1 + x) nu(dy)
+``drag_integral``       I(pi) = ∫ pi psi^2 y^2 / (1 + x) nu(dy)
 ``log_penalty_integral``P(pi) = ∫ [log(1 + x) - x] nu(dy)
-``curvature_integral`` C(pi)  = ∫ psi^2 y^2 / (1 + x)^2 nu(dy)
-``tilted_second_moment``T(pi) = ∫ y^2 / (1 + x) nu(dy)
+``curvature_integral``  C(pi) = ∫ psi^2 y^2 / (1 + x)^2 nu(dy)
 
-They are related by I = pi psi^2 T and C = dI/dpi, and all require the
-fraction to be admissible (1 + x > 0 on the support of nu).
+They are related by C = dI/dpi, and all require the fraction to be
+admissible (1 + x > 0 on the support of nu).
 :func:`binding_ends` decides once which ends of the support bound the
 fraction; :func:`admissible_set` and the error bounds of
 :mod:`levyou.approx` read them.  A negative impact scale is a
@@ -34,9 +33,9 @@ admissibility and returns zeros for a zero rate.  The base ``drag``,
 ``curvature`` and ``log_penalty`` are the quadrature routes, run at each
 fraction of an array of any shape.  The drag is written once per measure,
 unchecked, as ``_drag``: ``drag`` runs it behind the check, and the
-transforms built from the drag (the Pareto log penalty, the tilted second
-moment) call it inside their own, so each call checks once.  The simulated
-jump laws override these with closed forms:
+Pareto log penalty, which is built from the drag, calls it inside its own,
+so each call checks once.  The simulated jump laws override these with
+closed forms:
 
 * Pareto sizes: ``ParetoJump.drag`` and ``ParetoJump.curvature`` through
   the Euler integrals I_b(w) = ∫₀¹ t^(b-1)/(w+t) dt and
@@ -49,9 +48,7 @@ jump laws override these with closed forms:
 An empty support makes every moment and transform zero, so the zero
 measure ``NoJumps`` overrides none.  The Pareto and uniform closed forms
 share no code with the quadrature route but the Taylor series of
-log1p(u) - u, so each is a cross-check of the other.  The tilted second
-moment comes from the drag, as I/(pi psi^2), or is the second moment at
-pi psi^2 = 0.
+log1p(u) - u, so each is a cross-check of the other.
 """
 
 import enum
@@ -483,10 +480,10 @@ class JumpMeasure:
         return 0.0 if d == 0.0 else y * (y * d)
 
     # The drag at an ndarray of fractions that passed the admissibility
-    # rule, unchecked: :meth:`drag` checks and calls it, and the
-    # transforms built from the drag call it inside their own check, so
-    # each call checks the rule once.  The closed-form subclasses override
-    # it, ``curvature`` and ``log_penalty``.
+    # rule, unchecked: :meth:`drag` checks and calls it, and the Pareto log
+    # penalty, which is built from the drag, calls it inside its own check,
+    # so each call checks the rule once.  The closed-form subclasses
+    # override it, ``curvature`` and ``log_penalty``.
     _drag = _drag_quadrature
 
     def drag(self, pi, psi=1.0):
@@ -496,21 +493,6 @@ class JumpMeasure:
 
     curvature = curvature_integral
     log_penalty = log_penalty_integral
-
-    def tilted_second_moment(self, pi, psi=1.0):
-        """∫ y^2/(1 + pi psi y) nu(dy) of a scalar or ndarray ``pi``: the
-        drag over pi psi^2, and the second moment where pi psi^2 = 0."""
-
-        def formula(p):
-            scale = p * psi * psi
-            zero = scale == 0.0
-            out = np.divide(self._drag(p, psi), scale,
-                            out=np.zeros_like(scale), where=~zero)
-            if np.any(zero):
-                out[zero] = self.moment(2)
-            return out
-
-        return self._transform(pi, psi, formula)
 
 
 class NoJumps(JumpMeasure):

@@ -117,31 +117,10 @@ class MarketCoefficients:
     def psi_at(self, t):
         return float(self.psi(t)) if callable(self.psi) else float(self.psi)
 
-    @staticmethod
-    def _dot(fn, t, h=1e-6):
-        """Central difference of a callable coefficient; 0 for a constant."""
-        if not callable(fn):
-            return 0.0
-        return (fn(t + h) - fn(t - h)) / (2.0 * h)
-
-    def b_dot_at(self, t):
-        return self._dot(self.b, t)
-
-    def sigma_dot_at(self, t):
-        return self._dot(self.sigma, t)
-
-    def psi_dot_at(self, t):
-        return self._dot(self.psi, t)
-
     @property
     def is_constant(self):
         return not (callable(self.b) or callable(self.sigma)
                     or callable(self.psi))
-
-    @property
-    def jump_mean_flow(self):
-        """∫ y nu(dy), the mean jump flow per unit impact."""
-        return self._j1
 
     @property
     def jump_second_moment(self):
@@ -353,28 +332,6 @@ class PathBundle:
                 for i in range(n_paths) for k in range(n_times))
         _csv.write(path, "path bundle", [header], ("path_id", "time", "price"),
                    rows)
-
-    @classmethod
-    def from_csv(cls, path):
-        header, rows = _csv.read_runs(path, 3)
-        cells = {(pid, tv) for pid, tv, _ in rows}
-        ids = sorted({pid for pid, _ in cells})
-        times = sorted({tv for _, tv in cells})
-        offset = _csv.check_path_ids(ids, header, path)
-        n_times = int(header.get("n_steps", len(times) - 1)) + 1
-        if (len(times) != n_times or len(cells) != len(rows)
-                or len(rows) != len(ids) * n_times):
-            raise ConfigError(
-                f"{path} does not hold every (path, time) cell exactly once"
-            )
-        tindex = {tv: k for k, tv in enumerate(times)}
-        prices = np.empty((len(ids), len(times)))
-        for pid, tv, pv in rows:
-            prices[pid - offset, tindex[tv]] = pv
-        return cls(
-            times=np.array(times), prices=prices,
-            seed=int(header.get("seed", 0)), path_offset=offset,
-        )
 
 
 def check_start(s, x=1.0):

@@ -30,7 +30,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import _csv
 from .errors import ConfigError, ConvergenceError, DomainError
 
 RESIDUAL_SLACK = 1e-7
@@ -48,15 +47,6 @@ def growth_rate(pi, market, t, s):
         - 0.5 * sg * sg * pi * pi
         + market.measure.log_penalty(pi, psi)
     )
-
-
-def growth_slope(pi, market, t, s):
-    """Derivative of the growth rate with respect to the fraction."""
-    psi = market.psi_at(t)
-    sg = market.sigma_at(t)
-    q = market.foc_drift(t) - market.lam * s
-    pi = float(pi)
-    return q - sg * sg * pi - market.measure.drag(pi, psi)
 
 
 class OptimalFraction(NamedTuple):
@@ -194,72 +184,6 @@ def best_growth(market, t, s, pi_min, pi_max):
     """Optimal growth rate: the growth rate at the optimal fraction."""
     opt = optimal_fraction(market, t, s, pi_min, pi_max)
     return growth_rate(opt.value, market, t, s)
-
-
-def best_growth_gradient(market, t, s, pi_min, pi_max):
-    """(d/dt, d/ds) of the optimal growth rate via the envelope property.
-
-    Only the explicit (t, s) dependence contributes at the optimum:
-    d/ds = -lam * pi; d/dt collects the coefficient time-derivatives,
-    where the impact-scale term differentiates the jump integral,
-
-        d/dt = d'(t)*pi - sigma*sigma'*pi^2 - psi'*psi*pi^2*tilted(pi),
-
-    with tilted the second-moment transform under the tilted density.
-    """
-    opt = optimal_fraction(market, t, s, pi_min, pi_max)
-    pi = opt.value
-    d_dot = market.b_dot_at(t)
-    if not market.compensated:
-        d_dot += market.psi_dot_at(t) * market.jump_mean_flow
-    sg = market.sigma_at(t)
-    psi = market.psi_at(t)
-    g_t = (
-        d_dot * pi
-        - sg * market.sigma_dot_at(t) * pi * pi
-        - market.psi_dot_at(t) * psi * pi * pi
-        * market.measure.tilted_second_moment(pi, psi)
-    )
-    g_s = -market.lam * pi
-    return g_t, g_s
-
-
-class StrategySurface:
-    """Optimal (or approximate) fractions tabulated on a (time, price) grid."""
-
-    def __init__(self, t_grid, s_grid, fractions, clamped, label="exact"):
-        self.t_grid = np.asarray(t_grid, dtype=np.float64)
-        self.s_grid = np.asarray(s_grid, dtype=np.float64)
-        self.fractions = np.asarray(fractions, dtype=np.float64)
-        self.clamped = np.asarray(clamped, dtype=bool)
-        self.label = label
-
-    def to_csv(self, path):
-        rows = ((tv, sv, self.fractions[i, j], int(self.clamped[i, j]))
-                for i, tv in enumerate(self.t_grid)
-                for j, sv in enumerate(self.s_grid))
-        _csv.write(path, f"strategy surface label={self.label}", (),
-                   ("time", "price", "fraction", "clamped"), rows)
-
-
-def strategy_surface(market, t_grid, s_grid, pi_min, pi_max):
-    """Tabulate the exact optimal fraction over a (time, price) grid."""
-    market.validate_interval(pi_min, pi_max)
-    t_grid = np.asarray(t_grid, dtype=np.float64)
-    s_grid = np.asarray(s_grid, dtype=np.float64)
-    out = np.empty((len(t_grid), len(s_grid)))
-    cl = np.empty((len(t_grid), len(s_grid)), dtype=bool)
-    row = None
-    for i, tv in enumerate(t_grid):
-        if market.is_constant and row is not None:
-            out[i], cl[i] = row
-            continue
-        pi, clamped = optimal_fraction_grid(
-            market, float(tv), s_grid, pi_min, pi_max
-        )
-        out[i], cl[i] = pi, clamped
-        row = (pi, clamped)
-    return StrategySurface(t_grid, s_grid, out, cl)
 
 
 # -- dense tables for the simulation kernels --------------------------------

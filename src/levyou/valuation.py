@@ -91,20 +91,6 @@ class WealthRun:
         _csv.write(path, "wealth run", [header],
                    ("path_id", "log_terminal_wealth"), rows)
 
-    @classmethod
-    def from_csv(cls, path):
-        header, rows = _csv.read_runs(path, 2)
-        rows.sort()
-        offset = _csv.check_path_ids([pid for pid, _ in rows], header, path)
-        return cls(
-            terminal_log_wealth=np.array([w for _, w in rows]),
-            positivity_violations=int(header.get("violations", 0)),
-            label=header.get("label", "unknown"),
-            x0=float(header.get("x0", 1.0)),
-            seed=int(header.get("seed", 0)),
-            path_offset=offset,
-        )
-
 
 class StrategyScore(NamedTuple):
     """Mean terminal log-wealth of one strategy, plus the paired gap to
@@ -211,16 +197,6 @@ def estimate_value(market, t, s, T, pi_min, pi_max, config=None,
     n_paths = config.n_paths if T > t else 0
     return ValueEstimate(float(grid.g_hat[0, 0]), float(grid.std_err[0, 0]),
                          n_paths, config.seed)
-
-
-def total_value(market, t, s, x, T, pi_min, pi_max, config=None,
-                backend=None, table_ns=257):
-    """log(x) plus the estimated growth integral from (t, s)."""
-    check_start(s, x)
-    est = estimate_value(
-        market, t, s, T, pi_min, pi_max, config, backend, table_ns
-    )
-    return math.log(x) + est.g_hat
 
 
 def wealth_simulate(market, table, t, s, x, T, config=None, backend=None,

@@ -155,14 +155,14 @@ def test_error_bounds_dominate_observed_gaps():
             preset.market, preset.pi_min, preset.pi_max
         )
         observed = float(np.max(np.abs(exact - jump_mean)))
-        assert bound.is_finite
+        assert math.isfinite(bound.bound_value)
         assert bound.bound_value >= observed, f"b_frac={frac}"
 
     # The third-moment bound is infinite for the heavy-tailed preset.
     preset = presets.get_preset("benth2012")
     mb = approx.merton_error_bound(preset.market, preset.pi_min,
                                    preset.pi_max)
-    assert math.isinf(mb.bound_value) and not mb.is_finite
+    assert math.isinf(mb.bound_value)
 
     # Bounded two-sided jumps: the same bound covers the observed gap.
     uni = presets.get_preset("uniform-two-sided")
@@ -175,7 +175,7 @@ def test_error_bounds_dominate_observed_gaps():
     )
     ub = approx.merton_error_bound(uni.market, uni.pi_min, uni.pi_max)
     observed = float(np.max(np.abs(exact - merton)))
-    assert ub.is_finite
+    assert math.isfinite(ub.bound_value)
     assert ub.bound_value >= observed
     budget.check()
 
@@ -294,11 +294,12 @@ def test_property_suite():
                                          preset.pi_min, preset.pi_max)
         assert back.value == pytest.approx(pi, abs=1e-10)
 
-    # Envelope derivative of the optimal growth vs finite differences.
+    # Envelope property: the optimal growth falls in price at lam times
+    # the optimal fraction (finite differences).
     for pre, s in ((preset, 5.0), (presets.get_preset("gaussian"), 0.3)):
         m = pre.market
-        _, g_s = strategy.best_growth_gradient(m, 0.0, s,
-                                               pre.pi_min, pre.pi_max)
+        g_s = -m.lam * strategy.optimal_fraction(m, 0.0, s, pre.pi_min,
+                                                 pre.pi_max).value
         h = 1e-4
         fd = (
             strategy.best_growth(m, 0.0, s + h, pre.pi_min, pre.pi_max)

@@ -351,7 +351,6 @@ class TestMertonBound:
         # absolute moment diverges and the bound must be the infinite marker
         b = ax.merton_error_bound(pareto_market(), 0.0, 0.2)
         assert b.bound_value == math.inf
-        assert not b.is_finite
         assert b.case is CaseTag.POSITIVE
         assert b.constants["C0"] == pytest.approx(PRESET_C0, rel=1e-12)
         assert b.constants["C"] == b.constants["C0"]
@@ -361,7 +360,6 @@ class TestMertonBound:
         # tail exponent 3.5: unbounded positive sizes keep C = C0 and the
         # bound reduces to C0 times the third absolute moment
         b = ax.merton_error_bound(pareto_market(alpha=3.5), 0.0, 0.2)
-        assert b.is_finite
         assert b.constants["C"] == b.constants["C0"]
         assert b.bound_value == pytest.approx(PARETO35_BOUND, rel=1e-12)
 

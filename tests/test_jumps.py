@@ -141,15 +141,9 @@ class TestParetoTransforms:
             rtol=1e-14,
         )
 
-    def test_tilted_second_moment(self, pareto):
-        np.testing.assert_allclose(
-            pareto.tilted_second_moment(1.0),
-            0.038419091841385143,  # equals drag at pi = psi = 1
-            rtol=1e-10,
-        )
-
-    # mpmath references (60 digits; quadrature and the 2F1 form agree to
-    # 1e-52).  The quadrature route was 2.2e-7 relative off at 5e-13.
+    # mpmath references for the tilted second moment, drag / pi at psi = 1
+    # (60 digits; quadrature and the 2F1 form agree to 1e-52).  The
+    # quadrature route was 2.2e-7 relative off at 5e-13.
     TILTED = {
         5e-13: 0.097067354068828789,
         1e-6: 0.097012426725505647,
@@ -159,7 +153,7 @@ class TestParetoTransforms:
     @pytest.mark.parametrize("pi", sorted(TILTED))
     def test_tilted_second_moment_at_small_fractions(self, pareto, pi):
         np.testing.assert_allclose(
-            pareto.tilted_second_moment(pi), self.TILTED[pi], rtol=1e-13
+            pareto.drag(pi), pi * self.TILTED[pi], rtol=1e-13
         )
 
     def test_scaled_impact_drag(self, pareto):
@@ -352,8 +346,7 @@ def test_quadrature_sees_the_far_tail_where_the_density_underflows(alpha,
 
 
 ROUTES = ("drag", "curvature", "log_penalty", "drag_integral",
-          "curvature_integral", "log_penalty_integral",
-          "tilted_second_moment")
+          "curvature_integral", "log_penalty_integral")
 
 
 @pytest.mark.parametrize("measure", [
@@ -370,8 +363,7 @@ def test_every_route_gives_one_admissibility_verdict(measure):
     # returned values).
     for route in ROUTES:
         fn = getattr(measure, route)
-        at_zero = measure.moment(2) if route == "tilted_second_moment" else 0.0
-        assert fn(-0.1, 0.0) == at_zero
+        assert fn(-0.1, 0.0) == 0.0
         if measure.rate == 0.0:
             assert fn(0.1, -0.5) == 0.0
         else:
@@ -589,7 +581,6 @@ class TestNoJumps:
         assert none.drag_integral(5.0) == 0.0
         assert none.log_penalty_integral(5.0) == 0.0
         assert none.curvature_integral(5.0) == 0.0
-        assert none.tilted_second_moment(5.0) == 0.0
         assert none.admissible(1e12)
         assert none.rate == 0.0
 
@@ -626,8 +617,8 @@ class TestEmptySupport:
     def test_transforms(self, pi):
         none = NoJumps()
         for fn in (none.drag_integral, none.log_penalty_integral,
-                   none.curvature_integral, none.tilted_second_moment,
-                   none.drag, none.curvature, none.log_penalty):
+                   none.curvature_integral, none.drag, none.curvature,
+                   none.log_penalty):
             assert fn(pi, 1.2) == 0.0, fn.__name__
 
     @pytest.mark.parametrize("x", [0.0, 0.5])
@@ -770,9 +761,6 @@ class TestConstantJump:
         assert m.log_penalty(pi, psi) == pytest.approx(
             2.0 * (math.log1p(x) - x), rel=1e-13
         )
-        assert m.tilted_second_moment(pi, psi) == pytest.approx(
-            2.0 * 0.36 / (1 + x), rel=1e-15
-        )
 
     def test_vector_transforms_match_scalar(self):
         m = ConstantJump(size=0.6, rate=2.0)
@@ -864,9 +852,9 @@ class TestGenericCompoundPoisson:
 
 
 def test_composite_transforms_check_admissibility_once(monkeypatch):
-    # The log penalty of Pareto sizes and the tilted second moment are
-    # built from the drag; they check the admissibility rule once, not once
-    # for themselves and once more for the drag.
+    # The log penalty of Pareto sizes is built from the drag; it checks the
+    # admissibility rule once, not once for itself and once more for the
+    # drag.
     calls = []
     rule = jumps.admissible_set
 
@@ -877,8 +865,7 @@ def test_composite_transforms_check_admissibility_once(monkeypatch):
     monkeypatch.setattr(jumps, "admissible_set", counted)
     pareto = presets.get_preset("benth2012").market.measure
     fractions = np.linspace(0.0, 0.2, 257)
-    for route in (pareto.log_penalty, pareto.tilted_second_moment,
-                  pareto.drag):
+    for route in (pareto.log_penalty, pareto.drag):
         calls.clear()
         route(fractions)
         assert len(calls) == 1, route.__name__

@@ -5,7 +5,7 @@ since imported scipy.  Importing the package, building every preset,
 ``describe-preset`` and a zero-volatility ``simulate`` need no root
 finder, no quadrature and no normal quantile, so they must leave scipy
 unloaded; ``solve`` needs the root finder, which shows that the check can
-see an import at all.
+see an import at all.  Every name that the package exports must resolve.
 """
 
 import json
@@ -52,3 +52,12 @@ def test_solve_loads_the_root_finder(tmp_path):
     solve = ["solve", "--preset", "benth2012"]
     assert "scipy.optimize" in scipy_modules_after([*NO_SCIPY, solve],
                                                    tmp_path)
+
+
+def test_every_exported_name_resolves():
+    # A name left in __all__ after its definition goes breaks
+    # ``from levyou import *`` while ``import levyou`` still works.
+    import levyou
+
+    missing = [name for name in levyou.__all__ if not hasattr(levyou, name)]
+    assert missing == []

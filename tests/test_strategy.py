@@ -71,10 +71,16 @@ class TestGrowthRate:
     def test_zero_fraction_zero_growth(self):
         assert sg.growth_rate(0.0, uniform_market(), 0.0, 1.0) == 0.0
 
+    # The slope of the growth rate in the fraction is q - G(pi): the drift
+    # gap less the stationarity map that the solver inverts.
+    @staticmethod
+    def slope(pi, m, s):
+        return sg.drift_gap(m, 0.0, s) - sg._stationarity(m, 0.0, pi)
+
     def test_slope_at_zero_is_drift_gap(self):
         m = uniform_market()
         s = 0.7
-        assert sg.growth_slope(0.0, m, 0.0, s) == pytest.approx(
+        assert self.slope(0.0, m, s) == pytest.approx(
             0.1 - 0.3 * s, rel=1e-15
         )
 
@@ -86,7 +92,7 @@ class TestGrowthRate:
                 sg.growth_rate(pi + h, m, 0.0, 0.3)
                 - sg.growth_rate(pi - h, m, 0.0, 0.3)
             ) / (2 * h)
-            assert sg.growth_slope(pi, m, 0.0, 0.3) == pytest.approx(
+            assert self.slope(pi, m, 0.3) == pytest.approx(
                 fd, rel=1e-7, abs=1e-9
             )
 
@@ -254,75 +260,6 @@ class TestBestGrowth:
         # exactly linear with slope -lam * pi_max
         assert f2 - f1 == pytest.approx(f1 - f0, rel=1e-10)
         assert (f2 - f0) / (2 * h) == pytest.approx(-LAM * 0.2, rel=1e-10)
-
-
-class TestEnvelopeGradient:
-    def tv_market(self):
-        return mk.MarketCoefficients(
-            lam=0.3,
-            b=lambda t: 0.1 + 0.05 * math.sin(t),
-            sigma=lambda t: 0.25 + 0.02 * math.cos(t),
-            psi=lambda t: 0.6 + 0.1 * math.sin(0.5 * t),
-            sigma_range=(0.23, 0.27),
-            psi_range=(0.5, 0.7),
-            measure=UniformJump(-0.5, 1.0, 1.0),
-        )
-
-    def test_price_gradient_is_scaled_fraction(self):
-        m = self.tv_market()
-        pi_lo, pi_hi = -0.6, 1.2
-        opt = sg.optimal_fraction(m, 1.3, 0.2, pi_lo, pi_hi)
-        g_t, g_s = sg.best_growth_gradient(m, 1.3, 0.2, pi_lo, pi_hi)
-        assert g_s == pytest.approx(-0.3 * opt.value, rel=1e-12)
-
-    def test_gradients_match_finite_differences(self):
-        m = self.tv_market()
-        pi_lo, pi_hi = -0.6, 1.2
-        t0, s0 = 1.3, 0.2
-        g_t, g_s = sg.best_growth_gradient(m, t0, s0, pi_lo, pi_hi)
-        h = 1e-5
-        fd_t = (
-            sg.best_growth(m, t0 + h, s0, pi_lo, pi_hi)
-            - sg.best_growth(m, t0 - h, s0, pi_lo, pi_hi)
-        ) / (2 * h)
-        fd_s = (
-            sg.best_growth(m, t0, s0 + h, pi_lo, pi_hi)
-            - sg.best_growth(m, t0, s0 - h, pi_lo, pi_hi)
-        ) / (2 * h)
-        assert g_t == pytest.approx(fd_t, rel=1e-5, abs=1e-8)
-        assert g_s == pytest.approx(fd_s, rel=1e-5, abs=1e-8)
-
-    def test_constant_market_time_gradient_vanishes(self):
-        g_t, g_s = sg.best_growth_gradient(uniform_market(), 0.0, 0.2,
-                                           -0.5, 1.0)
-        assert g_t == 0.0
-
-
-class TestSurface:
-    def test_shape_and_monotonicity(self):
-        m = pareto_market()
-        t_grid = np.linspace(0, 24, 5)
-        s_grid = np.linspace(3.5, 6.5, 41)
-        surf = sg.strategy_surface(m, t_grid, s_grid, 0.0, 0.2)
-        assert surf.fractions.shape == (5, 41)
-        assert np.all(np.diff(surf.fractions, axis=1) <= 1e-12)
-        # constant coefficients: every row identical
-        assert np.all(surf.fractions == surf.fractions[0])
-
-    def test_clamped_mask(self):
-        m = pareto_market()
-        s_grid = np.array([4.0, 5.0, 10.0])
-        surf = sg.strategy_surface(m, [0.0], s_grid, 0.0, 0.2)
-        assert surf.clamped[0].tolist() == [True, False, True]
-
-    def test_csv(self, tmp_path):
-        m = pareto_market()
-        surf = sg.strategy_surface(m, [0.0, 12.0], [4.0, 5.0], 0.0, 0.2)
-        f = tmp_path / "surface.csv"
-        surf.to_csv(f)
-        text = f.read_text().splitlines()
-        assert text[1] == "time,price,fraction,clamped"
-        assert len(text) == 2 + 4
 
 
 class TestFractionTable:

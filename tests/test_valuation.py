@@ -235,30 +235,6 @@ def test_no_mean_reversion_value_is_the_growth_rate_times_horizon(name):
     assert [row.label for row in report.scores] == list(vl.STRATEGY_KINDS)
 
 
-class TestTotalValue:
-    def test_requires_positive_wealth(self):
-        with pytest.raises(DomainError):
-            vl.total_value(
-                gaussian_market(), 0.0, 0.1, 0.0, 2.0, -2.0, 2.0,
-                SimConfig(n_paths=10, n_steps=4, seed=1),
-            )
-
-    def test_terminal_is_log_wealth(self):
-        v = vl.total_value(
-            gaussian_market(), 2.0, 0.1, 3.0, 2.0, -2.0, 2.0,
-            SimConfig(n_paths=10, n_steps=4, seed=1),
-        )
-        assert v == math.log(3.0)
-
-    def test_wealth_enters_additively(self):
-        cfg = SimConfig(n_paths=200, n_steps=16, seed=8)
-        args = (gaussian_market(), 0.0, 0.1)
-        tail = (2.0, -2.0, 2.0, cfg, "numpy")
-        v1 = vl.total_value(*args, 1.0, *tail)
-        v7 = vl.total_value(*args, 7.0, *tail)
-        assert v7 - v1 == pytest.approx(math.log(7.0), rel=1e-14)
-
-
 class TestWealthSimulate:
     def test_zero_strategy_keeps_wealth_constant(self):
         m = pareto_market()
@@ -352,43 +328,12 @@ class TestWealthSimulate:
         )
         path = tmp_path / "wealth.csv"
         run.to_csv(path)
-        back = vl.WealthRun.from_csv(path)
-        assert back.label == "merton"
-        assert back.x0 == 2.0
-        assert back.seed == 14
-        assert back.path_offset == 7
-        assert back.positivity_violations == 0
-        np.testing.assert_array_equal(
-            back.terminal_log_wealth, run.terminal_log_wealth
-        )
-
-    @pytest.mark.parametrize("edit", ["drop_last", "cut_last", "duplicate",
-                                      "gap", "offset"])
-    def test_incomplete_csv_rejected(self, tmp_path, edit):
-        run = vl.WealthRun(np.array([0.1, -0.2, 0.3, 0.05]), 0, "exact",
-                           1.0, 3, path_offset=7)
-        path = tmp_path / "wealth.csv"
-        run.to_csv(path)
-        lines = path.read_text().splitlines()
-        if edit == "drop_last":
-            lines = lines[:-1]
-        elif edit == "cut_last":
-            lines[-1] = lines[-1].split(",")[0] + ","
-        elif edit == "duplicate":
-            lines.append(lines[-1])
-        elif edit == "gap":
-            del lines[4]
-        else:
-            lines[1] = lines[1].replace("path_offset=7", "path_offset=6")
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ConfigError):
-            vl.WealthRun.from_csv(path)
-
-    def test_csv_requires_rows(self, tmp_path):
-        path = tmp_path / "empty.csv"
-        path.write_text("# levyou wealth run\npath_id,log_terminal_wealth\n")
-        with pytest.raises(ConfigError):
-            vl.WealthRun.from_csv(path)
+        assert path.read_text().splitlines()[1] == (
+            "# label=merton x0=2 seed=14 path_offset=7 n_paths=40 "
+            "violations=0")
+        rows = np.loadtxt(path, delimiter=",", skiprows=3)
+        np.testing.assert_array_equal(rows[:, 0], np.arange(7, 47))
+        np.testing.assert_array_equal(rows[:, 1], run.terminal_log_wealth)
 
 
 class TestStrategyTable:
@@ -604,8 +549,6 @@ def _entry_points():
     return {
         "estimate_value": lambda s, x: vl.estimate_value(
             m, 0.0, s, T, lo, hi, cfg, backend="numpy"),
-        "total_value": lambda s, x: vl.total_value(
-            m, 0.0, s, x, T, lo, hi, cfg, backend="numpy"),
         "value_grid": lambda s, x: vl.value_grid(
             m, [0.0], [5.0, s], T, lo, hi, cfg, backend="numpy"),
         "wealth_simulate": lambda s, x: vl.wealth_simulate(
@@ -630,8 +573,7 @@ def test_non_finite_start_price_is_rejected(entry, s):
         call(s, 1.0)
 
 
-@pytest.mark.parametrize("entry", ["total_value", "wealth_simulate",
-                                   "compare_strategies"])
+@pytest.mark.parametrize("entry", ["wealth_simulate", "compare_strategies"])
 @pytest.mark.parametrize("x", [math.nan, math.inf, 0.0])
 def test_bad_start_wealth_is_rejected(entry, x):
     with pytest.raises(DomainError, match="initial wealth"):
