@@ -8,6 +8,8 @@ The groups are:
   at three prices and the clamp thresholds;
 * per preset that can be simulated: numpy-backend ``price_paths``,
   ``value_paths`` and ``wealth_paths``;
+* the same table groups as per preset for a market on a plain
+  ``CompoundPoisson`` density, whose drag and curvature are quadratures;
 * on benth2012: a small ``TowerReport`` at h = T/2 and at h = T - t;
   ``estimate_value`` at a point, at T == t and at T < t (an error); the
   mean log-wealth and standard error of a ``WealthRun``;
@@ -248,15 +250,35 @@ def measure_groups(measure):
             for name in ROUTES)
 
 
+def density_measure():
+    """A plain ``CompoundPoisson`` density: it has no closed forms, so its
+    every transform is a quadrature."""
+    from levyou.jumps import CompoundPoisson
+
+    return CompoundPoisson(0.5, lambda y: 0.75 * (1.0 - y * y), (-1.0, 1.0))
+
+
+def density_preset():
+    """A constant market on :func:`density_measure`, with s0 between its
+    clamp thresholds (0.13 and 0.56 at these coefficients)."""
+    from levyou.market import MarketCoefficients
+    from levyou.presets import Preset
+
+    market = MarketCoefficients(lam=0.5, b=0.2, sigma=0.3, psi=0.8,
+                                measure=density_measure())
+    return Preset(name="CompoundPoisson market", description="",
+                  market=market, s0=0.4, horizon=1.0, pi_min=-0.5,
+                  pi_max=0.8, time_unit="unit")
+
+
 def measures():
     from levyou import presets
-    from levyou.jumps import CompoundPoisson, ConstantJump
+    from levyou.jumps import ConstantJump
 
     for name in presets.PRESET_NAMES:
         yield f"{name} measure", presets.get_preset(name).market.measure
     yield "ConstantJump", ConstantJump(size=-0.6, rate=2.0)
-    yield "CompoundPoisson", CompoundPoisson(
-        0.5, lambda y: 0.75 * (1.0 - y * y), (-1.0, 1.0))
+    yield "CompoundPoisson", density_measure()
 
 
 def edge_price_groups(preset):
@@ -288,6 +310,9 @@ def groups():
             continue
         for label, value in sim:
             yield f"{name} {label}", value
+    density = density_preset()
+    for label, value in table_groups(density):
+        yield f"{density.name} {label}", value
     preset = presets.get_preset("benth2012")
     for label, value in valuation_groups(preset):
         yield f"benth2012 {label}", value

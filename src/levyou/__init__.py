@@ -11,7 +11,8 @@ more general Lévy) jumps:
   analytic moments;
 * :mod:`levyou.strategy` — the exact optimal fraction (first-order
   condition inverted by Chandrupatla's bracketing root finder) and
-  growth tables;
+  fraction and growth tables (built from the explicit price map with
+  Newton steps);
 * :mod:`levyou.approx` — two closed-form approximations with uniform
   error bounds;
 * :mod:`levyou.valuation` — Monte Carlo reward estimates, strategy

@@ -44,7 +44,8 @@ class QuadratureError(NumericalError):
 
 
 class ConvergenceError(NumericalError):
-    """Iterative scheme (series or root finder) exhausted its budget."""
+    """Iterative scheme (series, root finder or Newton steps) exhausted
+    its budget."""
 
 
 class BranchError(NumericalError):

@@ -17,7 +17,15 @@ where G is strictly increasing.  The optimal fraction on an interval
 [pi_min, pi_max] is therefore the monotone inverse of G clamped to the
 interval; all price dependence enters through the scalar q, which makes
 whole-grid solves cheap and the clamping thresholds in price explicit.
-The interior inverse is found by Chandrupatla's bracketing root finder
+
+With mean reversion the inverse is explicit the other way round: pi is
+optimal at the price s(pi) = (d - G(pi))/lam (:func:`inverse_price`).
+The kernel tables (:func:`exact_fraction_table`, :func:`growth_table`)
+are built from that map, with no root finder: s(pi) sampled at evenly
+spaced fractions and interpolated onto the row's prices, then two Newton
+steps on q = G(pi) with the exact slope G'(pi) = sigma^2 + curvature(pi).
+Single solves, the ``solve`` and ``figure`` commands and rows without
+mean reversion use Chandrupatla's bracketing root finder
 (``scipy.optimize.elementwise.find_root``), one bracket per price.  G does
 not depend on the drift b, so markets that differ only in b share it:
 :func:`optimal_fraction_gaps` solves their concatenated drift gaps in one
@@ -304,16 +312,61 @@ def fraction_table(market, times, solver, stationarity, pi_min, pi_max,
     return PriceTable(vals, s1, s2, 0.0, 0.0)
 
 
+def _table_fractions(market, t, s, pi_min, pi_max):
+    """Exact optimal fractions at the prices ``s`` of one table row, which
+    run evenly from s(pi_max) to s(pi_min).
+
+    Without mean reversion this is :func:`optimal_fraction_grid`.  With
+    it, the prices that :func:`_clamp` sends to an end of the interval
+    take that end, and so do the row's first and last prices, which are
+    the clamp thresholds, unless G is flat, where the clamp sets the whole
+    row as in :func:`_solve_q`.  Every other price starts from s(pi) at ns
+    evenly spaced fractions, interpolated linearly in price, and takes
+    two Newton steps on q = G(pi), each clipped to the interval.  A
+    remaining relative residual above ``RESIDUAL_SLACK`` raises
+    :class:`ConvergenceError`, as in :func:`_solve_q`.
+    """
+    if market.lam == 0.0:
+        pi, _ = optimal_fraction_grid(market, t, s, pi_min, pi_max)
+        return pi
+    q = drift_gap(market, t, s)
+    G = partial(_stationarity, market, t)
+    g_lo, g_hi = float(G(pi_min)), float(G(pi_max))
+    pi, clamped = _clamp(q, g_lo, g_hi, pi_min, pi_max)
+    if not g_lo < g_hi:
+        # G is flat (no volatility and no jump impact): the clamp sets
+        # every price, and G' = 0 leaves no Newton step.
+        return pi
+    pi[0], pi[-1] = pi_max, pi_min
+    clamped[[0, -1]] = True
+    inner = ~clamped
+    if not inner.any():
+        return pi
+    knots = np.linspace(pi_min, pi_max, len(s))
+    p = np.interp(s[inner], inverse_price(market, t, knots)[::-1],
+                  knots[::-1])
+    qi = q[inner]
+    sg2 = market.sigma_at(t) ** 2
+    psi = market.psi_at(t)
+    for _ in range(2):
+        slope = sg2 + market.measure.curvature(p, psi)
+        p = np.clip(p + (qi - G(p)) / slope, pi_min, pi_max)
+    worst = float(np.max(np.abs(qi - G(p)) / np.maximum(1.0, np.abs(qi))))
+    if not worst <= RESIDUAL_SLACK:
+        raise ConvergenceError(
+            "table row did not converge to the residual target; worst "
+            f"relative residual {worst}")
+    pi[inner] = p
+    return pi
+
+
 def exact_fraction_table(market, times, pi_min, pi_max, ns=257):
     """Dense table of the exact optimal fraction for the kernels."""
     market.validate_interval(pi_min, pi_max)
-
-    def solver(tv, grid):
-        pi, _ = optimal_fraction_grid(market, tv, grid, pi_min, pi_max)
-        return pi
-
-    return fraction_table(market, times, solver,
-                          partial(_stationarity, market), pi_min, pi_max, ns)
+    return fraction_table(
+        market, times,
+        lambda tv, s: _table_fractions(market, tv, s, pi_min, pi_max),
+        partial(_stationarity, market), pi_min, pi_max, ns)
 
 
 def constant_fraction_table(times, value):
@@ -324,7 +377,8 @@ def constant_fraction_table(times, value):
 
 
 def growth_table(market, times, pi_min, pi_max, ns=257):
-    """Tabulate the optimal growth rate at every time node.
+    """Tabulate the optimal growth rate at every time node: the growth
+    rate at :func:`exact_fraction_table`'s fractions.
 
     Below s1 the optimum is pi_max and the growth rate is exactly linear in
     the price with slope -lam*pi_max (and likewise above s2), so the linear
@@ -333,7 +387,7 @@ def growth_table(market, times, pi_min, pi_max, ns=257):
     market.validate_interval(pi_min, pi_max)
 
     def solver(tv, grid):
-        pi, _ = optimal_fraction_grid(market, tv, grid, pi_min, pi_max)
+        pi = _table_fractions(market, tv, grid, pi_min, pi_max)
         return growth_rate(pi, market, tv, grid)
 
     table = fraction_table(market, times, solver,

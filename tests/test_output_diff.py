@@ -92,7 +92,7 @@ def test_a_tree_against_itself_reads_same_in_every_group():
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     *lines, summary = done.stdout.splitlines()
-    assert len(lines) >= 123
+    assert len(lines) >= 130
     assert all(line.endswith(": same") for line in lines)
     assert summary.startswith(f"-- {len(lines)} same, 0 changed")
     assert summary.endswith(", 0 flagged")

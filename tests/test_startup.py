@@ -3,9 +3,12 @@
 Each case runs in its own interpreter, since this test session has long
 since imported scipy.  Importing the package, building every preset,
 ``describe-preset`` and a zero-volatility ``simulate`` need no root
-finder, no quadrature and no normal quantile, so they must leave scipy
-unloaded; ``solve`` needs the root finder, which shows that the check can
-see an import at all.  Every name that the package exports must resolve.
+finder, no quadrature and no normal quantile; ``value`` and ``compare``
+on that zero-volatility market build their tables from the explicit price
+map, with no root finder, and draw no normal.  All of them must leave
+scipy unloaded.  ``solve`` needs the root finder, which shows that the
+check can see an import at all.  Every name that the package exports must
+resolve.
 """
 
 import json
@@ -31,6 +34,10 @@ print(json.dumps(sorted(m for m in sys.modules
 
 NO_SCIPY = [["describe-preset"],
             ["simulate", "--preset", "benth2012", "--paths", "64",
+             "--steps", "8"],
+            ["value", "--preset", "benth2012", "--paths", "64",
+             "--steps", "8"],
+            ["compare", "--preset", "benth2012", "--paths", "64",
              "--steps", "8"]]
 
 

@@ -23,7 +23,13 @@ from levyou.errors import (
     ConvergenceError,
     DomainError,
 )
-from levyou.jumps import ConstantJump, NoJumps, ParetoJump, UniformJump
+from levyou.jumps import (
+    CompoundPoisson,
+    ConstantJump,
+    NoJumps,
+    ParetoJump,
+    UniformJump,
+)
 
 LAM = 0.3333 / 24
 ETA = 3.7249 / 24
@@ -280,6 +286,63 @@ class TestFractionTable:
         assert tab.values[0, 0] == pytest.approx(0.2, abs=1e-9)
         assert tab.values[0, -1] == pytest.approx(0.0, abs=1e-9)
 
+    @pytest.mark.parametrize("name", presets.PRESET_NAMES)
+    def test_end_nodes_are_exactly_the_interval_ends(self, name):
+        # the first and last prices of a row are the clamp thresholds
+        p = presets.get_preset(name)
+        times = np.linspace(0.0, p.horizon, 5)
+        tab = sg.exact_fraction_table(p.market, times, p.pi_min, p.pi_max)
+        assert np.all(tab.values[:, 0] == p.pi_max)
+        assert np.all(tab.values[:, -1] == p.pi_min)
+
+    def test_tables_of_a_density_market_match_the_direct_solve(self):
+        # a plain density has no closed forms: its drag and curvature are
+        # quadratures
+        m = mk.MarketCoefficients(
+            lam=0.5, b=0.2, sigma=0.3, psi=0.8,
+            measure=CompoundPoisson(0.5, lambda y: 0.75 * (1.0 - y * y),
+                                    (-1.0, 1.0)))
+        fractions = sg.exact_fraction_table(m, [0.0], -0.5, 0.8, ns=33)
+        growth = sg.growth_table(m, [0.0], -0.5, 0.8, ns=33)
+        grid = fractions.s1[0] + np.linspace(0, 1, 33) * (
+            fractions.s2[0] - fractions.s1[0])
+        pi, _ = sg.optimal_fraction_grid(m, 0.0, grid, -0.5, 0.8)
+        np.testing.assert_allclose(fractions.values[0], pi, rtol=1e-12)
+        np.testing.assert_allclose(growth.values[0],
+                                   sg.growth_rate(pi, m, 0.0, grid),
+                                   rtol=1e-12)
+
+    def test_a_wrong_slope_fails_the_residual_check(self, monkeypatch):
+        # Newton steps with the slope's sign flipped move away from the
+        # root; the residual check must see it.
+        m = uniform_market()
+        curvature = m.measure.curvature
+        monkeypatch.setattr(m.measure, "curvature",
+                            lambda pi, psi=1.0: -curvature(pi, psi))
+        for build in (sg.exact_fraction_table, sg.growth_table):
+            with pytest.raises(ConvergenceError, match="residual"):
+                build(m, [0.0], -0.5, 1.0, ns=65)
+
+    @pytest.mark.parametrize("psi, measure", [
+        (1.0, NoJumps()), (0.0, UniformJump(-0.5, 1.0, 1.0))])
+    def test_rows_of_a_flat_stationarity_map_are_the_clamp(self, psi,
+                                                          measure):
+        # sigma = 0 with no jump impact makes G constant, so G' = 0: every
+        # price is clamped, and no Newton step may divide by the slope.
+        m = mk.MarketCoefficients(lam=0.5, b=0.2, sigma=0.0, psi=psi,
+                                  measure=measure)
+        with np.errstate(all="raise"):
+            fractions = sg.exact_fraction_table(m, [0.0, 1.0], -0.5, 0.8,
+                                                ns=9)
+            growth = sg.growth_table(m, [0.0, 1.0], -0.5, 0.8, ns=9)
+        grid = fractions.s1[0] + np.linspace(0, 1, 9) * (
+            fractions.s2[0] - fractions.s1[0])
+        pi, clamped = sg.optimal_fraction_grid(m, 0.0, grid, -0.5, 0.8)
+        assert clamped.all() and np.all(pi == -0.5)
+        np.testing.assert_array_equal(fractions.values, [pi, pi])
+        np.testing.assert_array_equal(
+            growth.values, [sg.growth_rate(pi, m, 0.0, grid)] * 2)
+
     def test_interpolation_accuracy(self):
         m = pareto_market()
         tab = sg.exact_fraction_table(m, [0.0], 0.0, 0.2, ns=257)
@@ -441,10 +504,17 @@ class TestGrowthTable:
     ])
     def test_row_is_growth_rate_on_its_price_grid(self, market, lo, hi):
         tab = sg.growth_table(market, [0.0], lo, hi, ns=65)
+        fractions = sg.exact_fraction_table(market, [0.0], lo, hi, ns=65)
+        assert (tab.s1[0], tab.s2[0]) == (fractions.s1[0], fractions.s2[0])
         grid = tab.s1[0] + np.linspace(0, 1, 65) * (tab.s2[0] - tab.s1[0])
-        pi, _ = sg.optimal_fraction_grid(market, 0.0, grid, lo, hi)
         np.testing.assert_array_equal(
-            sg.growth_rate(pi, market, 0.0, grid), tab.values[0]
+            sg.growth_rate(fractions.values[0], market, 0.0, grid),
+            tab.values[0]
+        )
+        pi, _ = sg.optimal_fraction_grid(market, 0.0, grid, lo, hi)
+        np.testing.assert_allclose(
+            tab.values[0], sg.growth_rate(pi, market, 0.0, grid),
+            rtol=1e-12, atol=1e-14
         )
 
     def test_linear_extension_is_exact(self):
